@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint hygiene bench bench-perf bench-async bench-rob-byz bench-overload bench-mega bench-ingest bench-rob-gate gateway report examples clean
+.PHONY: install test lint hygiene bench bench-perf bench-async bench-rob-byz bench-overload bench-mega bench-ingest bench-rob-gate bench-layers bench-layers-smoke gateway report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -88,6 +88,18 @@ bench-ingest:
 bench-rob-gate:
 	REPRO_ROBGATE_SMOKE=1 $(PYTHON) -m pytest \
 		benchmarks/test_robustness_gateway.py --benchmark-disable -s
+
+# The layered benchmark BENCHMARK.json declares: every workload,
+# untraced then traced, rewriting benchmarks/perf/results/latest.json
+# (several minutes; see benchmarks/perf/README.md).
+bench-layers:
+	$(PYTHON) benchmarks/perf/run.py
+
+# Its own tests plus all four workloads at tiny sizes, no timing
+# assertions (< 1 min).
+bench-layers-smoke:
+	$(PYTHON) -m pytest benchmarks/perf -q
+	$(PYTHON) benchmarks/perf/run.py --smoke
 
 # Serve a live ingestion gateway on localhost:8765 (Ctrl-C to stop).
 gateway:

@@ -8,7 +8,12 @@ Three timed comparisons, each fast-vs-reference on identical inputs:
   membership scan with a boolean mask, and the from-scratch per-step
   refit with a rank-1 QR update; the matrix-free DCT operator removes
   the N x N basis build entirely.
-- **PERF-OMP**: OMP at the same sizes (mask + incremental QR).
+- **PERF-OMP**: OMP at the same sizes, once with the OLS refit and
+  once with the GLS refit over a per-sensor variance vector (the form
+  the middleware passes).  The fast engine keeps an orthonormal factor
+  of the selected columns, updates the residual by projection and
+  solves the coefficients once; the reference refits from scratch (and
+  re-whitens) every iteration.
 - **PERF-ROUND**: one full ``sense_field`` round over a 2048-node
   deployment (4 zones of 64x64 cells, 512 phones each), fast engine +
   operator bases + shared registry vs the reference engine rebuilding
@@ -158,33 +163,48 @@ def test_perf_omp_solver(benchmark):
     for n in CHS_SIZES:
         phi, x_s, locations, k = _solver_problem(n, seed=n + 1)
         phi_rows = phi[locations, :]
+        variances = (
+            np.random.default_rng(n + 2).uniform(0.01, 0.3, locations.size)
+            ** 2
+        )
         repeats = 3
+        for fit, covariance in (("ols", None), ("gls", variances)):
+            ref = _best_of(
+                lambda: omp(
+                    phi_rows, x_s, sparsity=k, covariance=covariance,
+                    engine="reference",
+                ),
+                repeats,
+            )
+            fast = _best_of(
+                lambda: omp(phi_rows, x_s, sparsity=k, covariance=covariance),
+                repeats,
+            )
+            a = omp(
+                phi_rows, x_s, sparsity=k, covariance=covariance,
+                engine="reference",
+            )
+            b = omp(phi_rows, x_s, sparsity=k, covariance=covariance)
+            assert np.allclose(a.coefficients, b.coefficients, atol=1e-8)
 
-        ref = _best_of(
-            lambda: omp(phi_rows, x_s, sparsity=k, engine="reference"),
-            repeats,
-        )
-        fast = _best_of(lambda: omp(phi_rows, x_s, sparsity=k), repeats)
-        a = omp(phi_rows, x_s, sparsity=k, engine="reference")
-        b = omp(phi_rows, x_s, sparsity=k)
-        assert np.allclose(a.coefficients, b.coefficients, atol=1e-8)
-
-        speedup = ref / fast
-        rows.append([n, locations.size, k, ref * 1e3, fast * 1e3,
-                     round(speedup, 2)])
-        runs.append(
-            {
-                "n": n, "m": int(locations.size), "sparsity": int(k),
-                "reference_s": ref, "fast_s": fast, "speedup": speedup,
-            }
-        )
+            speedup = ref / fast
+            rows.append([n, locations.size, k, fit, ref * 1e3, fast * 1e3,
+                         round(speedup, 2)])
+            runs.append(
+                {
+                    "n": n, "m": int(locations.size), "sparsity": int(k),
+                    "fit": fit,
+                    "reference_s": ref, "fast_s": fast, "speedup": speedup,
+                }
+            )
 
     record_series(
         "PERF-OMP",
         "OMP solve: reference engine vs fast engine (ms, best-of runs)",
-        ["n", "m", "k", "reference_ms", "fast_ms", "speedup"],
+        ["n", "m", "k", "fit", "reference_ms", "fast_ms", "speedup"],
         rows,
-        notes="fast = support mask + rank-1 QR refit"
+        notes="fast = support mask + projection-update residual, one "
+        "triangular solve; gls = per-sensor variance vector"
         + ("; SMOKE sizes" if SMOKE else ""),
     )
     _merge_bench_json("omp", {"runs": runs})

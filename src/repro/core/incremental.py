@@ -91,12 +91,17 @@ class IncrementalQR:
         return self._k
 
     # The writes below mutate only this instance, and instances are
-    # constructed inside a single OMP solve and never escape it — a
+    # constructed inside a single CHS or OMP solve and never escape it — a
     # call-local accumulator, not shared state.  The def-line pragma
     # sanctions the whole method for whole-program purity (invariant 11
     # in docs/invariants.md).
-    def add_column(self, col: np.ndarray) -> None:  # reprolint: allow[transitive-impurity]
-        """Admit one new column of the sensing matrix."""
+    def add_column(self, col: np.ndarray) -> np.ndarray | None:  # reprolint: allow[transitive-impurity]
+        """Admit one new column of the sensing matrix.
+
+        Returns the unit direction the column adds to the factor (the
+        new column of Q, read-only use) — or ``None`` once the factor
+        is degenerate and solves run through ``lstsq``.
+        """
         col = np.asarray(col, dtype=float).ravel()
         if col.size != self._m:
             raise ValueError(f"column length {col.size} != M={self._m}")
@@ -121,6 +126,7 @@ class IncrementalQR:
                 self._r[k, k] = norm
                 self._q[:, k] = v / norm
         self._k = k + 1
+        return None if self.degenerate else self._q[:, k]
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """Least-squares coefficients for the currently admitted columns."""

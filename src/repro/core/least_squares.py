@@ -17,8 +17,16 @@ exactly what the naive formula amplifies.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-__all__ = ["ols_solve", "gls_solve", "whiten", "condition_number"]
+__all__ = [
+    "ols_solve",
+    "gls_solve",
+    "whiten",
+    "Whitener",
+    "noise_variances",
+    "condition_number",
+]
 
 
 def _as_matrix_vector(phi_k: np.ndarray, x_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -53,38 +61,77 @@ def ols_solve(phi_k: np.ndarray, x_s: np.ndarray) -> np.ndarray:
     return alpha
 
 
+class Whitener:
+    """The factor ``V = L L^T`` taken once, applied as often as needed.
+
+    Accepts every covariance form the solvers do: a scalar variance, a
+    1-D vector of per-sensor variances, or a full ``(M, M)`` matrix.
+    For the scalar and vector forms ``L`` is diagonal and only its
+    inverse diagonal is held — no ``M x M`` array is formed and nothing
+    is factored; a full matrix is Cholesky-factored once and applied by
+    triangular solves.
+    """
+
+    def __init__(self, covariance: np.ndarray, m: int) -> None:
+        covariance = np.asarray(covariance, dtype=float)
+        self._chol: np.ndarray | None = None
+        self._scale: np.ndarray | None = None
+        if covariance.ndim >= 2:
+            if covariance.shape != (m, m):
+                raise ValueError(
+                    f"covariance must be ({m}, {m}), got {covariance.shape}"
+                )
+            self._chol = np.linalg.cholesky(covariance)
+            return
+        if covariance.ndim == 1 and covariance.size != m:
+            raise ValueError(
+                f"variance vector length {covariance.size} != M={m}"
+            )
+        if np.any(covariance <= 0):
+            raise ValueError(
+                "variance must be positive"
+                if covariance.ndim == 0
+                else "all sensor variances must be positive"
+            )
+        self._scale = 1.0 / np.sqrt(covariance)
+
+    def whiten(self, a: np.ndarray) -> np.ndarray:
+        """``L^{-1} a`` for a length-M vector or an ``(M, K)`` matrix."""
+        if self._chol is not None:
+            return solve_triangular(
+                self._chol, a, lower=True, check_finite=False
+            )
+        assert self._scale is not None
+        if a.ndim == 2 and self._scale.ndim == 1:
+            return a * self._scale[:, None]
+        return a * self._scale
+
+    def unwhiten(self, r: np.ndarray) -> np.ndarray:
+        """``L r`` for a length-M vector (a whitened residual)."""
+        if self._chol is not None:
+            return self._chol @ r
+        assert self._scale is not None
+        return r / self._scale
+
+
 def whiten(
     phi_k: np.ndarray, x_s: np.ndarray, covariance: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whiten a heteroscedastic system so OLS on the result equals GLS.
 
-    Factor ``V = L L^T`` (Cholesky) and left-multiply by ``L^{-1}``.
+    Left-multiplies both sides by ``L^{-1}`` where ``V = L L^T``.
     Accepts a full covariance matrix, a 1-D vector of per-sensor variances,
-    or a scalar variance.
+    or a scalar variance (see :class:`Whitener`).
     """
     phi_k, x_s = _as_matrix_vector(phi_k, x_s)
-    m = x_s.size
+    whitener = Whitener(covariance, x_s.size)
+    return whitener.whiten(phi_k), whitener.whiten(x_s)
+
+
+def noise_variances(covariance: np.ndarray) -> np.ndarray:
+    """Per-sensor variances: the vector form itself, or a matrix's diagonal."""
     covariance = np.asarray(covariance, dtype=float)
-    if covariance.ndim == 0:
-        if covariance <= 0:
-            raise ValueError("variance must be positive")
-        scale = 1.0 / np.sqrt(float(covariance))
-        return phi_k * scale, x_s * scale
-    if covariance.ndim == 1:
-        if covariance.size != m:
-            raise ValueError(
-                f"variance vector length {covariance.size} != M={m}"
-            )
-        if np.any(covariance <= 0):
-            raise ValueError("all sensor variances must be positive")
-        scale = 1.0 / np.sqrt(covariance)
-        return phi_k * scale[:, None], x_s * scale
-    if covariance.shape != (m, m):
-        raise ValueError(f"covariance must be ({m}, {m}), got {covariance.shape}")
-    chol = np.linalg.cholesky(covariance)
-    phi_w = np.linalg.solve(chol, phi_k)
-    x_w = np.linalg.solve(chol, x_s)
-    return phi_w, x_w
+    return covariance if covariance.ndim == 1 else np.diag(covariance)
 
 
 def gls_solve(

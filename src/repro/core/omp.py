@@ -11,12 +11,13 @@ dictionary column most correlated with the current residual, then refits
 all selected coefficients by least squares — the same skeleton the CHS
 algorithm of Fig. 6 builds on.
 
-The default ``engine="fast"`` shares CHS's hot-path machinery: a
-persistent boolean mask suppresses re-selection, the per-iteration
-least-squares refit is a rank-1 QR update
-(:class:`repro.core.incremental.IncrementalQR`) instead of a
-from-scratch ``lstsq``, and a GLS covariance is whitened once up front.
-``engine="reference"`` runs the seed implementation
+The default ``engine="fast"`` never refits from scratch: it keeps an
+orthonormal factor of the selected (whitened) columns
+(:class:`repro.core.incremental.IncrementalQR`), so admitting an atom
+is one Gram-Schmidt step and the new residual is the old one with its
+component along the new direction removed.  A GLS covariance is
+factored once per call and the coefficients are solved once, at the
+end.  ``engine="reference"`` runs the seed implementation
 (:func:`repro.core.reference.omp_reference`), the equivalence oracle.
 """
 
@@ -28,19 +29,9 @@ import numpy as np
 
 from ..analysis import contracts
 from .incremental import IncrementalQR
-from .least_squares import gls_solve, ols_solve, whiten
+from .least_squares import Whitener
 
 __all__ = ["OMPResult", "omp"]
-
-#: Problem sizes (``M * N``) at or below which the fast engine dispatches
-#: to the lean dense loop.  For small dictionaries the rank-1 QR
-#: bookkeeping and up-front whitening cost more than they save — the
-#: PERF bench measured the incremental path at 0.46x reference at
-#: N=256 and 0.89x at N=1024; a from-scratch refit with no per-iteration
-#: Python overhead beats reference at those sizes.  The pinned bench
-#: sizes N=256 (M=32) and N=1024 (M=128) fall below this threshold,
-#: N=4096 (M=512) stays on the incremental path.
-DENSE_CROSSOVER = 1 << 18
 
 
 @dataclass
@@ -92,11 +83,13 @@ def omp(
     tol:
         Stop early once the residual norm falls below ``tol * ||x_s||``.
     covariance:
-        Optional sensor-noise covariance; when given, the per-iteration
-        refit uses GLS (eq. 12) instead of OLS (eq. 11), matching step
-        3(e)(ii) of Fig. 6.
+        Optional sensor-noise covariance — a scalar variance, a 1-D
+        per-sensor variance vector (what the middleware passes; nothing
+        ``M x M`` is formed) or a full matrix.  When given, the refit
+        is GLS (eq. 12) instead of OLS (eq. 11), matching step 3(e)(ii)
+        of Fig. 6.
     engine:
-        ``"fast"`` (default) uses the incremental QR refit;
+        ``"fast"`` (default) updates the residual by projection;
         ``"reference"`` runs the seed's from-scratch-refit loop.
 
     Returns
@@ -125,24 +118,22 @@ def omp(
         )
 
     # Column norms for a scale-invariant correlation test; guard zeros.
-    col_norms = np.linalg.norm(phi_tilde, axis=0)
+    # einsum sums the squares without the (M, N) temporaries of
+    # ``np.linalg.norm(axis=0)``: at zone size those are MB-scale
+    # allocations the allocator maps and unmaps on every call.
+    col_norms = np.sqrt(np.einsum("ij,ij->j", phi_tilde, phi_tilde))
     safe_norms = np.where(col_norms > 0, col_norms, 1.0)
 
-    if m * n <= DENSE_CROSSOVER:
-        return _omp_dense(
-            phi_tilde, x_s, sparsity, safe_norms, tol=tol, covariance=covariance
-        )
-
-    if covariance is None:
-        dict_fit, x_fit = phi_tilde, x_s
-    else:
-        dict_fit, x_fit = whiten(phi_tilde, x_s, covariance)
-    refit = IncrementalQR(m, capacity=sparsity)
-    residual = x_s.copy()
+    # The fit runs in whitened space (eq. 12 is OLS there); selection
+    # correlates against the un-whitened residual, as eq. 13 states it.
+    whitener = None if covariance is None else Whitener(covariance, m)
+    x_fit = x_s if whitener is None else whitener.whiten(x_s)
+    factor = IncrementalQR(m, capacity=sparsity)
+    residual_fit = x_fit.copy()
+    residual = x_s
     target = tol * max(np.linalg.norm(x_s), 1e-300)
     support: list[int] = []
     in_support = np.zeros(n, dtype=bool)
-    alpha_sub = np.zeros(0)
     history: list[float] = []
 
     for _ in range(sparsity):
@@ -153,84 +144,38 @@ def omp(
             break
         support.append(best)
         in_support[best] = True
-        refit.add_column(dict_fit[:, best])
-        alpha_sub = refit.solve(x_fit)
-        if contracts.enabled():
-            contracts.check_vector(
-                "alpha_sub", alpha_sub, len(support), context="omp refit"
-            )
-            contracts.check_finite("alpha_sub", alpha_sub, context="omp refit")
-        residual = x_s - phi_tilde[:, support] @ alpha_sub
-        history.append(float(np.linalg.norm(residual)))
-        if history[-1] <= target:
-            break
-
-    coefficients = np.zeros(n)
-    if support:
-        coefficients[support] = alpha_sub
-    return OMPResult(
-        coefficients=coefficients,
-        support=np.asarray(support, dtype=int),
-        residual_norm=float(np.linalg.norm(residual)),
-        iterations=len(support),
-        residual_history=history,
-    )
-
-
-def _omp_dense(
-    phi_tilde: np.ndarray,
-    x_s: np.ndarray,
-    sparsity: int,
-    safe_norms: np.ndarray,
-    *,
-    tol: float,
-    covariance: np.ndarray | None,
-) -> OMPResult:
-    """Lean small-problem loop: from-scratch refits, no QR bookkeeping.
-
-    Runs the reference algorithm (so it agrees with
-    :func:`repro.core.reference.omp_reference` exactly, not just to the
-    1e-8 oracle tolerance) with two constant-factor trims the reference
-    form deliberately keeps for readability: the selected columns grow
-    in a preallocated buffer instead of being re-gathered with a fancy
-    index each iteration, and re-selection is suppressed with a boolean
-    mask instead of a list-indexed assignment.
-    """
-    m, n = phi_tilde.shape
-    sub = np.empty((m, sparsity))
-    residual = x_s.copy()
-    target = tol * max(np.linalg.norm(x_s), 1e-300)
-    support: list[int] = []
-    in_support = np.zeros(n, dtype=bool)
-    alpha_sub = np.zeros(0)
-    history: list[float] = []
-
-    for _ in range(sparsity):
-        correlations = np.abs(phi_tilde.T @ residual) / safe_norms
-        correlations[in_support] = -np.inf  # never reselect
-        best = int(np.argmax(correlations))
-        if not np.isfinite(correlations[best]) or correlations[best] <= 0:
-            break
-        support.append(best)
-        in_support[best] = True
-        sub[:, len(support) - 1] = phi_tilde[:, best]
-        picked = sub[:, : len(support)]
-        if covariance is None:
-            alpha_sub = ols_solve(picked, x_s)
+        column = phi_tilde[:, best]
+        if whitener is not None:
+            column = whitener.whiten(column)
+        direction = factor.add_column(column)
+        if direction is not None:
+            # The new residual is the old one with its component along
+            # the direction the atom added removed — no refit.
+            residual_fit -= (direction @ residual_fit) * direction
         else:
-            alpha_sub = gls_solve(picked, x_s, covariance)
-        if contracts.enabled():
-            contracts.check_vector(
-                "alpha_sub", alpha_sub, len(support), context="omp refit"
-            )
-            contracts.check_finite("alpha_sub", alpha_sub, context="omp refit")
-        residual = x_s - picked @ alpha_sub
+            # A dependent atom got in: from here on, the reference's
+            # minimum-norm refit.
+            picked = phi_tilde[:, support]
+            if whitener is not None:
+                picked = whitener.whiten(picked)
+            residual_fit = x_fit - picked @ factor.solve(x_fit)
+        residual = (
+            residual_fit
+            if whitener is None
+            else whitener.unwhiten(residual_fit)
+        )
         history.append(float(np.linalg.norm(residual)))
         if history[-1] <= target:
             break
 
     coefficients = np.zeros(n)
     if support:
+        alpha_sub = factor.solve(x_fit)
+        if contracts.enabled():
+            contracts.check_vector(
+                "alpha_sub", alpha_sub, len(support), context="omp refit"
+            )
+            contracts.check_finite("alpha_sub", alpha_sub, context="omp refit")
         coefficients[support] = alpha_sub
     return OMPResult(
         coefficients=coefficients,

@@ -104,7 +104,8 @@ def reconstruct(
         Target K.  Defaults to ``max(1, M // 2)``, keeping the refit
         overdetermined as the paper requires.
     covariance:
-        Sensor-noise covariance V for GLS-style refits.
+        Sensor-noise covariance V for GLS-style refits: a 1-D vector of
+        per-measurement variances, or a full ``(M, M)`` matrix.
     noise_budget:
         Per-measurement tolerance for ``l1-noisy``.
     batch_size:
@@ -169,8 +170,13 @@ def reconstruct(
             contracts.check_finite(
                 "covariance", covariance, context="reconstruct"
             )
+            # One variance per row (what the middleware passes), or a
+            # full (m, m) matrix.
             contracts.check_shape(
-                "covariance", covariance, (m, m), context="reconstruct"
+                "covariance",
+                covariance,
+                (m,) if np.ndim(covariance) == 1 else (m, m),
+                context="reconstruct",
             )
 
     # Baseline + sparse variation: subtract the sample mean here, solve

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis import contracts
+from .least_squares import noise_variances
 from .reconstruction import Reconstruction
 
 __all__ = ["RobustFit", "ROBUST_MODES", "robust_reconstruct", "robust_scales"]
@@ -114,8 +115,12 @@ def robust_scales(
 def _subset_covariance(
     covariance: np.ndarray | None, keep: np.ndarray
 ) -> np.ndarray | None:
+    """Restrict a covariance (variance vector or full matrix) to ``keep``."""
     if covariance is None:
         return None
+    covariance = np.asarray(covariance, dtype=float)
+    if covariance.ndim == 1:
+        return covariance[keep]
     return covariance[np.ix_(keep, keep)]
 
 
@@ -212,13 +217,18 @@ def robust_reconstruct(
     fit:
         ``fit(values, locations, covariance) -> (Reconstruction, x_hat)``
         — the underlying solve (e.g. the broker's prior-centred
-        :func:`repro.core.reconstruction.reconstruct` call).
+        :func:`repro.core.reconstruction.reconstruct` call).  ``x_hat``
+        is only ever read at the ``locations`` passed in, so a caller
+        that gathers its basis rows once may pass row numbers as
+        ``locations`` and return predictions at those rows alone.
     values / locations / covariance:
-        The full measurement set; ``covariance`` (diagonal GLS noise
-        model) is subset along with the rows on refits.
+        The full measurement set; ``covariance`` (the GLS noise model:
+        a 1-D per-row variance vector, or a full matrix) is subset
+        along with the rows on refits.
     noise_stds:
         Per-row claimed noise scales used to standardise residuals
-        (defaults to the covariance diagonal's sqrt when omitted).
+        (defaults to the sqrt of the covariance's variances when
+        omitted).
     mode:
         ``"trim"`` (hard rejection to a fixed point) or ``"huber"``
         (IRLS soft downweighting).
@@ -257,7 +267,7 @@ def robust_reconstruct(
                 "noise_stds", noise_stds, context="robust_reconstruct"
             )
     if noise_stds is None and covariance is not None:
-        noise_stds = np.sqrt(np.diag(covariance))
+        noise_stds = np.sqrt(noise_variances(covariance))
     if min_keep is None:
         min_keep = max(4, m // 2)
     min_keep = min(min_keep, m)
@@ -276,11 +286,7 @@ def robust_reconstruct(
         holds up to a minority of gross outliers, so the liars inflate
         it only marginally."""
         resid = values - x_est[locations]
-        sigma = float(robust_scales(resid, None)[0])
-        if noise_stds is None:
-            sc = np.full(m, max(sigma, 1e-12))
-        else:
-            sc = np.maximum(np.asarray(noise_stds, dtype=float), sigma)
+        sc = robust_scales(resid, noise_stds)
         z = np.abs(resid) / sc
         keep = z <= threshold
         if int(keep.sum()) < min_keep:
@@ -354,12 +360,7 @@ def robust_reconstruct(
     # surviving residuals and frozen through IRLS (re-estimating it from
     # a partially-corrupted iterate inflates it and lets gross outliers
     # claw their weight back).
-    resid_ref = values - x_ref[locations]
-    sigma_ref = float(robust_scales(resid_ref, None)[0])
-    if noise_stds is None:
-        scales = np.full(m, max(sigma_ref, 1e-12))
-    else:
-        scales = np.maximum(np.asarray(noise_stds, dtype=float), sigma_ref)
+    scales = robust_scales(values - x_ref[locations], noise_stds)
     rounds = 0
     x_irls = x_ref  # first weights come from the robust reference
     for _ in range(max_rounds):
@@ -373,7 +374,7 @@ def robust_reconstruct(
         rounds += 1
         # Inflate each row's variance by 1/w — Huber's equivalence
         # between downweighting and a heavier claimed noise.
-        inflated = np.diag((scales**2) / np.maximum(weights, 1e-12))
+        inflated = (scales**2) / np.maximum(weights, 1e-12)
         result, x_hat = fit(values, locations, inflated)
         x_irls = x_hat
     return RobustFit(

@@ -171,7 +171,7 @@ class _PendingRound:
 
     locations: np.ndarray
     values: np.ndarray
-    covariance: np.ndarray | None
+    covariance: np.ndarray | None  # per-row GLS variances, length M
     noise_stds: list[float]
     k_est: int
     solver_sparsity: int
@@ -743,7 +743,7 @@ class Broker:
                     dtype=float,
                 )
                 stds = stds / np.sqrt(row_trust)
-            covariance = np.diag(stds**2)
+            covariance = stds**2
 
         # A badly degraded round can realise fewer measurements than the
         # nominal sparsity; a solver can never recover more coefficients

@@ -635,10 +635,14 @@ class ZoneRoundDriver:
             pairs.append((broker, pending))
         solved = solve_pending_rounds(pairs, self.lc.config)
         result = self.lc.finish_round(pairs, solved, self._started_at)
+        # The estimate exists only now: on a WallClock the solve took
+        # real time since `now` was read (a SimClock does not advance
+        # inside an event, so there the two are the same instant).
+        completed_at = float(self.clock.now)
         if self.cloud_address is not None:
             self.lc.report_upward(self.cloud_address, result, now)
         wall = time.perf_counter() - started_wall  # reprolint: allow[wall-clock]
-        self._finish(result, now, partial, wall)
+        self._finish(result, completed_at, partial, wall)
 
     def _run_synchronous(
         self, now: float, directives: RoundDirectives

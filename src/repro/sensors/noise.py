@@ -140,11 +140,12 @@ def covariance_for_tiers(
 def heterogeneity_ratio(covariance: np.ndarray) -> float:
     """Max/min diagonal variance ratio — 1.0 means homogeneous sensors.
 
+    Accepts V as a full matrix or as the 1-D vector of its diagonal.
     The ABL-NOISE bench sweeps this ratio and shows the OLS-vs-GLS gap
     grow with it.
     """
     covariance = np.asarray(covariance, dtype=float)
-    diag = np.diag(covariance)
+    diag = covariance if covariance.ndim == 1 else np.diag(covariance)
     if diag.size == 0:
         raise ValueError("empty covariance")
     low = float(diag.min())

@@ -97,6 +97,19 @@ class TestSolverBoundary:
                 covariance=np.eye(5),
             )
 
+    def test_covariance_variance_vector_length_checked(self, sanitize):
+        phi = dct_basis(16)
+        values = np.array([1.0, 2.0, 1.5, 0.5])
+        reconstruct(
+            values, np.arange(4), phi, solver="gls", sparsity=2,
+            covariance=np.full(4, 0.04),
+        )
+        with pytest.raises(contracts.ContractViolation, match="covariance"):
+            reconstruct(
+                values, np.arange(4), phi, solver="gls", sparsity=2,
+                covariance=np.full(5, 0.04),
+            )
+
     def test_clean_solve_unaffected(self, sanitize):
         phi = dct_basis(32)
         rng = np.random.default_rng(7)

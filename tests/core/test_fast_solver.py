@@ -147,6 +147,131 @@ class TestFastOMPEquivalence:
             assert np.array_equal(fast.support, ref.support)
             assert np.allclose(fast.coefficients, ref.coefficients, atol=1e-8)
 
+    @pytest.mark.parametrize("kind", ["none", "vector", "full"])
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=20, deadline=None)
+    def test_projection_loop_matches_reference(self, kind, seed):
+        # The fast loop never refits: residuals come from projections
+        # and the coefficients from one triangular solve at the end.
+        # Same support and coefficients as the from-scratch reference,
+        # under OLS, a variance vector and a correlated full matrix.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(24, 96))
+        m = int(rng.integers(max(8, n // 4), max(10, n // 2)))
+        k = int(rng.integers(2, max(3, m // 3)))
+        phi, _, x_s, locations = _problem(n, m, k, seed, noise=0.02)
+        covariance = _covariance(kind, m, rng)
+        fast = omp(phi[locations, :], x_s, sparsity=k, covariance=covariance)
+        ref = omp_reference(phi[locations, :], x_s, k, covariance=covariance)
+        assert np.array_equal(fast.support, ref.support)
+        assert np.allclose(fast.coefficients, ref.coefficients, atol=1e-8)
+        assert np.allclose(
+            fast.residual_history, ref.residual_history, atol=1e-8
+        )
+
+    @pytest.mark.parametrize("kind", ["vector", "full"])
+    def test_duplicated_column_takes_degenerate_fallback(self, kind):
+        # A dictionary with a repeated column.  Under GLS the residual
+        # is orthogonal to the selected atoms in the V^-1 inner product,
+        # not the plain one selection correlates in, so the twin of a
+        # selected atom keeps a solid correlation and is admitted —
+        # an exactly dependent column.  The loop must then fall back to
+        # the reference's minimum-norm lstsq refit (which splits the
+        # weight across the twins) instead of dividing by ~0.  (Under
+        # OLS the twin's correlation is rounding noise, possibly exactly
+        # zero, so whether it is ever admitted is not defined.)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            m = 12
+            columns = rng.standard_normal((m, 4))
+            dictionary = np.column_stack([columns, columns[:, 1]])
+            x_s = rng.standard_normal(m)
+            covariance = _covariance(kind, m, rng)
+            fast = omp(dictionary, x_s, sparsity=5, covariance=covariance)
+            ref = omp_reference(dictionary, x_s, 5, covariance=covariance)
+            assert sorted(fast.support.tolist()) == [0, 1, 2, 3, 4]
+            # Same selection order, up to which twin goes first (an
+            # exact tie that rounding breaks).
+            twinless = np.where(fast.support == 4, 1, fast.support)
+            assert np.array_equal(
+                twinless, np.where(ref.support == 4, 1, ref.support)
+            )
+            assert np.allclose(fast.coefficients, ref.coefficients, atol=1e-8)
+            assert np.isclose(fast.coefficients[1], fast.coefficients[4])
+            assert np.allclose(
+                fast.residual_history, ref.residual_history, atol=1e-8
+            )
+
+
+def _covariance(kind, m, rng):
+    """None, a variance vector, or a correlated (non-diagonal) matrix."""
+    if kind == "none":
+        return None
+    stds = rng.uniform(0.01, 0.3, size=m)
+    if kind == "vector":
+        return stds**2
+    lag = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
+    return stds[:, None] * 0.4**lag * stds[None, :]
+
+
+class TestVarianceVectorForm:
+    """A variance vector and ``np.diag`` of it are the same covariance:
+    same support, coefficients within 1e-10, through every solver entry
+    that accepts one (the robust wrappers are pinned in test_robust)."""
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert np.array_equal(a.support, b.support)
+        assert np.allclose(a.coefficients, b.coefficients, atol=1e-10)
+
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=20, deadline=None)
+    def test_omp_chs_reconstruct(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(32, 96))
+        m = int(rng.integers(max(10, n // 4), max(12, n // 2)))
+        phi, _, x_s, locations = _problem(n, m, 4, seed, noise=0.05)
+        variances = rng.uniform(0.01, 0.3, size=m) ** 2
+        matrix = np.diag(variances)
+        rows = phi[locations, :]
+        self._assert_same(
+            omp(rows, x_s, sparsity=5, covariance=variances),
+            omp(rows, x_s, sparsity=5, covariance=matrix),
+        )
+        self._assert_same(
+            chs(phi, x_s, locations, max_sparsity=5, covariance=variances),
+            chs(phi, x_s, locations, max_sparsity=5, covariance=matrix),
+        )
+        for solver in ("chs", "omp", "gls"):
+            self._assert_same(
+                reconstruct(
+                    x_s, locations, phi, solver=solver, sparsity=5,
+                    covariance=variances, center=True,
+                ),
+                reconstruct(
+                    x_s, locations, phi, solver=solver, sparsity=5,
+                    covariance=matrix, center=True,
+                ),
+            )
+
+    def test_omp_at_bench_scale(self):
+        # The N=4096-class shape that used to run a separate loop.
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            phi, _, x_s, locations = _problem(2304, 128, 12, seed, noise=0.05)
+            variances = rng.uniform(0.01, 0.3, size=128) ** 2
+            rows = phi[locations, :]
+            vector = omp(rows, x_s, sparsity=14, covariance=variances)
+            self._assert_same(
+                vector,
+                omp(rows, x_s, sparsity=14, covariance=np.diag(variances)),
+            )
+            ref = omp_reference(rows, x_s, 14, covariance=variances)
+            assert np.array_equal(vector.support, ref.support)
+            assert np.allclose(
+                vector.coefficients, ref.coefficients, atol=1e-8
+            )
+
 
 class TestTopKIndices:
     @given(

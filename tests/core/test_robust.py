@@ -208,6 +208,56 @@ class TestHuber:
         assert bool(robust.kept.all())  # soft mode never hard-drops
 
 
+class TestVarianceVectorForm:
+    """The covariance travels as a 1-D variance vector; ``np.diag`` of
+    it is the same model and must screen and fit the same."""
+
+    @pytest.mark.parametrize("mode", ["trim", "huber"])
+    @pytest.mark.parametrize("solver", ["chs", "omp"])
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=10, deadline=None)
+    def test_vector_equals_diag(self, mode, solver, seed):
+        rng = np.random.default_rng(seed)
+        phi, x, loc, y, _ = _problem(seed=seed, noise=0.05)
+        stds = rng.uniform(0.1, 0.5, size=y.size)
+        y = y.copy()
+        bad = rng.choice(y.size, size=3, replace=False)
+        y[bad] += 40.0
+        stds[bad[0]] = 0.01  # one liar also understates its noise
+
+        def fit(values, locations, covariance):
+            result = reconstruct(
+                values, locations, phi, solver=solver,
+                sparsity=min(6, values.size), covariance=covariance,
+            )
+            return result, result.x_hat
+
+        vector = robust_reconstruct(
+            fit, y, loc, covariance=stds**2, mode=mode
+        )
+        matrix = robust_reconstruct(
+            fit, y, loc, covariance=np.diag(stds**2), mode=mode
+        )
+        assert np.array_equal(vector.kept, matrix.kept)
+        assert np.array_equal(vector.rejected_rows, matrix.rejected_rows)
+        assert vector.rounds == matrix.rounds
+        assert np.array_equal(vector.result.support, matrix.result.support)
+        assert np.allclose(
+            vector.result.coefficients, matrix.result.coefficients,
+            atol=1e-10,
+        )
+        assert np.allclose(vector.weights, matrix.weights, atol=1e-10)
+        assert np.allclose(vector.scales, matrix.scales, atol=1e-10)
+
+    def test_default_noise_stds_from_either_form(self):
+        phi, x, loc, y, stds = _problem(seed=5, noise=0.05)
+        for covariance in (stds**2, np.diag(stds**2)):
+            robust = robust_reconstruct(
+                _make_fit(phi), y, loc, covariance=covariance, mode="trim"
+            )
+            assert np.all(robust.scales >= stds - 1e-15)
+
+
 class TestValidation:
     def test_modes_tuple(self):
         assert ROBUST_MODES == ("none", "trim", "huber")

@@ -73,6 +73,11 @@ class TestHeterogeneityRatio:
         v = np.diag([1.0, 9.0])
         assert heterogeneity_ratio(v) == pytest.approx(9.0)
 
+    def test_variance_vector_form(self):
+        assert heterogeneity_ratio(np.array([1.0, 9.0])) == pytest.approx(9.0)
+        with pytest.raises(ValueError):
+            heterogeneity_ratio(np.array([0.0, 1.0]))
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             heterogeneity_ratio(np.zeros((0, 0)))

@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import contracts
+from repro.core.registry import shared_dct2_basis
 from repro.core.shardmem import exported_segment_names
 from repro.sensors.faults import SensorFaultInjector, StuckAt
+from repro.sim import mega
 from repro.sim.mega import MegaConfig, MegaSimulation
 from repro.sim.population import PopulationConfig
 
@@ -171,6 +173,66 @@ class TestRoundMechanics:
             record = sim.run_round()
         assert record.quarantined_nodes == 0
         assert (sim.population.trust == 1.0).all()
+
+
+class TestZoneKernel:
+    @pytest.mark.parametrize("outliers", [0, 5])
+    def test_field_is_the_accepted_fits_synthesis(self, monkeypatch, outliers):
+        # The kernel screens on predictions at the reporting cells only
+        # and synthesises the zone once from the accepted support; that
+        # must be the same field as the dense basis @ coefficients, on
+        # the clean path (naive fit stands) and after a trim refit.
+        fits = []
+        real = mega.robust_reconstruct
+
+        def capture(*args, **kwargs):
+            fits.append(real(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(mega, "robust_reconstruct", capture)
+        basis = np.asarray(shared_dct2_basis(16, 16))
+        rng = np.random.default_rng(21)
+        coefficients = np.zeros(256)
+        coefficients[[0, 3, 17, 40]] = [6.0, -3.0, 2.0, 1.5]
+        truth = basis @ coefficients
+        cells = rng.choice(256, size=96, replace=False)
+        stds = rng.uniform(0.05, 0.3, size=96)
+        values = truth[cells] + stds * rng.standard_normal(96)
+        values[:outliers] += 50.0
+        zone_id, field, rejected = mega._solve_zone(
+            (3, cells, values, stds, 8), basis
+        )
+        (robust,) = fits
+        assert zone_id == 3
+        assert int(rejected.sum()) == outliers
+        assert (robust.rounds > 0) == bool(outliers)
+        assert np.allclose(
+            field, basis @ robust.result.coefficients, atol=1e-12, rtol=0.0
+        )
+        assert np.sqrt(np.mean((field - truth) ** 2)) < 0.2
+
+    @pytest.mark.parametrize("reports", [96, 40])
+    def test_reused_scratch_cannot_change_a_result(self, reports):
+        # The gather workspace is handed from zone to zone with whatever
+        # the last solve left in it (here: NaN, and sized for a bigger
+        # zone); every slice is written before it is read, so the solve
+        # is bit-identical to one that allocates its own.
+        basis = np.asarray(shared_dct2_basis(16, 16))
+        rng = np.random.default_rng(5)
+        truth = basis[:, [1, 9, 30]] @ np.array([4.0, -2.0, 1.0])
+        cells = rng.choice(256, size=reports, replace=False)
+        stds = rng.uniform(0.05, 0.3, size=reports)
+        values = truth[cells] + stds * rng.standard_normal(reports)
+        values[:4] -= 40.0
+        payload = (0, cells, values, stds, 8)
+        scratch = mega._zone_scratch(96, 256)
+        scratch.fill(np.nan)
+        _, fresh, fresh_rejected = mega._solve_zone(payload, basis)
+        for _ in range(2):
+            _, field, rejected = mega._solve_zone(payload, basis, scratch)
+            assert np.array_equal(field, fresh)
+            assert np.array_equal(rejected, fresh_rejected)
+        assert fresh_rejected[:4].all()  # the trim refits ran
 
 
 class TestShardedSanitizer:

@@ -11,10 +11,13 @@ The closing test is the acceptance pin of PR 8's realtime story:
 SimClock — completes sensing rounds unmodified on a WallClock.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.fields.generators import smooth_field
+from repro.middleware import rounds
 from repro.middleware.localcloud import LocalCloud
 from repro.middleware.rounds import ZoneRoundDriver
 from repro.network.bus import MessageBus
@@ -97,7 +100,8 @@ class TestPeriodic:
 class TestZoneRoundDriverOnWallClock:
     """The realtime acceptance pin: the driver runs unmodified."""
 
-    def test_rounds_complete_in_real_time(self, clock):
+    @staticmethod
+    def _deploy(clock):
         truth = smooth_field(
             8, 8, cutoff=0.25, amplitude=4.0, offset=20.0, rng=11
         )
@@ -112,6 +116,10 @@ class TestZoneRoundDriverOnWallClock:
             0, lc, env, clock, period_s=0.15,
             on_complete=outcomes.append,
         )
+        return driver, outcomes
+
+    def test_rounds_complete_in_real_time(self, clock):
+        driver, outcomes = self._deploy(clock)
         driver.start()
         clock.run_for(0.6)
         driver.stop()
@@ -124,3 +132,28 @@ class TestZoneRoundDriverOnWallClock:
             estimate = outcome.result.nc_estimates[0]
             assert estimate.reports_ok > 0
             assert np.isfinite(outcome.result.field.grid).all()
+
+    def test_latency_covers_the_solve(self, clock, monkeypatch):
+        # completed_at is stamped after the solve: on a wall clock the
+        # reported command->estimate latency must contain the time the
+        # solve held the loop, not stop at the close of collection.
+        solve_walls = []
+        real_solve = rounds.solve_pending_rounds
+
+        def slow_solve(pairs, config):
+            started = clock.now
+            solved = real_solve(pairs, config)
+            time.sleep(0.03)
+            solve_walls.append(clock.now - started)
+            return solved
+
+        monkeypatch.setattr(rounds, "solve_pending_rounds", slow_solve)
+        driver, outcomes = self._deploy(clock)
+        driver.start()
+        clock.run_for(0.5)
+        driver.stop()
+
+        assert outcomes and len(outcomes) == len(solve_walls)
+        for outcome, solve_wall in zip(outcomes, solve_walls):
+            assert solve_wall >= 0.03
+            assert outcome.latency_s >= solve_wall
