@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint hygiene bench bench-perf bench-async bench-rob-byz bench-overload bench-mega bench-ingest bench-rob-gate bench-layers bench-layers-smoke gateway report examples clean
+.PHONY: install test lint hygiene loc bench bench-perf bench-async bench-rob-byz bench-overload bench-mega bench-ingest bench-rob-gate bench-layers bench-layers-smoke gateway report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -40,12 +40,26 @@ hygiene:
 	fi
 	@echo "hygiene: no bytecode artefacts tracked"
 
+# The number the ROADMAP's "net src/ line count down" target tracks:
+# lines of Python per src/repro package, and BrokerConfig's field count.
+loc:
+	@for pkg in src/repro/[!_]*/; do \
+		printf '%-26s %6d\n' "$$pkg" \
+			"$$(find "$$pkg" -name '*.py' -exec cat {} + | wc -l)"; \
+	done
+	@printf '%-26s %6d\n' "src/repro (total)" \
+		"$$(find src/repro -name '*.py' -exec cat {} + | wc -l)"
+	@PYTHONPATH=src $(PYTHON) -c "import dataclasses; \
+		from repro.middleware.config import BrokerConfig; \
+		print('BrokerConfig fields       %6d' % len(dataclasses.fields(BrokerConfig)))"
+
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # Smoke-mode solver perf bench: small sizes, no timing assertions —
-# exercises both engines end to end.  Unset REPRO_PERF_SMOKE (and give
-# it a quiet machine) for the real numbers committed in BENCH_PERF.json.
+# runs chs/omp against their reference oracles and one full round.
+# Unset REPRO_PERF_SMOKE (and give it a quiet machine) for the real
+# numbers committed in BENCH_PERF.json.
 bench-perf:
 	REPRO_PERF_SMOKE=1 $(PYTHON) -m pytest \
 		benchmarks/test_perf_solver_core.py --benchmark-disable -s

@@ -11,6 +11,7 @@ in its text) and reports the series three ways:
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -44,6 +45,21 @@ def record_series(
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{experiment_id}.txt").write_text(table + "\n")
     return table
+
+
+def merge_bench_json(
+    path: Path, schema: str, smoke: bool, section: str, payload: dict
+) -> None:
+    """Read-modify-write one section of a ``BENCH_*.json`` document."""
+    document = {"schema": schema, "smoke": smoke, "sections": {}}
+    if path.exists():
+        try:
+            document = json.loads(path.read_text())
+        except json.JSONDecodeError:
+            pass
+    document["smoke"] = smoke
+    document.setdefault("sections", {})[section] = payload
+    path.write_text(json.dumps(document, indent=2) + "\n")
 
 
 def _fmt(value) -> str:

@@ -25,7 +25,7 @@ assertions so CI can execute the code paths on shared runners.
 
 from __future__ import annotations
 
-import json
+import functools
 import os
 import time
 from pathlib import Path
@@ -35,7 +35,7 @@ import numpy as np
 from repro.sim.mega import MegaConfig, MegaSimulation
 from repro.sim.population import NodePopulation, PopulationConfig
 
-from _util import record_series
+from _util import merge_bench_json, record_series
 
 SMOKE = os.environ.get("REPRO_MEGA_SMOKE", "") not in ("", "0")
 BENCH_JSON = (
@@ -62,17 +62,9 @@ REPORTS_PER_ZONE = 128
 SPARSITY = 16
 
 
-def _merge_bench_json(section: str, payload: dict) -> None:
-    """Read-modify-write one section of the repo-root BENCH_MEGA.json."""
-    document = {"schema": "bench-mega/1", "smoke": SMOKE, "sections": {}}
-    if BENCH_JSON.exists():
-        try:
-            document = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            pass
-    document["smoke"] = SMOKE
-    document.setdefault("sections", {})[section] = payload
-    BENCH_JSON.write_text(json.dumps(document, indent=2) + "\n")
+_merge_bench_json = functools.partial(
+    merge_bench_json, BENCH_JSON, "bench-mega/1", SMOKE
+)
 
 
 def _best_of(fn, repeats: int) -> float:

@@ -28,28 +28,17 @@ by the nodes for context processing" — accordingly
 :class:`repro.middleware.broker.Broker` and the temporal context probes
 both call :func:`chs`.
 
-Hot-path engineering (the default ``engine="fast"``):
-
-- For the default :func:`zero_fill_interpolate` — the adjoint of the
-  selection operator — step 3(b) collapses algebraically:
-  ``Phi.T @ Y(e_r) == Phi[L, :].T @ e_r``, so the O(N^2) dense analysis
-  becomes an O(M*N) sampled-row correlation and the full basis is never
-  touched inside the loop.  Non-adjoint interpolators (linear, nearest)
-  keep the full analysis, via ``Phi.T`` for a dense basis or one fast
-  transform for a :class:`repro.core.operators.BasisOperator`.
-- Step 3(c) ranks candidates with an O(N) ``argpartition``
-  (:func:`repro.core.incremental.top_k_indices`) and a boolean support
-  mask, replacing the seed's full ``lexsort`` + per-candidate
-  ``set(support)`` rebuild; the deterministic lower-index tie-break is
-  preserved exactly.
-- Step 3(e) updates the refit with a rank-1 QR update per admitted atom
-  (:class:`repro.core.incremental.IncrementalQR`) instead of re-running
-  ``lstsq`` from scratch; GLS whitens the sampled rows once up front so
-  the same incremental machinery covers eq. 12.
-
-``engine="reference"`` dispatches to the seed implementation
-(:func:`repro.core.reference.chs_reference`), which the property suite
-holds the fast path to within 1e-8 of.
+CHS is OMP's skeleton (eq. 13) plus the residual lift of step 3(a), so
+:func:`chs` runs on the one pursuit loop in :mod:`repro.core.omp` and
+adds what Fig. 6 adds.  For the default :func:`zero_fill_interpolate` —
+the adjoint of the selection operator — step 3(b) collapses to
+``Phi.T @ Y(e_r) == Phi[L, :].T @ e_r``, the loop's own O(M*N)
+sampled-row correlation; non-adjoint interpolators (linear, nearest)
+hand the loop a full analysis instead (``Phi.T``, or one fast transform
+of a :class:`repro.core.operators.BasisOperator`).  Step 3(c) may admit
+a batch per pass and, unlike OMP, always picks.  The seed's dense
+implementation stays as :func:`repro.core.reference.chs_reference`,
+which the property suite holds :func:`chs` to within 1e-8 of.
 """
 
 from __future__ import annotations
@@ -60,8 +49,7 @@ from typing import Callable
 import numpy as np
 
 from ..analysis import contracts
-from .incremental import IncrementalQR, top_k_indices
-from .least_squares import whiten
+from .omp import _pursue
 from .operators import BasisOperator
 
 __all__ = [
@@ -85,8 +73,8 @@ def zero_fill_interpolate(
     measurement-domain correlation ``Phi[L,:].T @ e_r`` — the classical
     matched-filter score — so CHS stays reliable even when the field has
     content the smoother interpolators alias away (e.g. the engine
-    vibration tone in the Fig. 4 accelerometer window).  The fast solver
-    engine exploits exactly this identity to avoid the dense product.
+    vibration tone in the Fig. 4 accelerometer window).  :func:`chs`
+    exploits exactly this identity to avoid the dense product.
     """
     locations = np.asarray(locations, dtype=int)
     full = np.zeros(n)
@@ -161,7 +149,6 @@ def chs(
     max_iterations: int = 64,
     covariance: np.ndarray | None = None,
     interpolator: Interpolator = zero_fill_interpolate,
-    engine: str = "fast",
 ) -> CHSResult:
     """Run Compressive Heterogeneous Sensing (paper Fig. 6).
 
@@ -192,33 +179,11 @@ def chs(
         GLS (heterogeneous sensors), else OLS (homogeneous).
     interpolator:
         The Y function of step 3a.
-    engine:
-        ``"fast"`` (default) runs the matrix-free/incremental hot path;
-        ``"reference"`` runs the seed's dense implementation (the
-        equivalence oracle and bench baseline).
 
     Returns
     -------
     :class:`CHSResult` with the N-point reconstruction ``x_hat``.
     """
-    if engine not in ("fast", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "reference":
-        from .reference import chs_reference
-
-        dense = phi.to_dense() if isinstance(phi, BasisOperator) else phi
-        return chs_reference(
-            dense,
-            x_s,
-            locations,
-            max_sparsity=max_sparsity,
-            batch_size=batch_size,
-            tol=tol,
-            max_iterations=max_iterations,
-            covariance=covariance,
-            interpolator=interpolator,
-        )
-
     op: BasisOperator | None
     dense: np.ndarray | None
     x_s = np.asarray(x_s, dtype=float).ravel()
@@ -260,85 +225,42 @@ def chs(
     # rows*: an atom barely present at the M locations can correlate
     # spuriously with the residual yet cannot be estimated from those
     # samples.  This is the standard matched-filter normalisation OMP
-    # uses, applied to Fig. 6's step (c) scoring.
-    column_norms = np.linalg.norm(phi_rows, axis=0)
+    # uses, applied to Fig. 6's step (c) scoring (einsum, as in omp():
+    # no (M, N) temporaries).
+    column_norms = np.sqrt(np.einsum("ij,ij->j", phi_rows, phi_rows))
     column_norms = np.where(column_norms > 1e-12, column_norms, np.inf)
-    # Heterogeneous sensors: whiten once so each iteration's eq.-12 GLS
-    # refit reduces to OLS on a fixed system the QR update can grow.
-    if covariance is None:
-        rows_fit, x_fit = phi_rows, x_s
-    else:
-        rows_fit, x_fit = whiten(phi_rows, x_s, covariance)
-    refit = IncrementalQR(m, capacity=max_sparsity)
-    support: list[int] = []
-    in_support = np.zeros(n, dtype=bool)
-    alpha_sub = np.zeros(0)
-    residual = x_s.copy()
-    target = tol * max(np.linalg.norm(x_s), 1e-300)
-    history: list[float] = []
-    iterations = 0
-    # The adjoint identity: with zero-fill interpolation, step 3(b)'s
-    # Phi.T @ Y(e_r) equals the sampled-row correlation Phi[L,:].T @ e_r.
-    adjoint_lift = interpolator is zero_fill_interpolate
 
-    for iterations in range(1, max_iterations + 1):
+    def analyze_lifted(e_r: np.ndarray) -> np.ndarray:
         # (a)+(b) analyse the lifted residual in the basis.
-        if adjoint_lift:
-            alpha_r = phi_rows.T @ residual
-        else:
-            residual_full = interpolator(residual, locations, n)
-            if op is not None:
-                alpha_r = op.analyze(residual_full)
-            else:
-                assert dense is not None
-                alpha_r = dense.T @ residual_full
-        # (c) pick the largest-magnitude new coefficients (normalised by
-        # sampled-row atom energy; ties break toward the lower index —
-        # the low-frequency prior for physical fields).
-        scores = np.abs(alpha_r) / column_norms
-        scores[in_support] = -np.inf
-        room = max_sparsity - len(support)
-        picked = top_k_indices(scores, min(batch_size, room))
-        if picked.size == 0:
-            break
-        # (d) grow the index set.
-        support.extend(int(i) for i in picked)
-        in_support[picked] = True
-        # (e) refit all coefficients on the measured rows — one rank-1
-        # QR update per admitted atom.
-        for j in picked:
-            refit.add_column(rows_fit[:, j])
-        alpha_sub = refit.solve(x_fit)
-        if contracts.enabled():
-            # A non-finite refit here means the incremental QR went
-            # numerically degenerate — catch it at the iteration that
-            # introduced it, not in the assembled field estimate.
-            contracts.check_vector(
-                "alpha_sub", alpha_sub, len(support), context="chs refit"
-            )
-            contracts.check_finite("alpha_sub", alpha_sub, context="chs refit")
-        # (f) update the measurement-domain residual.
-        residual = x_s - phi_rows[:, support] @ alpha_sub
-        history.append(float(np.linalg.norm(residual)))
-        if history[-1] <= target or len(support) >= max_sparsity:
-            break
+        lifted = interpolator(e_r, locations, n)
+        if op is not None:
+            return op.analyze(lifted)
+        assert dense is not None
+        return dense.T @ lifted
 
-    coefficients = np.zeros(n)
-    if support:
-        coefficients[support] = alpha_sub
-    if not support:
-        reconstruction = np.zeros(n)
-    elif op is not None:
+    # The adjoint identity: with zero-fill interpolation, step 3(b)'s
+    # Phi.T @ Y(e_r) equals the sampled-row correlation Phi[L,:].T @ e_r
+    # — the loop's default analysis.
+    adjoint_lift = interpolator is zero_fill_interpolate
+    support, coefficients, residual, history = _pursue(
+        phi_rows, x_s, max_sparsity, tol, covariance, column_norms,
+        analyze=None if adjoint_lift else analyze_lifted,
+        batch_size=batch_size,
+        max_iterations=max_iterations,
+        min_score=-np.inf,
+    )
+
+    if op is not None:
         reconstruction = op.synthesize(coefficients)
     else:
         assert dense is not None
-        reconstruction = dense[:, support] @ alpha_sub
+        reconstruction = dense[:, support] @ coefficients[support]
     return CHSResult(
         coefficients=coefficients,
-        support=np.asarray(support, dtype=int),
+        support=support,
         reconstruction=reconstruction,
-        sensing_matrix=phi_rows[:, support] if support else np.zeros((m, 0)),
+        sensing_matrix=phi_rows[:, support],
         residual_norm=float(np.linalg.norm(residual)),
-        iterations=iterations,
+        iterations=len(history),
         residual_history=history,
     )

@@ -1,13 +1,12 @@
 """Incremental least-squares and deterministic top-k selection.
 
 The greedy solvers (Fig. 6's CHS, OMP) grow their support one atom at a
-time and refit *all* selected coefficients after every admission.  The
-seed implementation re-ran a dense ``lstsq`` from scratch each round —
-O(M K^2) per iteration, O(M K^3) per solve.  :class:`IncrementalQR`
-maintains the thin QR factorisation of the growing sensing matrix and
-updates it in O(M k) per admitted atom, so the K-iteration refit
-trajectory costs O(M K^2) total while producing the same least-squares
-solutions (modified Gram-Schmidt with one reorthogonalisation pass keeps
+time; the seed re-ran a dense ``lstsq`` from scratch after every
+admission — O(M K^3) per solve.  :class:`IncrementalQR` maintains the
+thin QR factorisation of the growing sensing matrix in O(M k) per
+admitted atom and hands the pursuit loop each new unit direction, so
+residuals follow by projection and the coefficients by one triangular
+solve (modified Gram-Schmidt with one reorthogonalisation pass keeps
 the factors orthonormal to machine precision; a near-dependent column
 degrades gracefully to the dense ``lstsq`` path).
 
@@ -84,11 +83,6 @@ class IncrementalQR:
         self._cols = np.zeros((m, capacity))
         self._k = 0
         self.degenerate = False
-
-    @property
-    def k(self) -> int:
-        """Number of admitted columns."""
-        return self._k
 
     # The writes below mutate only this instance, and instances are
     # constructed inside a single CHS or OMP solve and never escape it — a

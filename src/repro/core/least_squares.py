@@ -69,13 +69,15 @@ class Whitener:
     For the scalar and vector forms ``L`` is diagonal and only its
     inverse diagonal is held — no ``M x M`` array is formed and nothing
     is factored; a full matrix is Cholesky-factored once and applied by
-    triangular solves.
+    triangular solves.  ``None`` (homogeneous sensors) is the identity.
     """
 
-    def __init__(self, covariance: np.ndarray, m: int) -> None:
-        covariance = np.asarray(covariance, dtype=float)
+    def __init__(self, covariance: np.ndarray | None, m: int) -> None:
         self._chol: np.ndarray | None = None
         self._scale: np.ndarray | None = None
+        if covariance is None:
+            return
+        covariance = np.asarray(covariance, dtype=float)
         if covariance.ndim >= 2:
             if covariance.shape != (m, m):
                 raise ValueError(
@@ -101,7 +103,8 @@ class Whitener:
             return solve_triangular(
                 self._chol, a, lower=True, check_finite=False
             )
-        assert self._scale is not None
+        if self._scale is None:
+            return a
         if a.ndim == 2 and self._scale.ndim == 1:
             return a * self._scale[:, None]
         return a * self._scale
@@ -110,8 +113,7 @@ class Whitener:
         """``L r`` for a length-M vector (a whitened residual)."""
         if self._chol is not None:
             return self._chol @ r
-        assert self._scale is not None
-        return r / self._scale
+        return r if self._scale is None else r / self._scale
 
 
 def whiten(

@@ -82,7 +82,6 @@ def reconstruct(
     noise_budget: float | None = None,
     batch_size: int = 1,
     center: bool = False,
-    engine: str = "fast",
 ) -> Reconstruction:
     """Reconstruct a full N-point field from M point measurements.
 
@@ -119,10 +118,6 @@ def reconstruct(
         with a spuriously well-matching non-constant atom whose
         off-sample oscillation ruins the reconstruction.  Brokers enable
         this; leave off for zero-mean/exactly-sparse signals.
-    engine:
-        Solver engine forwarded to ``chs``/``omp``: ``"fast"``
-        (default) or ``"reference"`` (the seed implementation, used as
-        the perf-bench baseline and equivalence oracle).
 
     Returns
     -------
@@ -181,16 +176,17 @@ def reconstruct(
 
     # Baseline + sparse variation: subtract the sample mean here, solve
     # once, and add the baseline back onto x_hat at the end — one code
-    # path and one subsample_rows call instead of a re-dispatching
-    # recursive solve.
+    # path instead of a re-dispatching recursive solve.
     baseline = float(measurements.mean()) if center else 0.0
     values = measurements - baseline if center else measurements
 
-    if op is not None:
-        phi_rows = op.rows(locations)
-    else:
+    def sample_rows() -> np.ndarray:
+        # The (M, N) block, formed once by whichever solver consumes it
+        # (chs samples its own from the full basis).
+        if op is not None:
+            return op.rows(locations)
         assert dense is not None
-        phi_rows = subsample_rows(dense, locations)
+        return subsample_rows(dense, locations)
 
     def synthesize(coefficients: np.ndarray) -> np.ndarray:
         if op is not None:
@@ -206,18 +202,16 @@ def reconstruct(
             max_sparsity=sparsity,
             batch_size=batch_size,
             covariance=covariance,
-            engine=engine,
         )
         x_hat = result.reconstruction
         coefficients = result.coefficients
         support = result.support
     elif solver == "omp":
         result = omp(
-            phi_rows,
+            sample_rows(),
             values,
             sparsity=min(sparsity, m, n),
             covariance=covariance,
-            engine=engine,
         )
         coefficients = result.coefficients
         support = result.support
@@ -228,18 +222,18 @@ def reconstruct(
 
         k = min(sparsity, max(m - 1, 1), n)
         if solver == "cosamp":
-            greedy = cosamp_solve(phi_rows, values, sparsity=k)
+            greedy = cosamp_solve(sample_rows(), values, sparsity=k)
         else:
-            greedy = iht_solve(phi_rows, values, sparsity=k)
+            greedy = iht_solve(sample_rows(), values, sparsity=k)
         coefficients = greedy.coefficients
         support = greedy.support
         x_hat = synthesize(coefficients)
     elif solver in ("l1", "l1-noisy"):
         if solver == "l1":
-            result = l1_solve(phi_rows, values)
+            result = l1_solve(sample_rows(), values)
         else:
             budget = noise_budget if noise_budget is not None else 1e-3
-            result = l1_solve_noisy(phi_rows, values, budget)
+            result = l1_solve_noisy(sample_rows(), values, budget)
         coefficients = result.coefficients
         support = result.support
         x_hat = synthesize(coefficients)
@@ -248,7 +242,7 @@ def reconstruct(
         # model), the paper's closed-form overdetermined case (eqs. 11-12).
         k = min(sparsity, m, n)
         columns = np.arange(k)
-        phi_k = phi_rows[:, columns]
+        phi_k = sample_rows()[:, columns]
         if solver == "ols":
             alpha_k = ols_solve(phi_k, values)
         else:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import dct_basis
-from .least_squares import ols_solve
+from .omp import _pursue
 
 __all__ = [
     "SpaceTimeSample",
@@ -159,37 +159,21 @@ def reconstruct_spacetime(
     k = min(k, max(m - 1, 1))
     iterations_cap = max_iterations if max_iterations is not None else k
 
-    # OMP over the sampled Kronecker rows, with the same matched-filter
-    # normalisation and low-index tie-break as the CHS implementation.
+    # OMP over the sampled Kronecker rows — the shared pursuit loop,
+    # with the same matched-filter normalisation as CHS.
     column_norms = np.linalg.norm(dictionary, axis=0)
     column_norms = np.where(column_norms > 1e-12, column_norms, np.inf)
-    support: list[int] = []
-    residual = y_work.copy()
-    alpha_sub = np.zeros(0)
-    dim = t * n
-    for _ in range(min(k, iterations_cap)):
-        scores = np.abs(dictionary.T @ residual) / column_norms
-        scores[support] = -np.inf
-        order = np.lexsort((np.arange(dim), -scores))
-        best = int(order[0])
-        if not np.isfinite(scores[best]) or scores[best] <= 0:
-            break
-        support.append(best)
-        alpha_sub = ols_solve(dictionary[:, support], y_work)
-        residual = y_work - dictionary[:, support] @ alpha_sub
-        if np.linalg.norm(residual) <= 1e-9 * max(np.linalg.norm(y_work), 1e-300):
-            break
-
-    coefficients = np.zeros(dim)
-    if support:
-        coefficients[support] = alpha_sub
+    support, coefficients, residual, _ = _pursue(
+        dictionary, y_work, max(k, 1), 1e-9, None, column_norms,
+        max_iterations=min(k, iterations_cap),
+    )
     # Synthesise the block: X = Phi_time @ A @ Phi_space^T where
     # vec_rows(X) = kron(Phi_time, Phi_space) @ alpha with row-stacking.
     alpha_matrix = coefficients.reshape(t, n)
     block = phi_time @ alpha_matrix @ phi_space.T + baseline
     return SpaceTimeResult(
         block=block,
-        support=np.asarray(sorted(support), dtype=int),
+        support=np.sort(support),
         residual_norm=float(np.linalg.norm(residual)),
         m=m,
     )

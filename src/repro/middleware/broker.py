@@ -23,14 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..context.group import ContextReport, GroupAggregator
-from ..core.basis import basis_by_name, dct2_basis
 from ..core.operators import BasisOperator
 from ..core.reconstruction import Reconstruction, reconstruct
 from ..core.robust import RobustFit, robust_reconstruct
 from ..core.registry import (
     has_operator,
     shared_basis,
-    shared_dct2_basis,
     shared_dct2_operator,
     shared_operator,
 )
@@ -342,22 +340,11 @@ class Broker:
             cfg = self.config
             if cfg.use_prior_basis and self.prior is not None:
                 self._basis_cache = self.prior.basis
-            elif cfg.solver_engine == "reference":
-                # Seed behaviour, kept honest for perf baselines: every
-                # broker builds (and owns) its dense basis from scratch.
-                if cfg.basis == "dct2":
-                    self._basis_cache = dct2_basis(
-                        self.zone_width, self.zone_height
-                    )
-                else:
-                    self._basis_cache = basis_by_name(cfg.basis, self.n)
             elif cfg.basis == "dct2":
-                self._basis_cache = (
-                    shared_dct2_operator(self.zone_width, self.zone_height)
-                    if cfg.operator_basis
-                    else shared_dct2_basis(self.zone_width, self.zone_height)
+                self._basis_cache = shared_dct2_operator(
+                    self.zone_width, self.zone_height
                 )
-            elif cfg.operator_basis and has_operator(cfg.basis):
+            elif has_operator(cfg.basis):
                 self._basis_cache = shared_operator(cfg.basis, self.n)
             else:
                 # No operator form (haar, identity, ...): share the dense
@@ -855,7 +842,6 @@ class Broker:
                     solver=self.config.solver,
                     sparsity=sparsity,
                     covariance=covariance,
-                    engine=self.config.solver_engine,
                 )
                 return result, prior.uncenter(result.x_hat)
             result = reconstruct(
@@ -864,7 +850,6 @@ class Broker:
                 sparsity=sparsity,
                 covariance=covariance,
                 center=True,  # physical fields: baseline + sparse variation
-                engine=self.config.solver_engine,
             )
             return result, result.x_hat
 

@@ -15,6 +15,14 @@ from .overload import OverloadConfig
 
 __all__ = ["CompressionPolicy", "BrokerConfig", "NodeConfig", "HierarchyConfig"]
 
+#: Lower clamp on self-reported noise stds when building the GLS
+#: covariance V.  The seed clamped at 1e-9, so a "perfect" (zero-std)
+#: infrastructure read got ~1e18 relative weight and numerically
+#: drowned every mobile report; 0.02 keeps the weight ratio against a
+#: 0.3-sigma phone bounded (~225x) while staying below every real
+#: sensor spec in the fleet, so existing behaviour is unchanged.
+GLS_STD_FLOOR = 0.02
+
 
 @dataclass(frozen=True)
 class CompressionPolicy:
@@ -78,13 +86,7 @@ class BrokerConfig:
     basis: str = "dct2"  # separable 2-D DCT over the zone grid
     policy: CompressionPolicy = field(default_factory=CompressionPolicy)
     use_gls: bool = True  # weight heterogeneous sensors per eq. (12)
-    # Lower clamp on self-reported noise stds when building the GLS
-    # covariance V.  The seed clamped at 1e-9, so a "perfect" (zero-std)
-    # infrastructure read got ~1e18 relative weight and numerically
-    # drowned every mobile report; 0.02 keeps the weight ratio against a
-    # 0.3-sigma phone bounded (~225x) while staying below every real
-    # sensor spec in the fleet, so existing behaviour is unchanged.
-    gls_std_floor: float = 0.02
+    gls_std_floor: float = GLS_STD_FLOOR
     # Byzantine/data-fault robustness (repro.core.robust): "none" keeps
     # the seed's trusting solve; "trim" iteratively rejects rows whose
     # standardised residual exceeds robust_threshold and refits to a
@@ -147,15 +149,6 @@ class BrokerConfig:
     # Doubles per retry attempt.  Must comfortably exceed the command +
     # report round-trip latency of the slowest link in play.
     report_timeout_s: float = 2.0
-    # Solver engine: "fast" (matrix-free adjoint correlation, incremental
-    # QR refits, shared bases) or "reference" (the seed's dense loops,
-    # kept as the perf baseline and equivalence oracle).
-    solver_engine: str = "fast"
-    # Use matrix-free operator bases (scipy.fft DCT plans) instead of
-    # dense N x N matrices where an operator form exists (dct, dct2).
-    # Only honoured by the fast engine; the reference engine always
-    # densifies.
-    operator_basis: bool = True
     # Fan the per-zone solve phase over a thread pool at the LocalCloud /
     # hierarchy layer.  Collection (bus traffic, RNG draws) and
     # finalisation (state mutation) stay serial in zone order, so the
@@ -208,8 +201,6 @@ class BrokerConfig:
             raise ValueError("report_deadline_s must be positive")
         if self.report_timeout_s <= 0:
             raise ValueError("report_timeout_s must be positive")
-        if self.solver_engine not in ("fast", "reference"):
-            raise ValueError(f"unknown solver_engine {self.solver_engine!r}")
         if (
             self.reconstruction_workers is not None
             and self.reconstruction_workers < 1

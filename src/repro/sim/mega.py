@@ -47,6 +47,7 @@ from ..core.shardmem import (
     release_shared_arrays,
     verify_spec,
 )
+from ..middleware.config import GLS_STD_FLOOR
 from ..network.bus import MessageBus
 from ..network.frames import decode_zone_report, encode_zone_report
 from .population import NodePopulation, PopulationConfig
@@ -55,12 +56,6 @@ __all__ = ["MegaConfig", "MegaRoundRecord", "MegaSimulation"]
 
 _CLOUD = "mega-cloud"
 _UPLINK = "mega-uplink"
-
-#: Reported stds are floored before entering the GLS covariance, the
-#: same reasoning as the broker's gls_std_floor: a (faulty) zero std
-#: must not buy infinite weight.
-_STD_FLOOR = 0.02
-
 
 
 @dataclass(frozen=True)
@@ -148,7 +143,7 @@ def _solve_zone(
     zone_id, cells, values, stds, sparsity = payload
     cells = np.asarray(cells, dtype=int)
     values = np.asarray(values, dtype=float)
-    stds = np.maximum(np.asarray(stds, dtype=float), _STD_FLOOR)
+    stds = np.maximum(np.asarray(stds, dtype=float), GLS_STD_FLOOR)
     # The trim screening reads an estimate only at the reporting cells,
     # so every fit predicts at those rows alone (rows are addressed by
     # report number) and the full zone field is synthesised once, from

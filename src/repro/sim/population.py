@@ -18,7 +18,7 @@ is the array path.  Both consume identical RNG streams — chunked draws
 (``standard_normal((k, 2))``, ``random((k, 4))``) advance a Generator
 exactly like the equivalent scalar sequence — so the two engines are
 bit-identical, which ``tests/sim/test_population.py`` pins with
-Hypothesis the same way ``engine="reference"`` pins the fast solvers.
+Hypothesis the same way ``repro.core.reference`` pins the solvers.
 
 Streams are split with ``SeedSequence.spawn`` (via
 :func:`repro.core.registry.spawn_shard_seeds`): one child for

@@ -1,11 +1,13 @@
-"""Equivalence properties: the fast solver core vs the seed reference.
+"""Equivalence properties: the solver core vs the seed oracles.
 
-The PR's contract is that every fast path — matrix-free adjoint
-correlation, operator bases, incremental QR refits, argpartition top-k —
-is a pure performance change: same supports, same coefficients (to
-1e-8), same reconstructions as the seed implementation kept verbatim in
+The contract is that everything the shipped solvers do differently from
+the seed — matrix-free adjoint correlation, operator bases, the shared
+projection-update pursuit loop, argpartition top-k — is a pure
+performance change: same supports, same coefficients (to 1e-8), same
+reconstructions as the seed implementations kept verbatim in
 :mod:`repro.core.reference`.  Hypothesis drives randomised problem
-instances through both engines and compares.
+instances through ``chs``/``omp`` and ``chs_reference``/``omp_reference``
+and compares.
 """
 
 import numpy as np
@@ -116,6 +118,116 @@ class TestFastCHSEquivalence:
             )
             assert np.array_equal(fast.support, ref.support)
             assert np.allclose(fast.coefficients, ref.coefficients, atol=1e-8)
+
+    def test_batched_selection_with_variance_vector_matches_reference(self):
+        # Three atoms admitted per pass, each projected out of the
+        # whitened residual in turn.
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            phi, _, x_s, locations = _problem(80, 32, 8, seed, noise=0.02)
+            variances = rng.uniform(0.01, 0.3, size=32) ** 2
+            fast = chs(
+                phi, x_s, locations, max_sparsity=9, batch_size=3,
+                covariance=variances,
+            )
+            ref = chs_reference(
+                phi, x_s, locations, max_sparsity=9, batch_size=3,
+                covariance=variances,
+            )
+            assert np.array_equal(fast.support, ref.support)
+            assert np.allclose(fast.coefficients, ref.coefficients, atol=1e-8)
+            assert np.allclose(
+                fast.residual_history, ref.residual_history, atol=1e-8
+            )
+
+    @pytest.mark.parametrize("kind", ["vector", "full"])
+    def test_duplicated_column_takes_degenerate_fallback(self, kind):
+        # The OMP case below, through chs: a square "basis" whose column
+        # 4 repeats column 1 (the rest are empty, so the five live atoms
+        # are what a cap of 5 admits).  Under GLS the twin keeps a solid
+        # correlation, is admitted, and the loop must switch to the
+        # reference's minimum-norm lstsq refit.
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            n = 13
+            phi = np.zeros((n, n))
+            phi[:, :4] = rng.standard_normal((n, 4))
+            phi[:, 4] = phi[:, 1]
+            locations = np.arange(n - 1)
+            x_s = rng.standard_normal(n - 1)
+            covariance = _covariance(kind, n - 1, rng)
+            fast = chs(
+                phi, x_s, locations, max_sparsity=5, covariance=covariance
+            )
+            ref = chs_reference(
+                phi, x_s, locations, max_sparsity=5, covariance=covariance
+            )
+            assert sorted(fast.support.tolist()) == [0, 1, 2, 3, 4]
+            # Same selection order, up to which twin goes first.
+            twinless = np.where(fast.support == 4, 1, fast.support)
+            assert np.array_equal(
+                twinless, np.where(ref.support == 4, 1, ref.support)
+            )
+            assert np.allclose(fast.coefficients, ref.coefficients, atol=1e-8)
+            assert np.isclose(fast.coefficients[1], fast.coefficients[4])
+            assert np.allclose(
+                fast.reconstruction, ref.reconstruction, atol=1e-8
+            )
+            assert np.allclose(
+                fast.residual_history, ref.residual_history, atol=1e-8
+            )
+
+
+class TestOnePursuitLoop:
+    """``chs`` and ``omp`` are wrappers over one loop: with the zero-fill
+    lift and one atom per pass, CHS *is* OMP on the sampled rows."""
+
+    @pytest.mark.parametrize("kind", ["none", "vector", "full"])
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=20, deadline=None)
+    def test_chs_zero_fill_is_omp_on_the_sampled_rows(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(24, 96))
+        m = int(rng.integers(max(8, n // 4), max(10, n // 2)))
+        k = int(rng.integers(2, max(3, m // 3)))
+        phi, _, x_s, locations = _problem(n, m, k, seed, noise=0.02)
+        covariance = _covariance(kind, m, rng)
+        cap = min(k + 2, m - 1)
+        via_chs = chs(
+            phi, x_s, locations, max_sparsity=cap, tol=1e-7,
+            covariance=covariance,
+        )
+        via_omp = omp(
+            phi[locations, :], x_s, sparsity=cap, tol=1e-7,
+            covariance=covariance,
+        )
+        assert np.array_equal(via_chs.support, via_omp.support)
+        assert np.allclose(
+            via_chs.coefficients, via_omp.coefficients, atol=1e-10
+        )
+        assert via_chs.residual_history == via_omp.residual_history
+
+    def test_engine_keyword_is_gone(self):
+        phi, _, x_s, locations = _problem(32, 12, 3, 0)
+        with pytest.raises(TypeError):
+            omp(phi[locations, :], x_s, sparsity=3, engine="fast")
+        with pytest.raises(TypeError):
+            chs(phi, x_s, locations, engine="reference")
+        with pytest.raises(TypeError):
+            reconstruct(x_s, locations, phi, engine="fast")
+
+    def test_chs_solve_samples_the_basis_rows_once(self, monkeypatch):
+        calls = []
+        rows = DCTOperator.rows
+
+        def counting(self, locations):
+            calls.append(len(locations))
+            return rows(self, locations)
+
+        monkeypatch.setattr(DCTOperator, "rows", counting)
+        phi, _, x_s, locations = _problem(48, 20, 4, 3, noise=0.02)
+        reconstruct(x_s, locations, DCTOperator(48), solver="chs", sparsity=5)
+        assert calls == [20]
 
 
 class TestFastOMPEquivalence:
@@ -362,17 +474,22 @@ class TestCenterHoist:
             )
             assert np.array_equal(centered.support, manual.support)
 
-    def test_reconstruct_engines_agree(self):
-        for solver in ("chs", "omp"):
-            phi, _, x_s, locations = _problem(48, 20, 4, 11, noise=0.02)
+    def test_reconstruct_matches_oracles(self):
+        phi, _, x_s, locations = _problem(48, 20, 4, 11, noise=0.02)
+        baseline = float(x_s.mean())
+        centered = x_s - baseline
+        oracles = {
+            "chs": chs_reference(
+                phi, centered, locations, max_sparsity=5
+            ).reconstruction,
+            "omp": phi
+            @ omp_reference(phi[locations, :], centered, 5).coefficients,
+        }
+        for solver, x_ref in oracles.items():
             fast = reconstruct(
                 x_s, locations, phi, solver=solver, sparsity=5, center=True
             )
-            ref = reconstruct(
-                x_s, locations, phi, solver=solver, sparsity=5, center=True,
-                engine="reference",
-            )
-            assert np.allclose(fast.x_hat, ref.x_hat, atol=1e-8)
+            assert np.allclose(fast.x_hat, x_ref + baseline, atol=1e-8)
 
     def test_operator_reconstruct_2d(self):
         rng = np.random.default_rng(5)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import metrics
-from repro.core.basis import dct2_basis
+from repro.core.basis import dct2_basis, dct_basis
+from repro.core.reference import omp_reference
 from repro.core.spatiotemporal import (
     SpaceTimeSample,
+    _sampled_dictionary,
     reconstruct_spacetime,
     spacetime_index,
 )
@@ -54,6 +56,25 @@ class TestJointReconstruction:
         err = metrics.relative_error(block.ravel(), result.block.ravel())
         assert err < 0.02
         assert result.m == 96
+
+    def test_joint_solve_matches_the_omp_oracle(self):
+        # The joint solve is the shared pursuit loop over the sampled
+        # Kronecker rows: same atoms and block as the seed's
+        # from-scratch OMP on that dictionary.
+        block = _block()
+        t, n = block.shape
+        samples = _scatter_samples(block, 96, seed=2)
+        phi_time, phi_space = dct_basis(t), dct2_basis(8, 8)
+        result = reconstruct_spacetime(
+            samples, t, n, phi_space=phi_space, sparsity=24
+        )
+        y = np.array([s.value for s in samples])
+        ref = omp_reference(
+            _sampled_dictionary(samples, phi_time, phi_space), y - y.mean(), 24
+        )
+        assert np.array_equal(result.support, np.sort(ref.support))
+        expected = phi_time @ ref.coefficients.reshape(t, n) @ phi_space.T
+        assert np.allclose(result.block, expected + y.mean(), atol=1e-8)
 
     def test_beats_per_snapshot_at_equal_budget(self):
         """The paper's joint spatio-temporal claim: exploiting temporal

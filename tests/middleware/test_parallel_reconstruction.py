@@ -95,36 +95,6 @@ class TestSharedBasisRegistry:
         for broker in brokers[1:]:
             assert broker._basis() is first
 
-    def test_reference_engine_builds_private_dense_bases(self):
-        system = _deploy(BrokerConfig(solver_engine="reference"))
-        brokers = [
-            nc.broker
-            for lc in system.hierarchy.localclouds.values()
-            for nc in lc.nanoclouds
-        ]
-        a, b = brokers[0]._basis(), brokers[1]._basis()
-        assert isinstance(a, np.ndarray)
-        assert a is not b
-
-    def test_dense_registry_basis_when_operators_disabled(self):
-        system = _deploy(BrokerConfig(operator_basis=False))
-        brokers = [
-            nc.broker
-            for lc in system.hierarchy.localclouds.values()
-            for nc in lc.nanoclouds
-        ]
-        a, b = brokers[0]._basis(), brokers[1]._basis()
-        assert isinstance(a, np.ndarray)
-        assert a is b
-        assert not a.flags.writeable
-
-
-class TestReferenceEngineEndToEnd:
-    def test_reference_round_matches_fast_round(self):
-        fast = _deploy(BrokerConfig()).sense_field()
-        ref = _deploy(BrokerConfig(solver_engine="reference")).sense_field()
-        assert np.allclose(ref.field.grid, fast.field.grid, atol=1e-8)
-
 
 class TestSolvePendingRounds:
     def test_preserves_input_order(self):
@@ -150,8 +120,12 @@ class TestSolvePendingRounds:
 
 class TestConfigValidation:
     def test_rejects_bad_engine(self):
-        with pytest.raises(ValueError):
-            BrokerConfig(solver_engine="warp")
+        # There is one solver core and one basis form per name; the
+        # options that used to select between two are gone.
+        with pytest.raises(TypeError):
+            BrokerConfig(solver_engine="reference")
+        with pytest.raises(TypeError):
+            BrokerConfig(operator_basis=False)
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):

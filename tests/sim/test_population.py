@@ -4,8 +4,8 @@ The array core is only allowed to exist because it is *provably* the
 same simulation: ``engine="vector"`` must match ``engine="object"``
 (real NodeState objects stepped through the scalar mobility models)
 bit-for-bit — positions, velocities, modes, zone ids and every sensed
-value — the same oracle pattern ``engine="reference"`` provides for the
-fast solvers.
+value — the same oracle pattern ``repro.core.reference`` provides for the
+solvers.
 """
 
 import numpy as np
