@@ -8,9 +8,9 @@ Three complementary layers:
   on.  See ``docs/invariants.md`` for the catalogue.
 - :mod:`repro.analysis.project` + :mod:`repro.analysis.wholeprogram` —
   a whole-program layer (parse-once project model, import resolution,
-  call graph) powering the cross-file rules RPR010–RPR013: async
-  blocking discipline, transitive solve-phase purity, seed lineage,
-  and publish/subscribe flow matching.
+  call graph) powering the cross-file rules RPR010, RPR012 and RPR013:
+  async blocking discipline, seed lineage, and publish/subscribe flow
+  matching.
 - :mod:`repro.analysis.contracts` — an opt-in runtime sanitizer
   (``REPRO_SANITIZE=1``) adding NaN/Inf and shape contracts at solver
   boundaries, a mutation guard on the shared basis registry, and

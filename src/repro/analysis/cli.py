@@ -3,11 +3,11 @@
 Text output is one finding per line (``path:line:col: RPRnnn[name]
 message``); ``--format json`` emits a machine-readable report for CI,
 and ``--format github`` emits workflow-command annotations so findings
-attach to the PR diff.  Runs include the whole-program pass (RPR010–
-RPR013) by default; ``--no-whole-program`` restricts to the per-file
-rules.  ``--graph FILE`` dumps the resolved call graph as JSON (``-``
-for stdout) for debugging cross-file findings.  The exit status is 0
-when no unsuppressed findings remain, 1 otherwise, and 2 on usage
+attach to the PR diff.  Runs include the whole-program pass (RPR010,
+RPR012, RPR013) by default; ``--no-whole-program`` restricts to the
+per-file rules.  ``--graph FILE`` dumps the resolved call graph as JSON
+(``-`` for stdout) for debugging cross-file findings.  The exit status
+is 0 when no unsuppressed findings remain, 1 otherwise, and 2 on usage
 errors.
 """
 
@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Sequence
 
-from .reprolint import RULES, Finding, lint_paths
+from .reprolint import RETIRED_RULES, RULES, Finding, lint_paths
 
 __all__ = ["main"]
 
@@ -29,8 +29,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "reprolint: invariant-enforcing static analysis for the "
             "SenseDroid reproduction (determinism, sim-time purity, "
-            "parallel-solve purity, shared-cache immutability, async "
-            "discipline, seed lineage, pub/sub flow)."
+            "shared-cache immutability, async discipline, seed lineage, "
+            "pub/sub flow)."
         ),
     )
     parser.add_argument(
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-whole-program",
         action="store_true",
-        help="skip the cross-file rules (RPR010-RPR013)",
+        help="skip the cross-file rules (RPR010, RPR012, RPR013)",
     )
     parser.add_argument(
         "--graph",
@@ -104,8 +104,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule, (name, summary) in RULES.items():
-            print(f"{rule} {name}: {summary}")
+        lines = [
+            f"{rule} {name}: {summary}" for rule, (name, summary) in RULES.items()
+        ] + [f"{rule} {name}: retired" for rule, name in RETIRED_RULES.items()]
+        print("\n".join(sorted(lines)))
         return 0
 
     if args.graph is not None:

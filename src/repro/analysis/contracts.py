@@ -11,10 +11,9 @@ Enable with ``REPRO_SANITIZE=1`` in the environment (or
 - dense arrays handed out by the shared basis registry are wrapped in a
   mutation guard: the returned view is read-only *and* cannot be made
   writeable again, and :func:`verify_shared_arrays` re-checksums every
-  guarded array (the parallel solve path calls it after each fan-out);
+  guarded array (the sharded city solve calls it after each fan-out);
 - :class:`repro.middleware.rounds.ZoneRoundDriver` asserts that its
-  state transitions run on the thread that owns the driver — the solve
-  phase may use worker threads, the state machine may not.
+  state transitions run on the thread that owns the driver.
 
 When disabled (the default) every check collapses to one module-level
 boolean test, so the production path pays effectively nothing — the
@@ -162,11 +161,7 @@ def guard_shared_array(array: np.ndarray) -> np.ndarray:
     view = array.view()
     view.setflags(write=False)
     if _ENABLED:
-        # Sanitizer bookkeeping, not program state: recording the digest
-        # is how mutation of shared arrays gets *caught*.  Deterministic
-        # and invisible to results, so sanctioned for whole-program
-        # purity (invariant 11 in docs/invariants.md).
-        _GUARDED[id(view)] = (view, _digest(view))  # reprolint: allow[transitive-impurity]
+        _GUARDED[id(view)] = (view, _digest(view))
     return view
 
 
@@ -205,6 +200,5 @@ def assert_thread(owner_ident: int, label: str) -> None:
     if current != owner_ident:
         raise ContractViolation(
             f"{label}: touched from thread {current}, but owned by "
-            f"thread {owner_ident}; only the solve phase may run on "
-            "workers"
+            f"thread {owner_ident}"
         )

@@ -4,9 +4,8 @@ The per-file AST rules (:mod:`repro.analysis.reprolint`) see one module
 at a time, which is exactly as far as a single-file invariant reaches.
 The invariants PRs 2/7/8 added span *files and execution domains*: a
 blocking call two frames below a gateway coroutine stalls every session
-on the event loop, an impure helper called from the "pure" solve phase
-breaks serial==parallel bit-identity, and a publisher whose topic no
-subscriber ever registers for is a contract violated at a distance.
+on the event loop, and a publisher whose topic no subscriber ever
+registers for is a contract violated at a distance.
 
 This module builds the shared substrate those rules query:
 
@@ -17,9 +16,7 @@ This module builds the shared substrate those rules query:
   tables and pragma lines.
 - A **def-site index**: every function/method/nested def becomes a
   :class:`FunctionInfo` keyed by qualified name
-  (``repro.middleware.broker.Broker.solve_round``), carrying its
-  direct purity facts (``self.*`` writes, ``global`` declarations,
-  module-state mutation).
+  (``repro.middleware.broker.Broker.solve_round``).
 - A **call graph**: every call site is resolved through the module's
   import aliases, local/nested scopes, class method tables (with
   project-internal base-class lookup) and ``__init__`` re-export
@@ -98,28 +95,6 @@ _COMMON_METHOD_NAMES = frozenset(
 #: a name that popular behaves like a common method name.
 _FALLBACK_CANDIDATE_CAP = 6
 
-#: Mutator method names that count as writing their receiver when the
-#: receiver chain is rooted at ``self`` (``self.cache.update(...)``).
-_SELF_MUTATOR_NAMES = frozenset(
-    {
-        "add",
-        "append",
-        "appendleft",
-        "clear",
-        "discard",
-        "extend",
-        "extendleft",
-        "insert",
-        "pop",
-        "popitem",
-        "popleft",
-        "remove",
-        "rotate",
-        "setdefault",
-        "update",
-    }
-)
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -151,19 +126,6 @@ class FunctionInfo:
     is_async: bool
     class_name: str | None
     calls: list[CallSite] = field(default_factory=list)
-    #: lines of direct ``self.*`` writes (incl. mutator-method calls on
-    #: ``self``-rooted chains) — the RPR003-style purity facts.
-    self_writes: list[int] = field(default_factory=list)
-    #: lines of ``global`` declarations.
-    global_decls: list[int] = field(default_factory=list)
-    #: lines mutating module-level state (``_CACHE[k] = v``,
-    #: ``somemodule.attr = v``).
-    module_writes: list[int] = field(default_factory=list)
-
-    @property
-    def is_impure(self) -> bool:
-        """Whether the body directly mutates state that outlives it."""
-        return bool(self.self_writes or self.global_decls or self.module_writes)
 
 
 @dataclass
@@ -193,8 +155,6 @@ class ModuleInfo:
     functions: dict[str, str] = field(default_factory=dict)
     #: class name -> ClassInfo.
     classes: dict[str, ClassInfo] = field(default_factory=dict)
-    #: module-level assigned names (for module-state mutation facts).
-    module_level_names: set[str] = field(default_factory=set)
     #: module-level constant str assignments (topic constants etc.).
     str_constants: dict[str, str] = field(default_factory=dict)
     #: physical line -> pragma entries (reprolint allow[] syntax).
@@ -238,7 +198,7 @@ def _module_name_for(path: Path) -> str:
 
 
 class _ModuleIndexer(ast.NodeVisitor):
-    """One pass over a module: imports, defs, classes, purity facts."""
+    """One pass over a module: imports, defs, classes, call sites."""
 
     def __init__(self, info: ModuleInfo) -> None:
         self.info = info
@@ -294,35 +254,21 @@ class _ModuleIndexer(ast.NodeVisitor):
         if not self._scopes and not self._class_stack:
             for target in node.targets:
                 self._record_module_binding(target, node.value)
-        self._check_state_write(node, node.targets)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if not self._scopes and not self._class_stack:
             self._record_module_binding(node.target, node.value)
-        if node.value is not None:
-            self._check_state_write(node, [node.target])
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_state_write(node, [node.target])
-        self.generic_visit(node)
-
-    def visit_Delete(self, node: ast.Delete) -> None:
-        self._check_state_write(node, node.targets)
         self.generic_visit(node)
 
     def _record_module_binding(
         self, target: ast.expr, value: ast.expr | None
     ) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._record_module_binding(elt, None)
-            return
-        if not isinstance(target, ast.Name):
-            return
-        self.info.module_level_names.add(target.id)
-        if isinstance(value, ast.Constant) and isinstance(value.value, str):
+        if (
+            isinstance(target, ast.Name)
+            and isinstance(value, ast.Constant)
+            and isinstance(value.value, str)
+        ):
             self.info.str_constants[target.id] = value.value
 
     # -- function / class defs -----------------------------------------
@@ -400,50 +346,10 @@ class _ModuleIndexer(ast.NodeVisitor):
             return ".".join(reversed(parts))
         return None
 
-    # -- purity facts ---------------------------------------------------
-
     def _current_function(self) -> FunctionInfo | None:
         if not self._scopes:
             return None
         return self.functions[self._scopes[-1][0]]
-
-    @staticmethod
-    def _root_name(node: ast.expr) -> ast.expr:
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            node = node.value
-        return node
-
-    def _check_state_write(
-        self, node: ast.stmt, targets: Iterable[ast.expr]
-    ) -> None:
-        fn = self._current_function()
-        if fn is None:
-            return
-        for target in targets:
-            if isinstance(target, (ast.Tuple, ast.List)):
-                self._check_state_write(node, target.elts)
-                continue
-            if not isinstance(target, (ast.Attribute, ast.Subscript)):
-                continue
-            root = self._root_name(target)
-            if not isinstance(root, ast.Name):
-                continue
-            if root.id == "self":
-                fn.self_writes.append(node.lineno)
-            elif root.id in self.info.module_level_names:
-                # Mutating a module-level container (``_CACHE[k] = v``)
-                # or rebinding through it counts as module state.  A
-                # *rebind* of the bare name without ``global`` is local,
-                # so only Attribute/Subscript stores land here.
-                fn.module_writes.append(node.lineno)
-            elif self.info.imports.get(root.id):
-                # ``somemodule.attr = v`` through an import alias.
-                fn.module_writes.append(node.lineno)
-
-    def visit_Global(self, node: ast.Global) -> None:
-        fn = self._current_function()
-        if fn is not None:
-            fn.global_decls.append(node.lineno)
 
     # -- call sites ------------------------------------------------------
 
@@ -451,19 +357,7 @@ class _ModuleIndexer(ast.NodeVisitor):
         fn = self._current_function()
         if fn is not None:
             fn.calls.append(self._describe_call(node))
-            self._check_self_mutator(node, fn)
         self.generic_visit(node)
-
-    def _check_self_mutator(self, node: ast.Call, fn: FunctionInfo) -> None:
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _SELF_MUTATOR_NAMES
-            and isinstance(func.value, (ast.Attribute, ast.Subscript))
-        ):
-            root = self._root_name(func.value)
-            if isinstance(root, ast.Name) and root.id == "self":
-                fn.self_writes.append(node.lineno)
 
     def _describe_call(self, node: ast.Call) -> CallSite:
         """Record what is statically knowable about one call site; the
@@ -783,7 +677,6 @@ class ProjectModel:
                 "path": fn.path,
                 "line": fn.line,
                 "async": fn.is_async,
-                "impure": fn.is_impure,
                 "calls": calls,
             }
         payload = {

@@ -3,10 +3,9 @@
 Every quantitative claim the repo makes (the CHS recovery curves, the
 matrix-free speedups, the ROB-BYZ trim results) rests on invariants the
 interpreter does not enforce: all randomness flows through seeded
-generators, simulation logic never reads wall-clock time, the parallel
-solve phase is side-effect-free, shared registry arrays are never
-mutated.  This module machine-checks those invariants with a small,
-project-specific AST linter.
+generators, simulation logic never reads wall-clock time, shared
+registry arrays are never mutated.  This module machine-checks those
+invariants with a small, project-specific AST linter.
 
 Rules
 -----
@@ -24,12 +23,11 @@ RPR002 wall-clock
     ``repro/network/asyncio_transport.py`` and ``repro/gateway/``) are
     allowlisted wholesale: there the wall clock *is* the simulation
     clock, by design — see ``docs/invariants.md``.
-RPR003 solve-purity
-    Writes to ``self.*`` (or ``global`` declarations) inside functions
-    dispatched on the parallel-reconstruction thread pool — the
-    collect/solve/finalize split of ``broker.py`` / ``rounds.py`` /
-    ``localcloud.py``.  Bit-identity of parallel and serial zone
-    reconstruction depends on the solve phase being side-effect-free.
+RPR003 (retired)
+    Flagged ``self.*`` writes inside ``solve_round`` while a thread
+    pool could dispatch it.  The pool is gone and the solve is
+    ``solve_pending(pending)``, a module-level function of a frozen
+    record — there is no ``self`` to write.  The id stays reserved.
 RPR004 raw-topic
     Raw string-literal topics at ``publish``/``subscribe``/
     ``unsubscribe`` call sites.  Topics must come from the shared
@@ -109,12 +107,6 @@ RULES: dict[str, tuple[str, str]] = {
         "wall-clock read in simulation code; use the SimClock (pragma "
         "the legitimate perf-timing sites)",
     ),
-    "RPR003": (
-        "solve-purity",
-        "state mutation inside a thread-pool-dispatched solve-phase "
-        "function; the parallel==serial bit-identity needs solves to be "
-        "side-effect-free",
-    ),
     "RPR004": (
         "raw-topic",
         "raw string-literal topic at a publish/subscribe call site; use "
@@ -130,9 +122,6 @@ RULES: dict[str, tuple[str, str]] = {
         "mutable default argument or unseeded np.random.default_rng() "
         "in library code",
     ),
-    # RPR007 "deprecated-latency-s" is retired: it gated the
-    # TrafficStats.latency_s alias to zero internal callers, and the
-    # alias was removed in PR 8.  The id stays reserved.
     "RPR008": (
         "raw-inbox",
         "direct Endpoint.inbox mutation outside repro.network.bus; "
@@ -145,20 +134,15 @@ RULES: dict[str, tuple[str, str]] = {
         "per-shard streams via repro.core.registry.spawn_shard_seeds / "
         "shard_rng in the parent and pass them in",
     ),
-    # RPR010–RPR013 are whole-program rules: they need the cross-file
-    # call graph, so they live in repro.analysis.wholeprogram and only
-    # run through analyze_paths (the CLI default), not lint_source.
+    # RPR010, RPR012 and RPR013 are whole-program rules: they need the
+    # cross-file call graph, so they live in repro.analysis.wholeprogram
+    # and only run through analyze_paths (the CLI default), not
+    # lint_source.
     "RPR010": (
         "async-blocking",
         "blocking call reachable (transitively) from a realtime-module "
         "coroutine; one blocked frame stalls every session on the event "
         "loop — offload via run_in_executor/to_thread",
-    ),
-    "RPR011": (
-        "transitive-impurity",
-        "solve-phase function reaches (at any call depth) code that "
-        "writes self.*/module state; serial==parallel bit-identity "
-        "needs the whole solve call tree side-effect-free",
     ),
     "RPR012": (
         "seed-lineage",
@@ -172,6 +156,18 @@ RULES: dict[str, tuple[str, str]] = {
         "project (or subscribed with no publisher); the pub/sub "
         "contract needs both ends",
     ),
+}
+
+#: Retired rule id -> the name it had.  Ids are reserved forever: a
+#: retired id is never selectable and never reused for another check.
+RETIRED_RULES: dict[str, str] = {
+    # RPR003/RPR011 kept the solve phase pure while a thread pool
+    # dispatched Broker.solve_round; the pool is gone and the solve is
+    # a function of a frozen record, so neither has anything to find.
+    "RPR003": "solve-purity",
+    # Gated the TrafficStats.latency_s alias, removed in PR 8.
+    "RPR007": "deprecated-latency-s",
+    "RPR011": "transitive-impurity",
 }
 
 #: Parse failures are reported under a pseudo-rule that cannot be
@@ -238,12 +234,6 @@ _WALL_CLOCK_CALLS = frozenset(
         "datetime.date.today",
     }
 )
-
-# The collect/solve/finalize split: these files host the functions the
-# LocalCloud/Hierarchy layers dispatch on the reconstruction thread
-# pool, and these function names are the dispatched solve phase.
-_SOLVE_PHASE_FILES = frozenset({"broker.py", "rounds.py", "localcloud.py"})
-_SOLVE_PHASE_FUNCS = frozenset({"solve_round"})
 
 # publish(topic, message) / subscribe(address, topic) /
 # unsubscribe(address, topic): positional index of the topic argument.
@@ -345,7 +335,6 @@ class _Checker(ast.NodeVisitor):
         # {"np": "numpy", "_random": "random", "perf_counter":
         #  "time.perf_counter", "datetime": "datetime.datetime"}
         self.aliases: dict[str, str] = {}
-        self._solve_depth = 0
         self._worker_depth = 0
 
     # -- helpers -------------------------------------------------------
@@ -395,7 +384,7 @@ class _Checker(ast.NodeVisitor):
                 self.aliases[bound] = f"{node.module}.{alias.name}"
         self.generic_visit(node)
 
-    # -- function definitions (RPR003 scope, RPR006 defaults) ----------
+    # -- function definitions (RPR006 defaults, RPR009 scope) ----------
 
     def _check_defaults(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         defaults: list[ast.expr] = list(node.args.defaults) + [
@@ -432,70 +421,35 @@ class _Checker(ast.NodeVisitor):
         self, node: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> None:
         self._check_defaults(node)
-        in_solve = (
-            self.basename in _SOLVE_PHASE_FILES
-            and node.name in _SOLVE_PHASE_FUNCS
-        )
         # RPR009 scope: worker-entry functions (and their nested
         # helpers) are the code multiprocessing dispatches into — the
         # naming convention the middleware uses throughout.
         in_worker = "worker" in node.name.lower()
         if in_worker:
             self._worker_depth += 1
-        if in_solve or self._solve_depth:
-            self._solve_depth += 1
-            self.generic_visit(node)
-            self._solve_depth -= 1
-        else:
-            self.generic_visit(node)
+        self.generic_visit(node)
         if in_worker:
             self._worker_depth -= 1
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
 
-    # -- RPR003: solve-phase purity ------------------------------------
-
-    def _is_self_attribute(self, node: ast.expr) -> bool:
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            node = node.value
-        return isinstance(node, ast.Name) and node.id == "self"
-
-    def _check_solve_write(self, node: ast.stmt, targets: list[ast.expr]) -> None:
-        if not self._solve_depth:
-            return
-        for target in targets:
-            if isinstance(target, (ast.Tuple, ast.List)):
-                self._check_solve_write(node, list(target.elts))
-            elif isinstance(
-                target, (ast.Attribute, ast.Subscript)
-            ) and self._is_self_attribute(target):
-                self._emit(
-                    "RPR003",
-                    node,
-                    "write to broker state inside the thread-pool solve "
-                    "phase; solve_round must stay side-effect-free "
-                    "(mutate state in finalize_round)",
-                )
+    # -- assignment statements (RPR008 inbox writes) --------------------
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        self._check_solve_write(node, list(node.targets))
         self._check_inbox_write(node, list(node.targets))
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_solve_write(node, [node.target])
         self._check_inbox_write(node, [node.target])
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is not None:
-            self._check_solve_write(node, [node.target])
             self._check_inbox_write(node, [node.target])
         self.generic_visit(node)
 
     def visit_Delete(self, node: ast.Delete) -> None:
-        self._check_solve_write(node, list(node.targets))
         self._check_inbox_write(node, list(node.targets))
         self.generic_visit(node)
 
@@ -545,16 +499,6 @@ class _Checker(ast.NodeVisitor):
                 "delivery through MessageBus.requeue/push so the "
                 "bounded-queue accounting cannot be bypassed",
             )
-
-    def visit_Global(self, node: ast.Global) -> None:
-        if self._solve_depth:
-            self._emit(
-                "RPR003",
-                node,
-                "global declaration inside the thread-pool solve phase; "
-                "solve_round must stay side-effect-free",
-            )
-        self.generic_visit(node)
 
     # -- RPR001 / RPR002 / RPR004 / RPR006: calls ----------------------
 
@@ -692,10 +636,6 @@ class _Checker(ast.NodeVisitor):
                     "pin",
                 )
         self.generic_visit(node)
-
-    # -- RPR007: retired -----------------------------------------------
-    # The ``*.stats.latency_s`` matcher lived here until the deprecated
-    # alias it gated was removed from TrafficStats (PR 8).
 
 
 def _normalise_select(select: Iterable[str] | None) -> frozenset[str] | None:

@@ -1,4 +1,4 @@
-"""Whole-program reprolint rules: RPR010–RPR013.
+"""Whole-program reprolint rules: RPR010, RPR012, RPR013.
 
 These rules query the :class:`repro.analysis.project.ProjectModel`
 call graph and def-site index, so one finding can rest on facts from
@@ -14,14 +14,13 @@ RPR010 async-blocking
     anchors at the call site inside the coroutine, naming the chain to
     the sink; a pragma on the sink line sanctions it for every caller
     (the offload-site idiom).
-RPR011 transitive-impurity
-    RPR003 extended through the call graph: a solve-phase root
-    (``solve_round`` in broker/rounds/localcloud, the mega solve
-    kernels) calling — at any depth — a function that writes ``self.*``
-    or module state.  Direct writes stay RPR003's job; this rule flags
-    the call edge that *reaches* a write, because that is what breaks
-    serial==parallel bit-identity from a distance.  A pragma on the
-    write line sanctions the write for every path reaching it.
+RPR011 (retired)
+    Walked the call graph from the solve-phase roots to any ``self.*``
+    or module-state write.  The broker solve is now a function of a
+    frozen record with no pool to race on, and the mega kernel's
+    serial==sharded claim is observed by its own tests (Hypothesis pin,
+    process isolation, the segment checksum), so nothing is left for a
+    lint to protect.  The id stays reserved.
 RPR012 seed-lineage
     (a) the same integer-literal seed feeding two distinct RNG stream
     constructions anywhere in the project — aliased streams silently
@@ -38,10 +37,10 @@ RPR013 pubsub-flow
     are not flagged (reserving a constant is fine); a one-sided topic
     is a typo'd constant or dead traffic.
 
-All four honour the standard ``# reprolint: allow[rule]`` pragma at the
-finding's line; RPR010/RPR011 additionally honour a pragma at the
-*fact site* (the blocking call / the state write), which sanctions that
-fact for every path reaching it.
+All three honour the standard ``# reprolint: allow[rule]`` pragma at
+the finding's line; RPR010 additionally honours a pragma at the *fact
+site* (the blocking call), which sanctions that fact for every path
+reaching it.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import ast
 from pathlib import Path
 from typing import Iterable
 
-from .project import FunctionInfo, ModuleInfo, ProjectModel
+from .project import ModuleInfo, ProjectModel
 from .reprolint import (
     RULES,
     Finding,
@@ -67,7 +66,7 @@ __all__ = [
 ]
 
 #: The rule ids implemented here (per-file rules live in reprolint).
-WHOLE_PROGRAM_RULES = frozenset({"RPR010", "RPR011", "RPR012", "RPR013"})
+WHOLE_PROGRAM_RULES = frozenset({"RPR010", "RPR012", "RPR013"})
 
 # -- RPR010 facts -------------------------------------------------------
 
@@ -100,7 +99,6 @@ _BLOCKING_PROJECT = frozenset(
         "repro.core.reconstruction.reconstruct",
         "repro.core.robust.robust_reconstruct",
         "repro.core.spatiotemporal.reconstruct_spacetime",
-        "repro.middleware.localcloud.solve_pending_rounds",
         "repro.middleware.broker.Broker.solve_round",
         "repro.middleware.broker.Broker.run_round",
         "repro.sim.mega.MegaSimulation.run_round",
@@ -110,13 +108,6 @@ _BLOCKING_PROJECT = frozenset(
 
 #: How many chain hops to render in a finding message before eliding.
 _CHAIN_RENDER_CAP = 5
-
-# -- RPR011 roots -------------------------------------------------------
-
-_SOLVE_ROOT_FILES = frozenset({"broker.py", "rounds.py", "localcloud.py"})
-_SOLVE_ROOT_FUNCS = frozenset({"solve_round"})
-_MEGA_FILE = "mega.py"
-_MEGA_ROOT_PREFIX = "_solve_zone"
 
 # -- RPR012 facts -------------------------------------------------------
 
@@ -204,7 +195,7 @@ def _render_chain(chain: list[str], sink: str) -> str:
 
 
 # ======================================================================
-# Transitive reachability (shared by RPR010/RPR011)
+# Transitive reachability (RPR010)
 # ======================================================================
 
 
@@ -323,102 +314,6 @@ def _check_async_blocking(
                     "event loop — offload via run_in_executor/to_thread "
                     "and pragma the sanctioned offload site",
                 )
-
-
-# ======================================================================
-# RPR011 — transitive-impurity
-# ======================================================================
-
-
-def _solve_roots(model: ProjectModel) -> list[FunctionInfo]:
-    roots: list[FunctionInfo] = []
-    for fn in model.functions.values():
-        basename = Path(fn.path).name
-        if fn.name in _SOLVE_ROOT_FUNCS and basename in _SOLVE_ROOT_FILES:
-            roots.append(fn)
-        elif basename == _MEGA_FILE and fn.name.startswith(_MEGA_ROOT_PREFIX):
-            roots.append(fn)
-    roots.sort(key=lambda fn: (fn.path, fn.line))
-    return roots
-
-
-#: Constructor self-writes initialise an object that did not exist
-#: before the call — a fresh object's fields are not shared state.
-_CONSTRUCTOR_NAMES = frozenset({"__init__", "__post_init__"})
-
-
-def _impure_direct_facts(model: ProjectModel, rule: str) -> dict[str, str]:
-    """Functions that directly mutate state outliving the call.
-
-    A pragma on a write line sanctions that write; a pragma on the
-    ``def`` line sanctions the whole function (the idiom for a
-    call-local accumulator object whose every method writes ``self``).
-    """
-    direct: dict[str, str] = {}
-    for qualname, fn in model.functions.items():
-        module = model.modules.get(fn.module)
-        if module is None:
-            continue
-        if _suppressed_at(module, fn.line, rule):
-            continue  # def-line pragma: sanctioned impure boundary
-        basename = Path(fn.path).name
-        self_writes = (
-            [] if fn.name in _CONSTRUCTOR_NAMES else fn.self_writes
-        )
-        for line in sorted(self_writes):
-            if not _suppressed_at(module, line, rule):
-                direct[qualname] = f"writes self.* at {basename}:{line}"
-                break
-        if qualname in direct:
-            continue
-        for line in sorted(fn.global_decls + fn.module_writes):
-            if not _suppressed_at(module, line, rule):
-                direct[qualname] = f"writes module state at {basename}:{line}"
-                break
-    return direct
-
-
-def _check_transitive_impurity(
-    model: ProjectModel,
-    findings: list[Finding],
-    select: frozenset[str] | None,
-) -> None:
-    rule = "RPR011"
-    facts = _ReachabilityFacts(model, _impure_direct_facts(model, rule))
-    for root in _solve_roots(model):
-        module = model.modules.get(root.module)
-        if module is None:
-            continue
-        members = model.lexical_members(root.qualname)
-        member_names = {m.qualname for m in members}
-        reported: set[int] = set()
-        for member in members:
-            for site, targets, _dotted in model.callees(member.qualname):
-                for target in targets:
-                    if target in member_names:
-                        # The root's own nested helpers are walked as
-                        # members; their direct writes are RPR003's job.
-                        continue
-                    witness = facts.witness(target)
-                    if witness is None or site.line in reported:
-                        continue
-                    reported.add(site.line)
-                    sink, chain = witness
-                    via = _render_chain([target] + chain, sink)
-                    _emit(
-                        findings,
-                        select,
-                        rule,
-                        module,
-                        site.line,
-                        site.col,
-                        f"solve-phase call reaches impure code: {via}; "
-                        "serial==parallel bit-identity needs everything "
-                        "the solve phase touches to be side-effect-free "
-                        "— move the mutation to collect/finalize, or "
-                        "pragma the write as a documented exception",
-                    )
-                    break
 
 
 # ======================================================================
@@ -772,7 +667,6 @@ def analyze_project(
         return []
     findings: list[Finding] = []
     _check_async_blocking(model, findings, selected)
-    _check_transitive_impurity(model, findings, selected)
     _check_seed_lineage(model, findings, selected)
     _check_pubsub_flow(model, findings, selected)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))

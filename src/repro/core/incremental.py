@@ -84,12 +84,7 @@ class IncrementalQR:
         self._k = 0
         self.degenerate = False
 
-    # The writes below mutate only this instance, and instances are
-    # constructed inside a single CHS or OMP solve and never escape it — a
-    # call-local accumulator, not shared state.  The def-line pragma
-    # sanctions the whole method for whole-program purity (invariant 11
-    # in docs/invariants.md).
-    def add_column(self, col: np.ndarray) -> np.ndarray | None:  # reprolint: allow[transitive-impurity]
+    def add_column(self, col: np.ndarray) -> np.ndarray | None:
         """Admit one new column of the sensing matrix.
 
         Returns the unit direction the column adds to the factor (the

@@ -41,7 +41,7 @@ from ..fields.priors import ZonePrior
 from ..network.bus import MessageBus
 from ..network.message import Message, MessageKind
 from ..sensors.base import Environment, NodeState, Sensor
-from .config import BrokerConfig
+from .config import GLS_STD_FLOOR, BrokerConfig
 from .node import MobileNode
 from .overload import OverloadController
 from .trust import TrustManager
@@ -122,6 +122,19 @@ class _Collected:
     noise_stds: list[float] = field(default_factory=list)
     sources: list[tuple[str, ...]] = field(default_factory=list)
 
+    def add(
+        self,
+        cell: int,
+        value: float,
+        noise_std: float | None,
+        sources: tuple[str, ...] = (),
+    ) -> None:
+        """Record one realised measurement (one row of Phi)."""
+        self.locations.append(cell)
+        self.values.append(value)
+        self.noise_stds.append(noise_std or 0.0)
+        self.sources.append(sources)
+
 
 @dataclass
 class _RoundTelemetry:
@@ -156,15 +169,16 @@ class _RoundPlan:
     probes: dict[int, str] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _PendingRound:
     """One round's collected inputs, frozen between collect and solve.
 
-    :meth:`Broker.collect_round` produces this record after all bus
-    traffic and RNG draws are done; :meth:`Broker.solve_round` consumes
-    it without touching the bus, the nodes or any mutable broker state,
-    which is what lets a LocalCloud fan several zones' solves over a
-    thread pool while staying bit-identical to a serial run.
+    :meth:`Broker._freeze_round` produces this record after all bus
+    traffic and RNG draws are done, and resolves into it everything the
+    solve reads of the broker — basis, prior, solver, robust mode — so
+    :func:`solve_pending` is a function of this record alone (Fig. 6's
+    ``(x_S, L, Phi, V)``) and cannot touch the bus, the nodes or broker
+    state.
     """
 
     locations: np.ndarray
@@ -177,10 +191,61 @@ class _PendingRound:
     timestamp: float
     telemetry: _RoundTelemetry
     # Per-row node attribution (parallel to ``locations``).
-    sources: list[tuple[str, ...]] = field(default_factory=list)
-    # Filled by solve_round when robust_mode != "none"; each pending
-    # round is owned by one solve, so writing it stays thread-safe.
-    robust: RobustFit | None = None
+    sources: list[tuple[str, ...]]
+    basis: np.ndarray | BasisOperator
+    prior: ZonePrior | None  # None unless the round centres on a prior
+    solver: str
+    robust_mode: str
+
+
+def solve_pending(
+    pending: _PendingRound,
+) -> tuple[Reconstruction, np.ndarray, RobustFit | None]:
+    """Reconstruct the zone field from one frozen round (eqs. 11-13).
+
+    Pure numerics over ``pending``, which it never writes.  Returns the
+    solver result, the zone field vector ``x_hat`` and the robust
+    outcome (``None`` when ``robust_mode`` is ``"none"``).
+    """
+    prior = pending.prior
+
+    def fit(
+        values: np.ndarray,
+        locations: np.ndarray,
+        covariance: np.ndarray | None,
+    ) -> tuple[Reconstruction, np.ndarray]:
+        sparsity = min(pending.solver_sparsity, values.size)
+        if prior is not None:
+            centered = prior.center(values, locations)
+            result = reconstruct(
+                centered, locations, pending.basis,
+                solver=pending.solver,
+                sparsity=sparsity,
+                covariance=covariance,
+            )
+            return result, prior.uncenter(result.x_hat)
+        result = reconstruct(
+            values, locations, pending.basis,
+            solver=pending.solver,
+            sparsity=sparsity,
+            covariance=covariance,
+            center=True,  # physical fields: baseline + sparse variation
+        )
+        return result, result.x_hat
+
+    if pending.robust_mode == "none":
+        result, x_hat = fit(
+            pending.values, pending.locations, pending.covariance
+        )
+        return result, x_hat, None
+    robust = robust_reconstruct(
+        fit,
+        pending.values,
+        pending.locations,
+        covariance=pending.covariance,
+        mode=pending.robust_mode,
+    )
+    return robust.result, robust.x_hat, robust
 
 
 class Broker:
@@ -237,12 +302,7 @@ class Broker:
         self.last_sparsity: int | None = None
         # Trust ledger feeding the robust pipeline; constructed always
         # (cheap) but only consulted when config.robust_mode != "none".
-        self.trust = TrustManager(
-            alpha=self.config.trust_alpha,
-            quarantine_below=self.config.quarantine_trust,
-            release_at=self.config.rehab_trust,
-            min_rejections=self.config.quarantine_min_rejections,
-        )
+        self.trust = TrustManager()
         # Overload state (detector/breaker/ladder) is zone knowledge,
         # like trust: it rides the failover carry-over on promotion so
         # an acting broker resumes mid-degradation.  Inert (and never
@@ -330,12 +390,7 @@ class Broker:
 
     # -- internals ------------------------------------------------------
 
-    # The memoised basis write is reachable from solve_round, but it is
-    # idempotent and deterministic (same config -> bit-identical basis)
-    # and each broker is owned by exactly one in-flight solve, so the
-    # cache cannot race or change a result — a documented exception to
-    # solve-phase purity (invariant 11 in docs/invariants.md).
-    def _basis(self) -> np.ndarray | BasisOperator:  # reprolint: allow[transitive-impurity]
+    def _basis(self) -> np.ndarray | BasisOperator:
         if self._basis_cache is None:
             cfg = self.config
             if cfg.use_prior_basis and self.prior is not None:
@@ -363,13 +418,13 @@ class Broker:
     def _make_plan(self, m: int, candidates: np.ndarray) -> MeasurementPlan:
         """Select M cells among the covered candidates.
 
-        Criticality weighting (when configured and provided) biases the
-        draw; otherwise uniform random — the paper's stochastic spatial
+        A criticality map, when the broker has one, biases the draw;
+        otherwise uniform random — the paper's stochastic spatial
         sampling.
         """
         m = min(m, candidates.size)
         weights = None
-        if self.config.criticality_weighting and self.criticality is not None:
+        if self.criticality is not None:
             weights = self.criticality[candidates]
             if weights.sum() <= 0:
                 weights = None
@@ -562,25 +617,26 @@ class Broker:
             cell_sources = []
         if value is None:
             return False
-        collected.locations.append(cell)
-        collected.values.append(value)
-        collected.noise_stds.append(noise_std or 0.0)
-        collected.sources.append(tuple(cell_sources))
+        collected.add(cell, value, noise_std, tuple(cell_sources))
         return True
 
     # -- the aggregation round -------------------------------------------
     #
-    # A round has three phases with different concurrency contracts:
+    # A round has three phases joined by data, not by shared state:
     #
-    #   collect_round   — bus traffic, node commands, RNG draws.  Serial.
-    #   solve_round     — pure numerics on the collected inputs.  Safe to
-    #                     run on a worker thread (one thread per broker).
-    #   finalize_round  — sparsity adaptation, history, the ZoneEstimate.
-    #                     Serial; mutates broker state.
+    #   collect_round   — bus traffic, node commands, RNG draws; ends by
+    #                     freezing everything the solve reads into a
+    #                     _PendingRound.
+    #   solve_round     — solve_pending(pending): pure numerics, a
+    #                     function of the frozen round alone.
+    #   finalize_round  — sparsity adaptation, trust, history, the
+    #                     ZoneEstimate; the only phase that mutates the
+    #                     broker after collection.
     #
-    # run_round composes the three for the common serial case; the
-    # LocalCloud / Hierarchy layers drive the phases separately when
-    # parallel reconstruction is enabled.
+    # run_round composes the three; the LocalCloud / Hierarchy layers
+    # drive the phases separately so every zone is collected before any
+    # is finalized (finalisation sends AGGREGATE traffic, which draws
+    # from the bus loss stream).
 
     def plan_round(
         self,
@@ -676,10 +732,7 @@ class Broker:
         for cell in sorted(self.infrastructure):
             value, noise_std = self._read_infrastructure(cell, env, timestamp)
             telemetry.infra_reads += 1
-            collected.locations.append(cell)
-            collected.values.append(value)
-            collected.noise_stds.append(noise_std or 0.0)
-            collected.sources.append(())
+            collected.add(cell, value, noise_std)
 
     def _freeze_round(
         self,
@@ -690,6 +743,10 @@ class Broker:
         timestamp: float,
     ) -> _PendingRound:
         """Freeze a round's collected inputs for the solve phase.
+
+        Last step of the serial collect phase: the basis handle, the
+        prior, the solver name and the robust mode are read off the
+        broker here, so the solve never looks at ``self``.
 
         Raises
         ------
@@ -707,12 +764,6 @@ class Broker:
         locations = np.asarray(collected.locations, dtype=int)
         values = np.asarray(collected.values, dtype=float)
         sources = list(collected.sources)
-        if len(sources) < len(collected.locations):
-            # Callers that predate source attribution (or hand-built
-            # _Collected records) get anonymous rows.
-            sources = sources + [()] * (
-                len(collected.locations) - len(sources)
-            )
         covariance = None
         if self.config.use_gls and any(s > 0 for s in collected.noise_stds):
             # Floor the self-reported stds: a claimed-perfect (zero-std)
@@ -721,8 +772,7 @@ class Broker:
             # contributor so repeat offenders lose influence even
             # before quarantine (effective variance = std^2 / trust).
             stds = np.maximum(
-                np.asarray(collected.noise_stds, dtype=float),
-                self.config.gls_std_floor,
+                np.asarray(collected.noise_stds, dtype=float), GLS_STD_FLOOR
             )
             if self.config.robust_mode != "none":
                 row_trust = np.array(
@@ -747,6 +797,10 @@ class Broker:
             timestamp=timestamp,
             telemetry=telemetry,
             sources=sources,
+            basis=self._basis(),
+            prior=self.prior if self.config.use_prior_basis else None,
+            solver=self.config.solver,
+            robust_mode=self.config.robust_mode,
         )
 
     def collect_round(
@@ -814,68 +868,22 @@ class Broker:
 
     def solve_round(
         self, pending: _PendingRound
-    ) -> tuple[Reconstruction, np.ndarray]:
-        """Phase 2: reconstruct the zone field from collected inputs.
-
-        Pure numerics — no bus, no RNG, no broker-state mutation (the
-        robust outcome lands on the pending record itself, which is
-        owned by exactly one solve) — so distinct brokers' solves may
-        run concurrently on worker threads.  Returns the solver result
-        and the zone field vector ``x_hat``.
-        """
-        phi = self._basis()
-        # Bind the prior locally: mypy cannot carry an `is not None`
-        # narrowing on self.prior into the closure, and the solve phase
-        # must not re-read mutable broker state mid-flight anyway.
-        prior = self.prior if self.config.use_prior_basis else None
-
-        def fit(
-            values: np.ndarray,
-            locations: np.ndarray,
-            covariance: np.ndarray | None,
-        ) -> tuple[Reconstruction, np.ndarray]:
-            sparsity = min(pending.solver_sparsity, values.size)
-            if prior is not None:
-                centered = prior.center(values, locations)
-                result = reconstruct(
-                    centered, locations, phi,
-                    solver=self.config.solver,
-                    sparsity=sparsity,
-                    covariance=covariance,
-                )
-                return result, prior.uncenter(result.x_hat)
-            result = reconstruct(
-                values, locations, phi,
-                solver=self.config.solver,
-                sparsity=sparsity,
-                covariance=covariance,
-                center=True,  # physical fields: baseline + sparse variation
-            )
-            return result, result.x_hat
-
-        if self.config.robust_mode == "none":
-            return fit(
-                pending.values, pending.locations, pending.covariance
-            )
-        robust = robust_reconstruct(
-            fit,
-            pending.values,
-            pending.locations,
-            covariance=pending.covariance,
-            mode=self.config.robust_mode,
-            threshold=self.config.robust_threshold,
-            max_rounds=self.config.robust_max_rounds,
-        )
-        pending.robust = robust
-        return robust.result, robust.x_hat
+    ) -> tuple[Reconstruction, np.ndarray, RobustFit | None]:
+        """Phase 2: :func:`solve_pending` on the frozen round."""
+        return solve_pending(pending)
 
     def finalize_round(
         self,
         pending: _PendingRound,
         result: Reconstruction,
         x_hat: np.ndarray,
+        robust: RobustFit | None,
     ) -> ZoneEstimate:
-        """Phase 3: adapt state from the solve and emit the estimate."""
+        """Phase 3: adapt state from the solve and emit the estimate.
+
+        ``result``, ``x_hat`` and ``robust`` are what :meth:`solve_round`
+        returned for ``pending``.
+        """
         locations = pending.locations
         values = pending.values
         k_est = pending.k_est
@@ -885,19 +893,13 @@ class Broker:
         planned_m = pending.planned_m
         refused = telemetry.refused
         infra_reads = telemetry.infra_reads
-        robust = pending.robust
 
         # Trust bookkeeping: every attributed row's accept/reject verdict
         # feeds its contributors' EWMA, then quarantine/release
         # transitions apply.  Serial phase — the only trust mutation.
         rejected_reports = 0
-        robust_active = self.config.robust_mode != "none"
-        if robust_active:
-            rejected = (
-                robust.row_rejected()
-                if robust is not None
-                else np.zeros(len(pending.sources), dtype=bool)
-            )
+        if robust is not None:
+            rejected = robust.row_rejected()
             rejected_reports = int(rejected.sum())
             for row_sources, row_rejected in zip(pending.sources, rejected):
                 for node_id in row_sources:
@@ -977,10 +979,10 @@ class Broker:
             robust_rounds=robust.rounds if robust is not None else 0,
             quarantined_nodes=(
                 tuple(sorted(self.trust.quarantined))
-                if robust_active
+                if robust is not None
                 else ()
             ),
-            trust=self.trust.snapshot() if robust_active else {},
+            trust=self.trust.snapshot() if robust is not None else {},
         )
 
     def run_round(
@@ -1016,8 +1018,7 @@ class Broker:
             bus, nodes, env, timestamp,
             measurements=measurements, sparsity_cap=sparsity_cap,
         )
-        result, x_hat = self.solve_round(pending)
-        return self.finalize_round(pending, result, x_hat)
+        return self.finalize_round(pending, *self.solve_round(pending))
 
     # -- context aggregation ----------------------------------------------
 

@@ -86,31 +86,22 @@ class BrokerConfig:
     basis: str = "dct2"  # separable 2-D DCT over the zone grid
     policy: CompressionPolicy = field(default_factory=CompressionPolicy)
     use_gls: bool = True  # weight heterogeneous sensors per eq. (12)
-    gls_std_floor: float = GLS_STD_FLOOR
     # Byzantine/data-fault robustness (repro.core.robust): "none" keeps
     # the seed's trusting solve; "trim" iteratively rejects rows whose
-    # standardised residual exceeds robust_threshold and refits to a
-    # fixed point (bit-identical to "none" when nothing is rejected);
+    # standardised residual exceeds the robust threshold and refits to
+    # a fixed point (bit-identical to "none" when nothing is rejected);
     # "huber" soft-downweights them via IRLS instead.  Either non-none
     # mode also switches the GLS covariance to trust-discounted weights
-    # and arms the broker's quarantine machinery.
+    # and arms the broker's quarantine machinery (thresholds, EWMA step
+    # and hysteresis pair are robust_reconstruct's and TrustManager's
+    # own defaults).
     robust_mode: str = "none"
-    robust_threshold: float = 3.5
-    robust_max_rounds: int = 8
-    # Trust/quarantine knobs (repro.middleware.trust.TrustManager):
-    # EWMA step for accept/reject outcomes, the quarantine/release
-    # hysteresis pair, the repeat-offender floor, and the rehab probe
-    # cadence — every rehab_interval-th round re-commands up to
-    # rehab_probes quarantined nodes (one planned cell each) so a
+    # Rehab probe cadence: every rehab_interval-th round re-commands up
+    # to rehab_probes quarantined nodes (one planned cell each) so a
     # recovered sensor can earn its way back in.
-    trust_alpha: float = 0.3
-    quarantine_trust: float = 0.35
-    rehab_trust: float = 0.6
-    quarantine_min_rejections: int = 2
     rehab_interval: int = 4
     rehab_probes: int = 2
     use_prior_basis: bool = False  # swap in a PCA basis learned from history
-    criticality_weighting: bool = True  # bias node selection to hot cells
     # Aquiba-style redundancy suppression ([25]): when several nodes
     # share a grid cell, command them one at a time and stop at the
     # first answer.  Disabled, every co-located node reports and the
@@ -149,14 +140,6 @@ class BrokerConfig:
     # Doubles per retry attempt.  Must comfortably exceed the command +
     # report round-trip latency of the slowest link in play.
     report_timeout_s: float = 2.0
-    # Fan the per-zone solve phase over a thread pool at the LocalCloud /
-    # hierarchy layer.  Collection (bus traffic, RNG draws) and
-    # finalisation (state mutation) stay serial in zone order, so the
-    # estimates are bit-identical to a serial run.
-    parallel_reconstruction: bool = False
-    # Thread-pool size for parallel reconstruction; None sizes the pool
-    # to min(pending zones, CPU count).
-    reconstruction_workers: int | None = None
     # Overload protection (repro.middleware.overload): admission
     # control on round launch, the solve-deadline circuit breaker and
     # the graceful-degradation ladder.  Every feature defaults off, so
@@ -173,20 +156,6 @@ class BrokerConfig:
 
         if self.robust_mode not in ROBUST_MODES:
             raise ValueError(f"unknown robust_mode {self.robust_mode!r}")
-        if self.gls_std_floor <= 0:
-            raise ValueError("gls_std_floor must be positive")
-        if self.robust_threshold <= 0:
-            raise ValueError("robust_threshold must be positive")
-        if self.robust_max_rounds < 1:
-            raise ValueError("robust_max_rounds must be >= 1")
-        if not 0.0 < self.trust_alpha <= 1.0:
-            raise ValueError("trust_alpha must be in (0, 1]")
-        if not 0.0 <= self.quarantine_trust < self.rehab_trust <= 1.0:
-            raise ValueError(
-                "need 0 <= quarantine_trust < rehab_trust <= 1"
-            )
-        if self.quarantine_min_rejections < 1:
-            raise ValueError("quarantine_min_rejections must be >= 1")
         if self.rehab_interval < 1:
             raise ValueError("rehab_interval must be >= 1")
         if self.rehab_probes < 0:
@@ -201,11 +170,6 @@ class BrokerConfig:
             raise ValueError("report_deadline_s must be positive")
         if self.report_timeout_s <= 0:
             raise ValueError("report_timeout_s must be positive")
-        if (
-            self.reconstruction_workers is not None
-            and self.reconstruction_workers < 1
-        ):
-            raise ValueError("reconstruction_workers must be >= 1")
 
 
 @dataclass(frozen=True)

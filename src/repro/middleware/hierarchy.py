@@ -22,7 +22,7 @@ from ..network.bus import MessageBus
 from ..network.links import LTE, LinkModel
 from ..sensors.base import Environment
 from .config import BrokerConfig, HierarchyConfig
-from .localcloud import LocalCloud, LocalCloudResult, solve_pending_rounds
+from .localcloud import LocalCloud, LocalCloudResult
 from .rounds import ZoneRoundDriver, ZoneSchedule
 
 __all__ = ["GlobalEstimate", "Hierarchy"]
@@ -146,11 +146,11 @@ class Hierarchy:
             :meth:`zone_budgets`); zones not listed use their brokers'
             own policy.
         """
-        # Collect every zone serially (bus traffic + RNG draws), then
-        # solve the flat batch of pending rounds — across a thread pool
-        # when the broker config enables parallel reconstruction — and
-        # finalise serially in zone order.  The phase split keeps the
-        # global estimate bit-identical whether or not the pool is used.
+        # Collect every zone (bus traffic + RNG draws), then solve, then
+        # finalise, each in zone order.  The order is part of the
+        # result: finish_round sends AGGREGATE traffic that draws from
+        # the bus loss stream, so finalising a zone before the next is
+        # collected would change which reports a lossy channel eats.
         pending_by_zone: dict[int, list] = {}
         for zone in self.zone_grid:
             lc = self.localclouds[zone.zone_id]
@@ -163,22 +163,20 @@ class Hierarchy:
             pending_by_zone[zone.zone_id] = lc.collect_rounds(
                 env, timestamp, measurements_per_nc=budgets
             )
-        flat = [
-            pair
-            for zone in self.zone_grid
-            for pair in pending_by_zone[zone.zone_id]
-        ]
-        solved_flat = solve_pending_rounds(flat, self.broker_config)
+        solved_by_zone = {
+            zone_id: [broker.solve_round(pending) for broker, pending in pairs]
+            for zone_id, pairs in pending_by_zone.items()
+        }
 
         zone_results: dict[int, LocalCloudResult] = {}
         subfields: dict[int, SpatialField] = {}
-        cursor = 0
         for zone in self.zone_grid:
             lc = self.localclouds[zone.zone_id]
-            pairs = pending_by_zone[zone.zone_id]
-            solved = solved_flat[cursor : cursor + len(pairs)]
-            cursor += len(pairs)
-            result = lc.finish_round(pairs, solved, timestamp)
+            result = lc.finish_round(
+                pending_by_zone[zone.zone_id],
+                solved_by_zone[zone.zone_id],
+                timestamp,
+            )
             lc.report_upward(self.CLOUD_ADDRESS, result, timestamp)
             zone_results[zone.zone_id] = result
             subfields[zone.zone_id] = result.field

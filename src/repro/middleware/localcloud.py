@@ -11,14 +11,12 @@ the zone estimate it reports upward as a compressed coefficient payload.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis import contracts
 from ..core.reconstruction import Reconstruction
+from ..core.robust import RobustFit
 from ..fields.field import SpatialField
 from ..network.bus import MessageBus
 from ..network.links import LinkModel, WIFI
@@ -29,39 +27,12 @@ from .broker import Broker, ZoneEstimate, _PendingRound
 from .config import BrokerConfig
 from .nanocloud import NanoCloud
 
-__all__ = ["LocalCloudResult", "LocalCloud", "solve_pending_rounds"]
+__all__ = ["LocalCloudResult", "LocalCloud"]
 
 # (broker, its collected-but-unsolved round)
 PendingPair = tuple[Broker, _PendingRound]
-SolvedRound = tuple[Reconstruction, np.ndarray]
-
-
-def solve_pending_rounds(
-    pairs: list[PendingPair], config: BrokerConfig
-) -> list[SolvedRound]:
-    """Run the solve phase for a batch of collected rounds.
-
-    With ``config.parallel_reconstruction`` the solves fan out over a
-    thread pool — each pending round belongs to a distinct broker, the
-    solve phase touches no shared mutable state, and results come back
-    in input order, so the output is bit-identical to the serial path.
-    NumPy/SciPy release the GIL inside the heavy kernels, which is where
-    the wall-clock win comes from.
-    """
-    if config.parallel_reconstruction and len(pairs) > 1:
-        workers = config.reconstruction_workers or min(
-            len(pairs), os.cpu_count() or 1
-        )
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(
-                pool.map(lambda pair: pair[0].solve_round(pair[1]), pairs)
-            )
-        if contracts.enabled():
-            # Sanitizer: a worker-thread solve must never have written a
-            # shared registry basis; re-checksum them after the fan-out.
-            contracts.verify_shared_arrays(context="parallel solve phase")
-        return solved
-    return [broker.solve_round(pending) for broker, pending in pairs]
+# what Broker.solve_round returned for it
+SolvedRound = tuple[Reconstruction, np.ndarray, RobustFit | None]
 
 
 @dataclass
@@ -234,10 +205,10 @@ class LocalCloud:
         """
         estimates: list[ZoneEstimate] = []
         columns: list[np.ndarray] = []
-        for idx, ((broker, pending), (result, x_hat)) in enumerate(
+        for idx, ((broker, pending), solution) in enumerate(
             zip(pairs, solved)
         ):
-            estimate = broker.finalize_round(pending, result, x_hat)
+            estimate = broker.finalize_round(pending, *solution)
             estimates.append(estimate)
             columns.append(estimate.field.grid)
             support = int(estimate.reconstruction.support.size)
@@ -293,14 +264,11 @@ class LocalCloud:
 
         Each NC broker forwards its result to the head as an AGGREGATE
         message carrying the compressed coefficient payload (metered).
-        With ``parallel_reconstruction`` in the broker config, the solve
-        phase fans the NC reconstructions over a thread pool; collection
-        and finalisation stay serial, so the result is identical.
         """
         pairs = self.collect_rounds(
             env, timestamp, measurements_per_nc, sparsity_cap=sparsity_cap
         )
-        solved = solve_pending_rounds(pairs, self.config)
+        solved = [broker.solve_round(pending) for broker, pending in pairs]
         return self.finish_round(pairs, solved, timestamp)
 
     def report_upward(

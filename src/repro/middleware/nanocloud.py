@@ -372,9 +372,9 @@ class NanoCloud:
         """Collection phase only (heartbeat + membership + commanding).
 
         Used by the LocalCloud/hierarchy layers to gather every zone's
-        measurements serially before fanning the solve phase over a
-        thread pool; see :meth:`repro.middleware.broker.Broker.solve_round`.
-        Returns the broker's pending-round record.
+        measurements before any zone is solved and finalized.  Returns
+        the broker's frozen pending-round record, the whole input of
+        :func:`repro.middleware.broker.solve_pending`.
         """
         broker = self.prepare_round(timestamp)
         return broker.collect_round(

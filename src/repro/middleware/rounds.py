@@ -16,8 +16,8 @@ machine driven by the discrete-event clock:
   or rotate to the next co-located candidate; a *report deadline* event
   bounds the wait — when it fires, the round solves with whatever
   arrived (partial-report solve) after infrastructure fallback.
-- **SOLVING/FINALIZED**: the pure-numeric solve (thread-poolable, PR 2)
-  and the serial state adaptation, then a round-completed callback.
+- **SOLVING/FINALIZED**: the pure-numeric solve of each frozen round
+  and the state adaptation, then a round-completed callback.
 
 One :class:`ZoneRoundDriver` runs one zone (LocalCloud) on its own
 period and phase offset, so zones desynchronise instead of marching
@@ -29,14 +29,8 @@ property-tested bit-identical to the lockstep path.
 
 from __future__ import annotations
 
-# Wall-clock convention: simulation logic must read the SimClock; the
-# only sanctioned wall-clock reads are the perf-timing spans below that
-# measure *solver compute cost* (RoundRecord.round_wall_s and
-# ZoneRoundOutcome.wall_s).  Each carries a
-# `# reprolint: allow[wall-clock]` pragma — see docs/invariants.md.
 import dataclasses
 import threading
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
@@ -45,7 +39,7 @@ from ..analysis import contracts
 from ..network.message import Message, MessageKind
 from ..sensors.base import Environment
 from .broker import Broker, _Collected, _RoundPlan, _RoundTelemetry
-from .localcloud import LocalCloud, LocalCloudResult, solve_pending_rounds
+from .localcloud import LocalCloud, LocalCloudResult
 from .nanocloud import NanoCloud
 from .node import MobileNode
 from .overload import OverloadController, RoundDirectives
@@ -104,7 +98,6 @@ class ZoneRoundOutcome:
     completed_at: float
     index: int
     partial: bool = False
-    wall_s: float = 0.0
     stale: bool = False
 
     @property
@@ -222,8 +215,8 @@ class ZoneRoundDriver:
         self._busy_streak = 0
         self._retry_pending = False
         # The driver's state machine belongs to the thread that built it
-        # (the event loop); only the inner solve may use workers.  The
-        # sanitizer asserts this on every state transition.
+        # (the event loop).  The sanitizer asserts this on every state
+        # transition.
         self._owner_ident = threading.get_ident()
 
     # -- scheduling ----------------------------------------------------
@@ -495,10 +488,7 @@ class ZoneRoundDriver:
         sources: tuple[str, ...],
     ) -> None:
         ca.satisfied = True
-        col.collected.locations.append(ca.cell)
-        col.collected.values.append(value)
-        col.collected.noise_stds.append(noise_std or 0.0)
-        col.collected.sources.append(sources)
+        col.collected.add(ca.cell, value, noise_std, sources)
         self._maybe_complete()
 
     def _report_timeout(
@@ -585,7 +575,6 @@ class ZoneRoundDriver:
                 self._owner_ident, "ZoneRoundDriver._close_collection"
             )
         self.state = RoundState.SOLVING
-        started_wall = time.perf_counter()  # reprolint: allow[wall-clock]
         pairs = []
         partial = False
         for col in self._collections:
@@ -605,10 +594,7 @@ class ZoneRoundDriver:
                     )
                     col.telemetry.infra_reads += 1
                     ca.satisfied = True
-                    col.collected.locations.append(cell)
-                    col.collected.values.append(value)
-                    col.collected.noise_stds.append(noise_std or 0.0)
-                    col.collected.sources.append(())
+                    col.collected.add(cell, value, noise_std)
             if not col.collected.locations and broker.infrastructure:
                 broker._infra_sweep(col.collected, col.telemetry, self.env, now)
             if any(not ca.satisfied for ca in col.cells.values()):
@@ -633,7 +619,7 @@ class ZoneRoundDriver:
                 self.state = RoundState.IDLE
                 return
             pairs.append((broker, pending))
-        solved = solve_pending_rounds(pairs, self.lc.config)
+        solved = [broker.solve_round(pending) for broker, pending in pairs]
         result = self.lc.finish_round(pairs, solved, self._started_at)
         # The estimate exists only now: on a WallClock the solve took
         # real time since `now` was read (a SimClock does not advance
@@ -641,8 +627,7 @@ class ZoneRoundDriver:
         completed_at = float(self.clock.now)
         if self.cloud_address is not None:
             self.lc.report_upward(self.cloud_address, result, now)
-        wall = time.perf_counter() - started_wall  # reprolint: allow[wall-clock]
-        self._finish(result, completed_at, partial, wall)
+        self._finish(result, completed_at, partial)
 
     def _run_synchronous(
         self, now: float, directives: RoundDirectives
@@ -654,7 +639,6 @@ class ZoneRoundDriver:
         links there is nothing to wait for.
         """
         self.state = RoundState.SOLVING
-        started_wall = time.perf_counter()  # reprolint: allow[wall-clock]
         if directives.m_scale < 1.0:
             budgets = [
                 self._nc_budget(nc.broker, idx, directives)
@@ -675,15 +659,10 @@ class ZoneRoundDriver:
         if self.cloud_address is not None:
             self.lc.report_upward(self.cloud_address, result, now)
             self.bus.endpoint(self.cloud_address).drain()
-        wall = time.perf_counter() - started_wall  # reprolint: allow[wall-clock]
-        self._finish(result, now, False, wall)
+        self._finish(result, now, False)
 
     def _finish(
-        self,
-        result: LocalCloudResult,
-        now: float,
-        partial: bool,
-        wall_s: float,
+        self, result: LocalCloudResult, now: float, partial: bool
     ) -> None:
         if contracts.enabled():
             contracts.assert_thread(
@@ -713,7 +692,6 @@ class ZoneRoundDriver:
             completed_at=now,
             index=self.rounds_completed,
             partial=partial,
-            wall_s=wall_s,
         )
         self.last_outcome = outcome
         if self.on_complete is not None:

@@ -14,7 +14,6 @@ experiments read results off one object.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +38,6 @@ class RoundRecord:
     messages_cum: int
     node_energy_cum_mj: float
     radio_energy_cum_mj: float
-    # Real (wall-clock) seconds the round's sense_field call took —
-    # simulated time is free, solver time is not, and the perf bench
-    # reads the broker-side compute cost off this field.
-    round_wall_s: float = 0.0
     # Event-driven rounds only: which zone finished, and the *simulated*
     # command-to-estimate latency of its round.  Lockstep rounds are
     # global and instantaneous, so they keep the defaults.
@@ -172,12 +167,7 @@ class SimulationEngine:
         )
 
     def _tick_sensing(self, now: float) -> None:
-        # Perf-timing site (RoundRecord.round_wall_s): wall-clock reads
-        # are banned in sim logic (RPR002) — simulated time is free,
-        # solver compute is not, and this span measures the latter.
-        started = time.perf_counter()  # reprolint: allow[wall-clock]
         estimate = self.system.sense_field()
-        wall_s = time.perf_counter() - started  # reprolint: allow[wall-clock]
         error = self.system.estimate_error(estimate)
         stats = self.system.hierarchy.bus.stats
         self.result.rounds.append(
@@ -188,7 +178,6 @@ class SimulationEngine:
                 messages_cum=stats.messages,
                 node_energy_cum_mj=self.system.hierarchy.total_node_energy_mj(),
                 radio_energy_cum_mj=stats.total_energy_mj,
-                round_wall_s=wall_s,
             )
         )
 
@@ -205,7 +194,6 @@ class SimulationEngine:
                 messages_cum=stats.messages,
                 node_energy_cum_mj=self.system.hierarchy.total_node_energy_mj(),
                 radio_energy_cum_mj=stats.total_energy_mj,
-                round_wall_s=outcome.wall_s,
                 zone_id=outcome.zone_id,
                 round_latency_s=outcome.latency_s,
             )

@@ -436,9 +436,17 @@ class NodePopulation:
         ``rejected`` is a boolean array aligned with ``node_ids``
         (True = the robust layer threw the report out).  Trust decays
         toward 0 for rejected reporters and recovers toward 1 for
-        accepted ones; crossing the hysteresis thresholds flips the
+        accepted ones; falling below ``quarantine_below`` sets the
         ``quarantined`` flag, which removes the node from
-        :meth:`zone_members` until it recovers via rehab probes.
+        :meth:`zone_members`.
+
+        At city scale quarantine is one-way: a node excluded from
+        :meth:`zone_members` is never sampled again, and
+        ``MegaSimulation`` schedules no rehab probes (the broker tier's
+        ``TrustManager`` does), so its trust never gets another
+        verdict.  The ``release_above`` line therefore only ever sees
+        nodes that were not quarantined; it would take effect if a
+        caller fed verdicts for quarantined ids.
         """
         if not 0 < ewma <= 1:
             raise ValueError("ewma must be in (0, 1]")

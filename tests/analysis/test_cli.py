@@ -76,10 +76,13 @@ class TestExitCodes:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("RPR001", "RPR008", "wall-clock", "solve-purity"):
+        for rule in ("RPR001", "RPR008", "wall-clock", "pubsub-flow"):
             assert rule in out
-        # RPR007 retired with the latency_s alias (PR 8).
-        assert "RPR007" not in out
+        # Retired ids stay listed, as retired, so they read as reserved.
+        lines = out.splitlines()
+        assert "RPR003 solve-purity: retired" in lines
+        assert "RPR007 deprecated-latency-s: retired" in lines
+        assert "RPR011 transitive-impurity: retired" in lines
 
 
 class TestJsonFormat:

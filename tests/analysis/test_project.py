@@ -1,11 +1,11 @@
 """Tests for the whole-program project model (repro.analysis.project).
 
-The model is the substrate the RPR010-RPR013 rules stand on, so the
+The model is the substrate the whole-program rules stand on, so the
 things that matter are tested directly: module naming from package
 layout, import resolution (absolute / aliased / relative / ``__init__``
 re-export chains), call-graph soundness on a small fixture package,
-purity facts, and the mtime/size parse cache invalidating when a file
-changes between loads.
+and the mtime/size parse cache invalidating when a file changes
+between loads.
 """
 
 from __future__ import annotations
@@ -281,53 +281,6 @@ class TestCallGraph:
             dotted for _s, _t, dotted in model.callees("pkg.ext.f")
         ]
         assert dotteds == ["time.sleep", "numpy.zeros"]
-
-
-class TestPurityFacts:
-    def test_self_and_module_writes_recorded(self, tmp_path):
-        model = _load(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/facts.py": """
-                    _CACHE = {}
-
-                    class Thing:
-                        def mutate(self):
-                            self.state = 1
-                            self.items.append(2)
-
-                    def poison(key):
-                        _CACHE[key] = 1
-
-                    def local_only():
-                        box = {}
-                        box["k"] = 1
-                """,
-            },
-        )
-        mutate = model.functions["pkg.facts.Thing.mutate"]
-        assert len(mutate.self_writes) == 2
-        poison = model.functions["pkg.facts.poison"]
-        assert poison.module_writes
-        clean = model.functions["pkg.facts.local_only"]
-        assert not clean.is_impure
-
-    def test_global_decl_recorded(self, tmp_path):
-        model = _load(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/g.py": """
-                    _N = 0
-
-                    def bump():
-                        global _N
-                        _N += 1
-                """,
-            },
-        )
-        assert model.functions["pkg.g.bump"].global_decls
 
 
 class TestCacheInvalidation:

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.analysis.reprolint import (
     PARSE_ERROR_RULE,
+    RETIRED_RULES,
     RULES,
     Finding,
     lint_paths,
@@ -154,82 +157,34 @@ class TestRPR002WallClock:
         assert findings == []
 
 
-class TestRPR003SolvePurity:
-    SOURCE = """
-        class Broker:
-            def solve_round(self, pending):
-                self.cache = pending
-                return pending
-        """
+class TestRPR003Retired:
+    """RPR003 guarded ``solve_round`` while a thread pool dispatched it.
+    The solve is now ``solve_pending(pending)`` over a frozen record —
+    the planted violation is a runtime error, not a lint finding (see
+    ``TestFrozenRound`` in tests/middleware/test_broker.py)."""
 
-    def test_self_write_in_solve_round_fires_in_phase_files(self):
-        for basename in ("broker.py", "rounds.py", "localcloud.py"):
-            findings = _lint(self.SOURCE, path=f"src/{basename}")
-            assert _rules(findings, suppressed=False) == ["RPR003"], basename
-
-    def test_other_files_are_out_of_scope(self):
-        assert _lint(self.SOURCE, path="src/other.py") == []
-
-    def test_other_functions_are_out_of_scope(self):
+    def test_planted_self_write_no_longer_fires(self):
         findings = _lint(
             """
             class Broker:
-                def finalize_round(self, pending):
+                def solve_round(self, pending):
                     self.cache = pending
+                    return pending
             """,
-            path="broker.py",
+            path="src/broker.py",
         )
         assert findings == []
 
-    def test_global_declaration_fires(self):
-        findings = _lint(
-            """
-            COUNT = 0
+    @pytest.mark.parametrize(
+        "entry", ["RPR003", "solve-purity", "RPR011", "transitive-impurity"]
+    )
+    def test_retired_ids_and_names_are_not_selectable(self, entry):
+        with pytest.raises(ValueError, match=entry):
+            _lint("x = 1\n", select=[entry])
 
-            def solve_round(pending):
-                global COUNT
-                COUNT += 1
-            """,
-            path="rounds.py",
-        )
-        assert "RPR003" in _rules(findings, suppressed=False)
-
-    def test_nested_helper_is_still_in_scope(self):
-        findings = _lint(
-            """
-            class Broker:
-                def solve_round(self, pending):
-                    def inner():
-                        self.cache = pending
-                    inner()
-            """,
-            path="broker.py",
-        )
-        assert _rules(findings, suppressed=False) == ["RPR003"]
-
-    def test_local_and_parameter_writes_allowed(self):
-        findings = _lint(
-            """
-            class Broker:
-                def solve_round(self, pending):
-                    scratch = pending.copy()
-                    pending.robust = True
-                    return scratch
-            """,
-            path="broker.py",
-        )
-        assert findings == []
-
-    def test_pragma_suppresses(self):
-        findings = _lint(
-            """
-            class Broker:
-                def solve_round(self, pending):
-                    self.cache = pending  # reprolint: allow[solve-purity]
-            """,
-            path="broker.py",
-        )
-        assert _rules(findings, suppressed=True) == ["RPR003"]
+    def test_retired_ids_are_reserved(self):
+        assert set(RETIRED_RULES) == {"RPR003", "RPR007", "RPR011"}
+        assert not set(RETIRED_RULES) & set(RULES)
 
 
 class TestRPR004RawTopic:
@@ -404,8 +359,6 @@ class TestRPR007Retired:
         assert findings == []
 
     def test_rule_id_is_not_selectable(self):
-        import pytest
-
         with pytest.raises(ValueError, match="RPR007"):
             _lint("x = 1\n", select=["RPR007"])
         with pytest.raises(ValueError, match="deprecated-latency-s"):
@@ -734,7 +687,7 @@ class TestTreeIsClean:
         assert set(RULES) == {
             "RPR001",
             "RPR002",
-            "RPR003",
+            # RPR003 retired with the thread-pool fork it guarded.
             "RPR004",
             "RPR005",
             "RPR006",
@@ -742,17 +695,17 @@ class TestTreeIsClean:
             # stays reserved and must never be reused.
             "RPR008",
             "RPR009",
-            # RPR010-RPR013 are the whole-program rules (PR 10); they
-            # live in repro.analysis.wholeprogram and only fire through
+            # RPR010/012/013 are the whole-program rules (PR 10; RPR011
+            # retired with RPR003); they live in
+            # repro.analysis.wholeprogram and only fire through
             # analyze_paths, never lint_source.
             "RPR010",
-            "RPR011",
             "RPR012",
             "RPR013",
         }
 
     def test_whole_program_rules_never_fire_per_file(self):
-        """lint_source has no checker for RPR010-RPR013; selecting them
+        """lint_source has no checker for RPR010/012/013; selecting them
         alone must yield nothing (they need the cross-file model)."""
         findings = _lint(
             """
@@ -761,6 +714,6 @@ class TestTreeIsClean:
             async def pump():
                 time.sleep(1)
             """,
-            select=["RPR010", "RPR011", "RPR012", "RPR013"],
+            select=["RPR010", "RPR012", "RPR013"],
         )
         assert findings == []

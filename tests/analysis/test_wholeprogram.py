@@ -1,13 +1,15 @@
-"""Tests for the whole-program rules RPR010-RPR013.
+"""Tests for the whole-program rules RPR010, RPR012 and RPR013.
 
 Mirrors the PR 5 per-rule matrix — firing, suppressed, negative, and
-shipped-tree-zero — plus the four planted-violation acceptance tests
-(one finding each) and the lint timing budget.
+shipped-tree-zero — plus the planted-violation acceptance tests (one
+finding each) and the lint timing budget.  RPR011's planted violation
+(an impure call under the solve phase) is a runtime fact now:
+``TestFrozenRound`` in tests/middleware/test_broker.py and the
+order-independence case in tests/sim/test_mega.py.
 
 Fixtures are materialised as real package trees under tmp_path because
 the rules are path-aware: realtime modules are recognised by
-``repro/gateway/`` (etc.) path shape, solve-phase roots by
-``broker.py``/``mega.py`` basenames, and topics by the
+``repro/gateway/`` (etc.) path shape and topics by the
 ``repro.network.topics`` module name — so the fixture tree mimics the
 repo layout without importing any of it.
 """
@@ -177,181 +179,6 @@ class TestRPR010AsyncBlocking:
             [PKG_ROOT], select=["RPR010"]
         )
         assert scanned > 50
-        assert _active(findings) == [], "\n".join(
-            f.render() for f in _active(findings)
-        )
-
-
-# ----------------------------------------------------------------------
-# RPR011 transitive-impurity
-# ----------------------------------------------------------------------
-
-
-class TestRPR011TransitiveImpurity:
-    def test_deep_impure_call_from_solve_round_fires(self, tmp_path):
-        findings = _run(
-            tmp_path,
-            {
-                "repro/middleware/broker.py": """
-                    from repro.core.helpers import accumulate
-
-                    class Broker:
-                        def solve_round(self, pending):
-                            return accumulate(pending)
-                """,
-                "repro/core/helpers.py": """
-                    from repro.core.cachemod import remember
-
-                    def accumulate(x):
-                        return remember(x)
-                """,
-                "repro/core/cachemod.py": """
-                    _SEEN = {}
-
-                    def remember(x):
-                        _SEEN[id(x)] = x
-                        return x
-                """,
-            },
-            select=["RPR011"],
-        )
-        active = _active(findings)
-        assert [f.rule for f in active] == ["RPR011"]
-        assert active[0].path.endswith("broker.py")
-        assert "remember" in active[0].message
-
-    def test_self_write_through_helper_method_fires(self, tmp_path):
-        findings = _run(
-            tmp_path,
-            {
-                "repro/middleware/broker.py": """
-                    class Broker:
-                        def solve_round(self, pending):
-                            phi = self._memoised_basis()
-                            return phi
-
-                        def _memoised_basis(self):
-                            self._cache = 1
-                            return self._cache
-                """,
-            },
-            select=["RPR011"],
-        )
-        active = _active(findings)
-        assert [f.rule for f in active] == ["RPR011"]
-        assert "_memoised_basis" in active[0].message
-
-    def test_pragma_on_write_line_sanctions_all_paths(self, tmp_path):
-        findings = _run(
-            tmp_path,
-            {
-                "repro/middleware/broker.py": """
-                    class Broker:
-                        def solve_round(self, pending):
-                            return self._memo()
-
-                        def _memo(self):
-                            self._cache = 1  # reprolint: allow[transitive-impurity]
-                            return self._cache
-                """,
-            },
-            select=["RPR011"],
-        )
-        assert findings == []
-
-    def test_def_line_pragma_sanctions_whole_function(self, tmp_path):
-        findings = _run(
-            tmp_path,
-            {
-                "repro/middleware/broker.py": """
-                    class Broker:
-                        def solve_round(self, pending):
-                            return self._memo()
-
-                        def _memo(self):  # reprolint: allow[transitive-impurity]
-                            self._a = 1
-                            self._b = 2
-                            return self._a
-                """,
-            },
-            select=["RPR011"],
-        )
-        assert findings == []
-
-    def test_pragma_at_call_site_suppresses_that_finding(self, tmp_path):
-        findings = _run(
-            tmp_path,
-            {
-                "repro/middleware/broker.py": """
-                    class Broker:
-                        def solve_round(self, pending):
-                            return self._memo()  # reprolint: allow[transitive-impurity]
-
-                        def _memo(self):
-                            self._cache = 1
-                            return self._cache
-                """,
-            },
-            select=["RPR011"],
-        )
-        assert _active(findings) == []
-        assert [f.suppressed for f in findings] == [True]
-
-    def test_constructor_writes_and_pure_chain_negative(self, tmp_path):
-        findings = _run(
-            tmp_path,
-            {
-                "repro/middleware/broker.py": """
-                    from repro.core.acc import Acc
-
-                    class Broker:
-                        def solve_round(self, pending):
-                            acc = Acc()
-                            return helper(pending)
-
-                    def helper(x):
-                        return x + 1
-                """,
-                # __init__ self-writes initialise a fresh object: not
-                # impurity the solve phase can observe.
-                "repro/core/acc.py": """
-                    class Acc:
-                        def __init__(self):
-                            self.total = 0
-                """,
-            },
-            select=["RPR011"],
-        )
-        assert findings == []
-
-    def test_mega_solve_kernel_is_a_root(self, tmp_path):
-        findings = _run(
-            tmp_path,
-            {
-                "repro/sim/mega.py": """
-                    from repro.core.cachemod import remember
-
-                    def _solve_zone(payload):
-                        return remember(payload)
-                """,
-                "repro/core/cachemod.py": """
-                    _SEEN = {}
-
-                    def remember(x):
-                        _SEEN[id(x)] = x
-                        return x
-                """,
-            },
-            select=["RPR011"],
-        )
-        active = _active(findings)
-        assert [f.rule for f in active] == ["RPR011"]
-        assert active[0].path.endswith("mega.py")
-
-    def test_shipped_tree_zero(self):
-        findings, _scanned, _model = analyze_paths(
-            [PKG_ROOT], select=["RPR011"]
-        )
         assert _active(findings) == [], "\n".join(
             f.render() for f in _active(findings)
         )
@@ -622,7 +449,7 @@ class TestRPR013PubsubFlow:
 
 
 # ----------------------------------------------------------------------
-# The four planted violations from the acceptance criteria — each must
+# The planted violations from the acceptance criteria — each must
 # produce exactly one finding against a realistic mini-tree.
 # ----------------------------------------------------------------------
 
@@ -641,29 +468,6 @@ class TestPlantedViolations:
                 """,
             },
             select=["RPR010"],
-        )
-        assert len(_active(findings)) == 1
-
-    def test_planted_deep_impure_call_in_solve_phase(self, tmp_path):
-        findings = _run(
-            tmp_path,
-            {
-                "repro/middleware/broker.py": """
-                    from repro.core.stats import tally
-
-                    class Broker:
-                        def solve_round(self, pending):
-                            tally(pending)
-                            return pending
-                """,
-                "repro/core/stats.py": """
-                    _COUNTS = {}
-
-                    def tally(x):
-                        _COUNTS[type(x).__name__] = 1
-                """,
-            },
-            select=["RPR011"],
         )
         assert len(_active(findings)) == 1
 

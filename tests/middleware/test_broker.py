@@ -1,5 +1,7 @@
 """Tests for the NanoCloud broker's aggregation round."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,11 @@ from repro.fields.generators import smooth_field
 from repro.fields.priors import build_zone_prior
 from repro.fields.temporal import ar1_evolution, evolve_field
 from repro.middleware.broker import Broker
-from repro.middleware.config import BrokerConfig, CompressionPolicy
+from repro.middleware.config import (
+    GLS_STD_FLOOR,
+    BrokerConfig,
+    CompressionPolicy,
+)
 from repro.middleware.node import MobileNode
 from repro.middleware.privacy import PrivacyPolicy
 from repro.network.bus import MessageBus
@@ -358,7 +364,7 @@ class TestOnlinePriorLearning:
 
 class TestGlsStdFloor:
     """A claimed-zero-std row (infrastructure, or a liar) must not get
-    unbounded GLS weight: every variance is floored at gls_std_floor^2."""
+    unbounded GLS weight: every variance is floored at GLS_STD_FLOOR^2."""
 
     def _mixed_broker(self, seed=11):
         bus = MessageBus()
@@ -385,7 +391,7 @@ class TestGlsStdFloor:
         assert pending.covariance is not None
         variances = pending.covariance
         assert variances.shape == (pending.values.size,)
-        floor = broker.config.gls_std_floor
+        floor = GLS_STD_FLOOR
         assert np.all(variances >= floor**2 - 1e-15)
         infra = [
             i for i, src in enumerate(pending.sources) if src == ()
@@ -399,12 +405,94 @@ class TestGlsStdFloor:
         # The weight ratio between any two rows is bounded by the floor.
         assert variances.max() / variances.min() <= (0.3 / floor) ** 2 + 1e-9
         # The round still solves end to end with the mixed covariance.
-        result, x_hat = broker.solve_round(pending)
-        estimate = broker.finalize_round(pending, result, x_hat)
+        estimate = broker.finalize_round(
+            pending, *broker.solve_round(pending)
+        )
         assert np.isfinite(estimate.field.vector()).all()
 
-    def test_floor_must_be_positive(self):
-        with pytest.raises(ValueError, match="gls_std_floor"):
-            BrokerConfig(gls_std_floor=0.0)
-        with pytest.raises(ValueError, match="gls_std_floor"):
-            BrokerConfig(gls_std_floor=-0.1)
+
+class TestSharedBasisRegistry:
+    def test_same_shaped_brokers_share_one_basis_object(self):
+        first = Broker("a", W, H)._basis()
+        assert Broker("b", W, H)._basis() is first
+        assert Broker("c", H, W)._basis() is not first
+
+
+class TestFrozenRound:
+    """The solve phase is a function of a frozen round.
+
+    What RPR003/RPR011 used to lint for — a write to broker state or to
+    the pending record somewhere under ``solve_round`` — is checked
+    here as behaviour: the record refuses assignment, and solving it
+    twice gives the same bits and moves nothing on the broker.
+    """
+
+    @staticmethod
+    def _pending(env, truth, **config):
+        bus = MessageBus()
+        broker = Broker("b", W, H, config=BrokerConfig(seed=11, **config))
+        bus.register("b")
+        if config.get("use_prior_basis"):
+            trace = evolve_field(
+                truth, ar1_evolution(rho=0.95, innovation_std=0.05),
+                steps=15, rng=10,
+            )
+            broker.set_prior(build_zone_prior(trace))
+        nodes = _deploy(bus, broker, noise=True)
+        pending = broker.collect_round(bus, nodes, env, measurements=48)
+        # Three gross outliers, so the robust modes have rows to judge.
+        corrupted = pending.values.copy()
+        corrupted[:3] += 40.0
+        return broker, dataclasses.replace(pending, values=corrupted)
+
+    def test_pending_round_rejects_assignment(self, env, truth):
+        _, pending = self._pending(env, truth, robust_mode="trim")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pending.robust = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pending.values = pending.values * 0.0
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"robust_mode": "none"},
+            {"robust_mode": "trim"},
+            {"robust_mode": "huber"},
+            {"robust_mode": "trim", "use_prior_basis": True},
+        ],
+        ids=["none", "trim", "huber", "trim-prior"],
+    )
+    def test_solving_twice_is_identical_and_moves_nothing(
+        self, env, truth, config
+    ):
+        broker, pending = self._pending(env, truth, **config)
+        inputs = (
+            pending.values.copy(),
+            pending.locations.copy(),
+            pending.covariance.copy(),
+        )
+        before = (
+            broker.last_sparsity,
+            broker._rounds_run,
+            len(broker._history),
+            broker.trust.snapshot(),
+        )
+        first, first_x, first_robust = broker.solve_round(pending)
+        again, again_x, again_robust = broker.solve_round(pending)
+        assert np.array_equal(first_x, again_x)
+        assert np.array_equal(first.coefficients, again.coefficients)
+        if config["robust_mode"] == "none":
+            assert first_robust is None and again_robust is None
+        else:
+            assert np.array_equal(first_robust.kept, again_robust.kept)
+            assert first_robust.row_rejected()[:3].all()
+        assert before == (
+            broker.last_sparsity,
+            broker._rounds_run,
+            len(broker._history),
+            broker.trust.snapshot(),
+        )
+        for array, copy in zip(
+            (pending.values, pending.locations, pending.covariance), inputs
+        ):
+            assert np.array_equal(array, copy)

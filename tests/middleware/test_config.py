@@ -69,6 +69,26 @@ class TestBrokerConfig:
             BrokerConfig(solver="gradient-descent")
 
 
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            # one solver core, one basis form per name (PR 13)
+            "solver_engine",
+            "operator_basis",
+            # the thread-pool fork and the fields nobody set (PR 14)
+            "parallel_reconstruction",
+            "reconstruction_workers",
+            "gls_std_floor",
+            "robust_threshold",
+            "trust_alpha",
+            "criticality_weighting",
+        ],
+    )
+    def test_removed_options_rejected(self, removed):
+        with pytest.raises(TypeError):
+            BrokerConfig(**{removed: 1})
+
+
 class TestNodeConfig:
     def test_defaults(self):
         config = NodeConfig()

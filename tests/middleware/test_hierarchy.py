@@ -1,5 +1,7 @@
 """Tests for LocalCloud and the full Fig.-1 hierarchy."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,33 @@ class TestHierarchy:
         h = self._hierarchy()
         h.run_global_round(env)
         assert h.total_node_energy_mj() > 0
+
+
+class TestLockstepPhaseOrder:
+    def test_lossy_round_keeps_collect_all_then_finalize_all(self, env):
+        # run_global_round collects every zone before it finalizes any:
+        # finalisation sends AGGREGATE traffic that draws from the bus
+        # loss stream, so interleaving it with collection changes which
+        # reports a lossy channel eats (342 messages become 340 and the
+        # field moves).  Digest and counts recorded before the solve
+        # phase became a function of a frozen round; the field is
+        # rounded to 1e-6 so only the order, not the BLAS, is pinned.
+        bus = MessageBus(loss_rate=0.1, seed=11)
+        hierarchy = Hierarchy(
+            16, 8,
+            config=HierarchyConfig(
+                zones_x=2, zones_y=1, nodes_per_nanocloud=24
+            ),
+            broker_config=BrokerConfig(command_retries=1),
+            bus=bus,
+            rng=5,
+        )
+        digest = hashlib.sha256()
+        for round_index in range(3):
+            estimate = hierarchy.run_global_round(env, float(round_index))
+            digest.update(np.round(estimate.field.grid, 6).tobytes())
+        assert dict(bus.losses_by_reason) == {"iid-loss": 37}
+        assert bus.stats.messages == 342
+        assert digest.hexdigest() == (
+            "4254aac401375ad34a7927217b79add7b6882bcdc6fb6b5b96fa71332b5e31f8"
+        )

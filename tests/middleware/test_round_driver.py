@@ -300,7 +300,7 @@ class TestByzantineLifecycle:
         assert later_others
         assert bad_id not in outcomes[-1].result.nc_estimates[0].trust or (
             outcomes[-1].result.nc_estimates[0].trust[bad_id]
-            < broker.config.quarantine_trust
+            < broker.trust.quarantine_below
         )
         assert bad_id in outcomes[-1].result.nc_estimates[0].quarantined_nodes
 
@@ -341,7 +341,7 @@ class TestByzantineLifecycle:
         # sensor recovered, and released once trust climbed back.
         assert record.probes >= 1
         assert not record.quarantined
-        assert record.trust >= broker.config.rehab_trust
+        assert record.trust >= broker.trust.release_at
         bad_commands = [t for t, dest in sent if dest == bad_id]
         # Commanded again as a regular candidate after release.
         assert max(bad_commands) > 400.0

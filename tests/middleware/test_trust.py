@@ -321,6 +321,6 @@ class TestBrokerRobustRounds:
                 released_at = step
                 break
         assert released_at is not None
-        assert broker.trust.trust_of("n05") >= broker.config.rehab_trust
+        assert broker.trust.trust_of("n05") >= broker.trust.release_at
         assert broker.trust.get("n05").probes >= 1
         assert "n05" not in estimate.quarantined_nodes

@@ -235,6 +235,38 @@ class TestZoneKernel:
         assert fresh_rejected[:4].all()  # the trim refits ran
 
 
+    def test_zone_order_cannot_change_a_result(self):
+        # What the retired RPR011 lint guarded, observed: the kernel
+        # keeps nothing between calls, so solving the same zones in the
+        # opposite order through one shared workspace gives each zone
+        # the same bits.
+        basis = np.asarray(shared_dct2_basis(16, 16))
+        rng = np.random.default_rng(8)
+        payloads = []
+        for zone_id, reports in enumerate([96, 40, 72]):
+            truth = basis[:, [0, 2 + zone_id, 21]] @ np.array([5.0, -2.0, 1.0])
+            cells = rng.choice(256, size=reports, replace=False)
+            stds = rng.uniform(0.05, 0.3, size=reports)
+            values = truth[cells] + stds * rng.standard_normal(reports)
+            values[:zone_id] += 30.0  # zone 0 clean, 1 and 2 trimmed
+            payloads.append((zone_id, cells, values, stds, 8))
+        scratch = mega._zone_scratch(96, 256)
+        forward = {
+            zone_id: (field, rejected)
+            for zone_id, field, rejected in (
+                mega._solve_zone(p, basis, scratch) for p in payloads
+            )
+        }
+        for payload in reversed(payloads):
+            zone_id, field, rejected = mega._solve_zone(
+                payload, basis, scratch
+            )
+            assert np.array_equal(field, forward[zone_id][0])
+            assert np.array_equal(rejected, forward[zone_id][1])
+        for zone_id in (1, 2):  # the trim refits ran
+            assert forward[zone_id][1][:zone_id].all()
+
+
 class TestShardedSanitizer:
     def test_fanout_passes_checksum_verification(self):
         was_enabled = contracts.enabled()

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.fields.generators import smooth_field
-from repro.middleware import rounds
+from repro.middleware.broker import Broker
 from repro.middleware.localcloud import LocalCloud
 from repro.middleware.rounds import ZoneRoundDriver
 from repro.network.bus import MessageBus
@@ -138,16 +138,16 @@ class TestZoneRoundDriverOnWallClock:
         # reported command->estimate latency must contain the time the
         # solve held the loop, not stop at the close of collection.
         solve_walls = []
-        real_solve = rounds.solve_pending_rounds
+        real_solve = Broker.solve_round
 
-        def slow_solve(pairs, config):
+        def slow_solve(broker, pending):
             started = clock.now
-            solved = real_solve(pairs, config)
+            solved = real_solve(broker, pending)
             time.sleep(0.03)
             solve_walls.append(clock.now - started)
             return solved
 
-        monkeypatch.setattr(rounds, "solve_pending_rounds", slow_solve)
+        monkeypatch.setattr(Broker, "solve_round", slow_solve)
         driver, outcomes = self._deploy(clock)
         driver.start()
         clock.run_for(0.5)
