@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint hygiene loc bench bench-perf bench-async bench-rob-byz bench-overload bench-mega bench-ingest bench-rob-gate bench-layers bench-layers-smoke gateway report examples clean
+.PHONY: install test lint hygiene loc bench bench-perf bench-async bench-rob-byz bench-overload bench-mega bench-ingest bench-rob-gate bench-layers bench-layers-smoke bench-pair gateway report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -120,6 +120,16 @@ bench-layers:
 bench-layers-smoke:
 	$(PYTHON) -m pytest benchmarks/perf -q
 	$(PYTHON) benchmarks/perf/run.py --smoke
+
+# Alternating base/head pairs of one layered-benchmark workload — the
+# protocol for claiming a gain: `make bench-pair BASE=HEAD~1
+# WORKLOAD=city_mobility PAIRS=10`.  BASE is checked out into a
+# temporary git worktree; the working tree is the other side.
+BASE ?= HEAD
+WORKLOAD ?= city_mobility
+PAIRS ?= 5
+bench-pair:
+	$(PYTHON) benchmarks/pair.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # Serve a live ingestion gateway on localhost:8765 (Ctrl-C to stop).
 gateway:

@@ -16,6 +16,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from ..analysis import contracts
 from ..sensors.base import Environment, NodeState
 
 __all__ = [
@@ -226,10 +227,9 @@ MODE_NAMES: tuple[str, ...] = ("idle", "walking", "driving")
 def mode_codes_from_speed(speeds: np.ndarray) -> np.ndarray:
     """Vectorized :func:`mode_from_speed`: 0=idle, 1=walking, 2=driving."""
     speeds = np.asarray(speeds)
-    codes = np.ones(speeds.shape, dtype=np.int8)
-    codes[speeds < WALK_SPEED_THRESHOLD] = 0
-    codes[speeds >= DRIVE_SPEED_THRESHOLD] = 2
-    return codes
+    return (speeds >= WALK_SPEED_THRESHOLD).astype(np.int8) + (
+        speeds >= DRIVE_SPEED_THRESHOLD
+    )
 
 
 def static_step_arrays(speed: np.ndarray, mode: np.ndarray) -> None:
@@ -290,6 +290,7 @@ def random_waypoint_new_legs(
     x: np.ndarray,
     y: np.ndarray,
     heading: np.ndarray,
+    leg_dir: np.ndarray,
     leg_speed: np.ndarray,
     target_x: np.ndarray,
     target_y: np.ndarray,
@@ -306,18 +307,21 @@ def random_waypoint_new_legs(
     in ascending-index order; columns map to the scalar draw order
     (target x, target y, speed, pause).  ``Generator.uniform(lo, hi)``
     is bit-equal to ``lo + (hi - lo) * Generator.random()``, so scaling
-    a raw chunk reproduces the scalar stream exactly.
+    a raw chunk reproduces the scalar stream exactly.  The only writer
+    of ``heading``, hence of its cos/sin rows in the ``(2, n)`` ``leg_dir``.
     """
     lo, hi = speed_range
     plo, phi = pause_range
     tx = 0.0 + (width - 0.0) * uniforms[:, 0]
     ty = 0.0 + (height - 0.0) * uniforms[:, 1]
-    spd = lo + (hi - lo) * uniforms[:, 2]
     target_x[idx] = tx
     target_y[idx] = ty
+    leg_speed[idx] = lo + (hi - lo) * uniforms[:, 2]
     pause_next[idx] = plo + (phi - plo) * uniforms[:, 3]
-    leg_speed[idx] = spd
-    heading[idx] = np.arctan2(ty - y[idx], tx - x[idx])
+    leg_heading = np.arctan2(ty - y[idx], tx - x[idx])
+    heading[idx] = leg_heading
+    leg_dir[0, idx] = np.cos(leg_heading)
+    leg_dir[1, idx] = np.sin(leg_heading)
 
 
 def random_waypoint_step_arrays(
@@ -326,6 +330,7 @@ def random_waypoint_step_arrays(
     y: np.ndarray,
     speed: np.ndarray,
     heading: np.ndarray,
+    leg_dir: np.ndarray,
     mode: np.ndarray,
     leg_speed: np.ndarray,
     target_x: np.ndarray,
@@ -345,37 +350,56 @@ def random_waypoint_step_arrays(
     over all nodes), so the only draws during a tick are the new legs of
     nodes that arrive this tick — consumed as one ``(k, 4)`` chunk in
     ascending node order, matching a scalar loop over the same nodes.
+
+    A tick computes only what changed.  ``leg_dir`` persists across
+    ticks because a heading is fixed for a whole leg — the only
+    persistent state besides the leg plan; the three ``(n,)`` float work
+    arrays are per-tick temporaries, so resident memory stays flat.  The
+    exact ``travel >= hypot(dx, dy)`` arrival test runs only inside a
+    squared-distance band (1e-9 relative + ``tiny`` absolute, against
+    ~1e-16 of rounding) that no true arrival can fall outside.  Paused
+    nodes ride the whole-array updates with zero ``travel``, bit-unchanged
+    because ``pause_left >= 0`` and a paused position is already clamped.
     """
     if dt < 0:
         raise ValueError("dt must be non-negative")
-    paused = pause_left > 0
-    if paused.any():
-        pidx = np.flatnonzero(paused)
-        pause_left[pidx] = np.maximum(pause_left[pidx] - dt, 0.0)
-        speed[pidx] = 0.0
-        mode[pidx] = 0
-    moving = np.flatnonzero(~paused)
-    if moving.size == 0:
-        return
-    speed[moving] = leg_speed[moving]
-    xm = x[moving]
-    ym = y[moving]
-    remaining = np.hypot(target_x[moving] - xm, target_y[moving] - ym)
-    travel = speed[moving] * dt
-    arrived_mask = travel >= remaining
-    arrived = moving[arrived_mask]
-    cruising = moving[~arrived_mask]
+    moving = ~(pause_left > 0)
+    np.subtract(pause_left, dt, out=pause_left)
+    np.maximum(pause_left, 0.0, out=pause_left)
+    np.multiply(leg_speed, moving, out=speed)
+    travel = speed * dt
+    work = target_x - x
+    work *= work
+    reach2 = target_y - y
+    reach2 *= reach2
+    work += reach2
+    np.multiply(travel, travel, out=reach2)
+    reach2 *= 1.0 + 1e-9
+    reach2 += np.finfo(float).tiny
+    near = np.flatnonzero((work <= reach2) & moving)
+    arrived = near[
+        travel[near]
+        >= np.hypot(target_x[near] - x[near], target_y[near] - y[near])
+    ]
+    if contracts.enabled():
+        exact = moving & (travel >= np.hypot(target_x - x, target_y - y))
+        if not np.array_equal(arrived, np.flatnonzero(exact)):
+            raise contracts.ContractViolation(
+                "random waypoint: the squared-distance band missed an arrival"
+            )
+    x += np.multiply(travel, leg_dir[0], out=work)
+    y += np.multiply(travel, leg_dir[1], out=work)
     if arrived.size:
         x[arrived] = target_x[arrived]
         y[arrived] = target_y[arrived]
         pause_left[arrived] = pause_next[arrived]
-        draws = rng.random((arrived.size, 4))
         random_waypoint_new_legs(
             arrived,
-            draws,
+            rng.random((arrived.size, 4)),
             x,
             y,
             heading,
+            leg_dir,
             leg_speed,
             target_x,
             target_y,
@@ -386,10 +410,12 @@ def random_waypoint_step_arrays(
             pause_range=pause_range,
         )
         speed[arrived] = leg_speed[arrived]
-    if cruising.size:
-        step_len = travel[~arrived_mask]
-        x[cruising] += step_len * np.cos(heading[cruising])
-        y[cruising] += step_len * np.sin(heading[cruising])
-    x[moving] = np.clip(x[moving], 0.0, width - 1e-9)
-    y[moving] = np.clip(y[moving], 0.0, height - 1e-9)
-    mode[moving] = mode_codes_from_speed(speed[moving])
+    np.clip(x, 0.0, width - 1e-9, out=x)
+    np.clip(y, 0.0, height - 1e-9, out=y)
+    mode[:] = mode_codes_from_speed(speed)
+    if contracts.enabled() and not np.array_equal(
+        leg_dir, (np.cos(heading), np.sin(heading))
+    ):
+        raise contracts.ContractViolation(
+            "random waypoint: leg direction cache != cos/sin(heading)"
+        )

@@ -127,6 +127,11 @@ class PopulationConfig:
         return self.zone_width * self.zone_height
 
 
+def _grid_cells(coords: np.ndarray, extent: int) -> np.ndarray:
+    """Nearest field-grid cell along one axis, clamped into the field."""
+    return np.clip(np.rint(coords).astype(np.int64), 0, extent - 1)
+
+
 @dataclass
 class _ObjectMirror:
     """The preserved object-per-node path (``engine="object"``)."""
@@ -141,10 +146,12 @@ class NodePopulation:
     Arrays (all length ``n_nodes``): ``x``, ``y``, ``speed``,
     ``heading``, ``mode`` (int8 codes into
     :data:`repro.mobility.models.MODE_NAMES`), ``noise_std``, ``trust``
-    (EWMA in [0, 1]), ``quarantined`` (bool), ``zone_id``.  Random-
+    (EWMA in [0, 1]), ``quarantined`` (bool).  ``zone_id`` is a property
+    derived from ``x``/``y`` on first read after a tick.  Random-
     waypoint populations additionally keep the per-node leg plan
     (``leg_speed``, ``target_x``, ``target_y``, ``pause_next``,
-    ``pause_left``) as arrays instead of dynamic attributes.
+    ``pause_left``) and the ``(2, n)`` leg direction cache ``leg_dir``
+    (cos/sin of ``heading``) as arrays instead of dynamic attributes.
     """
 
     def __init__(self, config: PopulationConfig) -> None:
@@ -179,13 +186,14 @@ class NodePopulation:
             self.target_y = np.zeros(n)
             self.pause_next = np.zeros(n)
             self.pause_left = np.zeros(n)
-            leg_draws = self._mob_rng.random((n, 4))
+            self.leg_dir = np.zeros((2, n))
             random_waypoint_new_legs(
                 np.arange(n),
-                leg_draws,
+                self._mob_rng.random((n, 4)),
                 self.x,
                 self.y,
                 self.heading,
+                self.leg_dir,
                 self.leg_speed,
                 self.target_x,
                 self.target_y,
@@ -197,7 +205,7 @@ class NodePopulation:
             )
             self.speed[:] = self.leg_speed
         self.mode[:] = mode_codes_from_speed(self.speed)
-        self.zone_id = self._zones_from_positions()
+        self._zone_id: np.ndarray | None = None
 
         self._mirror: _ObjectMirror | None = None
         if config.engine == "object":
@@ -250,11 +258,15 @@ class NodePopulation:
             states.append(state)
         return _ObjectMirror(states=states, model=model)
 
-    def _zones_from_positions(self) -> np.ndarray:
-        cfg = self.config
-        i = np.clip(np.rint(self.x).astype(np.int64), 0, cfg.width - 1)
-        j = np.clip(np.rint(self.y).astype(np.int64), 0, cfg.height - 1)
-        return (i // cfg.zone_width) * cfg.zones_y + (j // cfg.zone_height)
+    @property
+    def zone_id(self) -> np.ndarray:
+        """Per-node zone ids, computed on first read after a tick."""
+        if self._zone_id is None:
+            cfg = self.config
+            zi = _grid_cells(self.x, cfg.width) // cfg.zone_width
+            zj = _grid_cells(self.y, cfg.height) // cfg.zone_height
+            self._zone_id = zi * cfg.zones_y + zj
+        return self._zone_id
 
     # -- public geometry helpers ---------------------------------------
 
@@ -267,8 +279,8 @@ class NodePopulation:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Field-grid (i, j) cells for nodes ``idx``."""
         cfg = self.config
-        i = np.clip(np.rint(self.x[idx]).astype(np.int64), 0, cfg.width - 1)
-        j = np.clip(np.rint(self.y[idx]).astype(np.int64), 0, cfg.height - 1)
+        i = _grid_cells(self.x[idx], cfg.width)
+        j = _grid_cells(self.y[idx], cfg.height)
         return i, j
 
     def cells_in_zone(self, idx: np.ndarray) -> np.ndarray:
@@ -291,12 +303,12 @@ class NodePopulation:
     # -- mobility ------------------------------------------------------
 
     def tick(self) -> None:
-        """Advance every node by ``config.dt`` and refresh zone ids."""
+        """Advance every node by ``config.dt``; :attr:`zone_id` goes stale."""
         if self._mirror is not None:
             self._tick_object()
         else:
             self._tick_vector()
-        self.zone_id = self._zones_from_positions()
+        self._zone_id = None
 
     def _tick_vector(self) -> None:
         cfg = self.config
@@ -326,6 +338,7 @@ class NodePopulation:
                 self.y,
                 self.speed,
                 self.heading,
+                self.leg_dir,
                 self.mode,
                 self.leg_speed,
                 self.target_x,

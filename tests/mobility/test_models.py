@@ -5,10 +5,13 @@ import pytest
 
 from repro.fields.generators import indicator_field
 from repro.mobility.models import (
+    MODE_NAMES,
     GaussMarkov,
     RandomWaypoint,
     StaticPlacement,
+    mode_codes_from_speed,
     mode_from_speed,
+    random_waypoint_step_arrays,
 )
 from repro.sensors.base import Environment, NodeState
 
@@ -77,6 +80,110 @@ class TestRandomWaypoint:
             RandomWaypoint(10, 10, pause_range=(-1.0, 1.0))
         with pytest.raises(ValueError):
             RandomWaypoint(0, 10)
+
+
+WIDTH, HEIGHT = 32.0, 16.0
+EDGE = WIDTH - 1e-9
+
+# (x, y, target_x, target_y, leg speed, must arrive on the first tick);
+# dt is 1, so leg speed == travel.
+PLANTED_LEGS = {
+    # travel == hypot(3, 4) == 5.0 exactly: ``>=`` arrives on the tie.
+    "exact-tie": (10.0, 4.0, 13.0, 8.0, 5.0, True),
+    "one-ulp-short": (10.0, 4.0, 13.0, 8.0, np.nextafter(5.0, 0.0), False),
+    "zero-length": (7.25, 3.5, 7.25, 3.5, 1.0, True),
+    "zero-length-at-rest": (7.25, 3.5, 7.25, 3.5, 0.0, True),
+    # Lands beyond the clamp boundary: arrive, re-plan unclamped, clamp.
+    "arrive-past-edge": (EDGE, 5.0, WIDTH - 1e-12, 5.0, 1.0, True),
+    # Cruises outward from the clamp boundary and is clamped back.
+    "cruise-off-edge": (EDGE, 1.0, WIDTH - 1e-10, 15.0, 1.0, False),
+    # Squares are subnormal: travel^2 rounds to 1 ulp, dx^2 + dy^2 to 2,
+    # so a purely relative band would drop this true arrival.
+    "subnormal": (
+        0.0, 0.0, 1.7502019895474147e-162, 1.7502019895474147e-162,
+        2.4851198307155296e-162, True,
+    ),
+}
+
+
+class TestRandomWaypointArrayStep:
+    """The array kernel against ``RandomWaypoint.step`` on planted legs."""
+
+    LIMITS = dict(
+        width=WIDTH, height=HEIGHT, speed_range=(0.5, 2.0),
+        pause_range=(0.5, 1.5),
+    )
+
+    def _run(self, legs, ticks):
+        """Step both forms ``ticks`` times, comparing every node after
+        each; returns ``x`` and ``pause_left`` as of the first tick."""
+        x, y, tx, ty, spd = (np.array(col, dtype=float) for col in zip(*legs))
+        n = x.size
+        heading = np.arctan2(ty - y, tx - x)
+        arrays = dict(
+            x=x, y=y, speed=spd.copy(), heading=heading,
+            leg_dir=np.array([np.cos(heading), np.sin(heading)]),
+            mode=mode_codes_from_speed(spd), leg_speed=spd,
+            target_x=tx, target_y=ty,
+            pause_next=np.linspace(0.5, 1.5, n), pause_left=np.zeros(n),
+        )
+        model = RandomWaypoint(
+            WIDTH, HEIGHT, self.LIMITS["speed_range"],
+            self.LIMITS["pause_range"], rng=5,
+        )
+        states = []
+        for i in range(n):
+            state = NodeState(
+                x=float(x[i]), y=float(y[i]), speed=float(spd[i]),
+                heading=float(heading[i]),
+            )
+            state._rwp_target = (float(tx[i]), float(ty[i]))
+            state._rwp_pause = float(arrays["pause_next"][i])
+            state._rwp_speed = float(spd[i])
+            states.append(state)
+        rng = np.random.default_rng(5)
+        first = None
+        for _ in range(ticks):
+            random_waypoint_step_arrays(rng, dt=1.0, **arrays, **self.LIMITS)
+            for state in states:
+                model.step(state, 1.0)
+            for i, state in enumerate(states):
+                got = {k: arrays[k][i] for k in ("x", "y", "speed", "heading")}
+                want = {k: getattr(state, k) for k in got}
+                assert got == want, f"node {i} diverged: {got} != {want}"
+                assert MODE_NAMES[arrays["mode"][i]] == state.mode
+                assert arrays["pause_left"][i] == getattr(
+                    state, "_rwp_pause_left", 0.0
+                )
+                assert (arrays["target_x"][i], arrays["target_y"][i]) == (
+                    state._rwp_target
+                )
+            if first is None:
+                first = {k: arrays[k].copy() for k in ("x", "pause_left")}
+        assert rng.random() == model._rng.random()
+        return first
+
+    @pytest.mark.parametrize("name", sorted(PLANTED_LEGS))
+    def test_planted_leg_matches_scalar_step(self, name):
+        *leg, arrives = PLANTED_LEGS[name]
+        first = self._run([leg], ticks=4)
+        # An arrival starts its pause; a cruiser does not.
+        assert (first["pause_left"][0] == 0.5) == arrives
+        assert 0.0 <= first["x"][0] <= EDGE
+
+    def test_all_planted_legs_together(self):
+        # One chunked draw for several arrivals in ascending node order.
+        legs = [PLANTED_LEGS[name][:5] for name in sorted(PLANTED_LEGS)]
+        self._run(legs, ticks=12)
+
+    def test_negative_dt_rejected(self):
+        z = np.zeros(1)
+        with pytest.raises(ValueError):
+            random_waypoint_step_arrays(
+                np.random.default_rng(0), z, z, z, z, np.zeros((2, 1)),
+                np.zeros(1, dtype=np.int8), z, z, z, z, z,
+                dt=-1.0, **self.LIMITS,
+            )
 
 
 class TestGaussMarkov:
