@@ -6,7 +6,9 @@ to route a handful of GET endpoints and complete the WebSocket upgrade,
 and the WebSocket frame subset real device streams use — text/binary
 with client masking, ping/pong, close, and (rare) continuation frames.
 Both server and client halves live here so the load generator exercises
-the exact bytes a real device would send.
+the exact bytes a real device would send.  Frames are decoded in one
+place, the sans-io :class:`WsParser`: the gateway feeds it a socket
+buffer per wake-up, :func:`ws_read_message` feeds it exact reads.
 
 This module is on reprolint RPR002's sanctioned realtime-module
 allowlist (see ``docs/invariants.md``).
@@ -18,6 +20,7 @@ import asyncio
 import base64
 import hashlib
 import random
+import weakref
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, urlsplit
 
@@ -28,6 +31,7 @@ __all__ = [
     "websocket_accept_key",
     "ws_handshake_response",
     "ws_encode",
+    "WsParser",
     "ws_read_message",
     "ws_client_handshake",
     "ws_close_payload",
@@ -286,8 +290,157 @@ def ws_encode(
         return bytes(header) + payload
     key = (rng or random.Random()).randbytes(4)
     header += key
-    masked = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-    return bytes(header) + masked
+    return bytes(header) + _xor_mask(payload, key)
+
+
+def _xor_mask(payload: bytes, key: bytes) -> bytes:
+    """RFC 6455 section 5.3 masking (its own inverse) as one wide XOR.
+
+    The 4-byte key is tiled to the payload's length and both sides go
+    through ``int`` once, so the per-byte work happens in C.
+    """
+    n = len(payload)
+    tiled = (key * (n // 4 + 1))[:n]
+    return (
+        int.from_bytes(payload, "big") ^ int.from_bytes(tiled, "big")
+    ).to_bytes(n, "big")
+
+
+class WsParser:
+    """Sans-io RFC 6455 message parser: bytes in, messages out.
+
+    :meth:`feed` takes whatever the socket produced — any number of
+    frames, cut anywhere — and returns every message those bytes
+    completed as ``(opcode, payload)``, in arrival order.  Continuation
+    fragments are reassembled across feeds; control frames interleaved
+    inside a fragmented message are returned where they arrived and do
+    not disturb it; client frames are unmasked.
+
+    The stream ends (:attr:`closed`) on a close frame — returned as the
+    last message, ``(OP_CLOSE, payload)`` — on EOF (``feed(b"")``), on a
+    frame or reassembled message over ``MAX_WS_MESSAGE_BYTES``, and on a
+    continuation with nothing to continue.  Once closed, :meth:`feed`
+    ignores its input.
+
+    :attr:`needed` is how many more bytes the frame in progress needs
+    before the parser can get any further (the rest of its header, then
+    the rest of its body): a caller that must not read past a message
+    boundary feeds exactly that many at a time.
+    """
+
+    __slots__ = ("closed", "needed", "_pending", "_opcode", "_parts", "_total")
+
+    def __init__(self) -> None:
+        self.closed = False
+        self.needed = 2
+        #: Bytes of the frame in progress (empty between frames).
+        self._pending = bytearray()
+        #: The fragmented message in progress: its opcode (None between
+        #: messages), the payloads so far and their total length.
+        self._opcode: int | None = None
+        self._parts: list[bytes] = []
+        self._total = 0
+
+    def feed(self, data: bytes) -> list[tuple[int, bytes]]:
+        """Consume ``data`` (``b""`` = EOF); return the messages completed."""
+        messages: list[tuple[int, bytes]] = []
+        if self.closed:
+            return messages
+        if not data:
+            self._end()
+            return messages
+        pending = self._pending
+        if pending:
+            # Until the frame in progress can get further a feed only
+            # appends, so a large frame trickled in a byte at a time
+            # costs one copy per frame, not one per feed.
+            pending += data
+            if len(data) < self.needed:
+                self.needed -= len(data)
+                return messages
+            data = bytes(pending)
+            pending.clear()
+        end = len(data)
+        pos = 0
+        while True:
+            # Header: 2 bytes, then 0/2/8 of extended length.
+            head = pos + 2
+            if head > end:
+                break
+            b2 = data[pos + 1]
+            length = b2 & 0x7F
+            if length == 126:
+                head += 2
+                if head > end:
+                    break
+                length = int.from_bytes(data[pos + 2 : head], "big")
+            elif length == 127:
+                head += 8
+                if head > end:
+                    break
+                length = int.from_bytes(data[pos + 2 : head], "big")
+            b1 = data[pos]
+            frame_op = b1 & 0x0F
+            # What the header alone condemns is refused before any of
+            # the body is buffered; the cap is on the whole message.
+            carried = 0
+            if frame_op == OP_CONT:
+                if self._opcode is None:  # nothing to continue
+                    self._end()
+                    return messages
+                carried = self._total
+            if carried + length > MAX_WS_MESSAGE_BYTES:
+                self._end()
+                return messages
+            masked = b2 & 0x80
+            body = head + 4 if masked else head
+            head = body + length  # from here: one past the frame
+            if head > end:
+                break
+            payload = data[body:head]
+            if masked:
+                payload = _xor_mask(payload, data[body - 4 : body])
+            pos = head
+            if frame_op == OP_CLOSE:
+                messages.append((OP_CLOSE, payload))
+                self._end()
+                return messages
+            if frame_op == OP_PING or frame_op == OP_PONG:
+                messages.append((frame_op, payload))  # never fragmented
+            elif frame_op != OP_CONT:
+                # A new data message (an unfinished one is abandoned).
+                if b1 & 0x80:  # the common case: all of it in one frame
+                    self._opcode = None
+                    messages.append((frame_op, payload))
+                else:
+                    self._opcode = frame_op
+                    self._parts = [payload]
+                    self._total = length
+            else:
+                self._parts.append(payload)
+                self._total += length
+                if b1 & 0x80:
+                    messages.append((self._opcode, b"".join(self._parts)))
+                    self._opcode = None
+                    self._parts = []
+        pending += data[pos:]
+        self.needed = head - end
+        return messages
+
+    def _end(self) -> None:
+        self.closed = True
+        self.needed = 0
+        self._pending.clear()
+        self._parts = []
+
+
+#: :func:`ws_read_message`'s parser for each reader it has been handed:
+#: fragment state has to outlive one call (a ping between two fragments
+#: is returned before the message it interrupts), and the reader is the
+#: only thing the caller passes twice.
+_READER_PARSERS: weakref.WeakKeyDictionary[
+    asyncio.StreamReader, WsParser
+] = weakref.WeakKeyDictionary()
 
 
 async def ws_read_message(
@@ -297,49 +450,29 @@ async def ws_read_message(
 ) -> tuple[int, bytes] | None:
     """Read one complete message; ``None`` on EOF or a close frame.
 
-    Reassembles continuation fragments and unmasks client frames.
-    Control frames interleaved inside a fragmented message are returned
-    to the caller in arrival order (the caller answers pings).
+    One :class:`WsParser` per reader does the decoding (reassembly,
+    unmasking, the size cap, control frames returned in arrival order
+    even inside a fragmented message); this loop only reads exactly what
+    the parser says the frame in progress still needs, so nothing past
+    the returned message leaves ``reader``.  ``None`` also covers a
+    stream the parser ended and a peer that died mid-frame, at any byte.
 
     ``include_close=True`` surfaces a close frame as ``(OP_CLOSE,
     payload)`` instead of folding it into ``None`` — resilient clients
     need the status code (:func:`ws_parse_close`) to distinguish an
     admission shed (1013, back off) from a normal goodbye.
     """
-    opcode: int | None = None
-    parts: list[bytes] = []
-    while True:
-        try:
-            b1, b2 = await reader.readexactly(2)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return None
-        fin = bool(b1 & 0x80)
-        frame_op = b1 & 0x0F
-        masked = bool(b2 & 0x80)
-        length = b2 & 0x7F
-        if length == 126:
-            length = int.from_bytes(await reader.readexactly(2), "big")
-        elif length == 127:
-            length = int.from_bytes(await reader.readexactly(8), "big")
-        if length > MAX_WS_MESSAGE_BYTES:
-            return None
-        key = await reader.readexactly(4) if masked else b""
-        try:
-            payload = await reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return None
-        if masked:
-            payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-        if frame_op == OP_CLOSE:
-            return (OP_CLOSE, payload) if include_close else None
-        if frame_op in (OP_PING, OP_PONG):
-            return (frame_op, payload)  # control frames never fragment
-        if frame_op != OP_CONT:
-            opcode = frame_op
-            parts = [payload]
-        else:
-            if opcode is None:
-                return None  # continuation with nothing to continue
-            parts.append(payload)
-        if fin and opcode is not None:
-            return (opcode, b"".join(parts))
+    parser = _READER_PARSERS.get(reader)
+    if parser is None:
+        parser = _READER_PARSERS[reader] = WsParser()
+    try:
+        while not parser.closed:
+            # Exact reads end on a frame boundary: at most one message.
+            messages = parser.feed(await reader.readexactly(parser.needed))
+            if messages:
+                if messages[0][0] == OP_CLOSE and not include_close:
+                    return None
+                return messages[0]
+    except (asyncio.IncompleteReadError, ConnectionError):
+        pass
+    return None

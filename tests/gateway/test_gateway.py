@@ -13,9 +13,14 @@ import random
 
 import pytest
 
-from repro.gateway import protocol
+from repro.gateway import protocol, server
 from repro.gateway.loadgen import LoadGenerator
-from repro.gateway.server import GatewayConfig, IngestionGateway
+from repro.gateway.server import (
+    GatewayConfig,
+    IngestionGateway,
+    ResilienceConfig,
+)
+from repro.sim.wallclock import WallClock
 
 W = H = 4
 PERIOD_S = 0.25
@@ -208,3 +213,147 @@ class TestLoadGenerator:
         assert stats["round_latency_p50_s"] > 0.0
         assert stats["round_latency_p99_s"] >= stats["round_latency_p50_s"]
         assert stats["transport"]["messages"] > 0
+
+
+class _FrameClock(WallClock):
+    """1 ms of ``now`` per frame the gateway has ruled on, however often
+    and from wherever the time is read."""
+
+    gateway: IngestionGateway | None = None
+
+    @property
+    def now(self) -> float:
+        gw = self.gateway
+        if gw is None:
+            return 0.0
+        return 1e-3 * (gw.frames_in + gw.frames_rate_limited)
+
+
+class _Sink:
+    """The writer half of a device socket: keeps what the gateway wrote
+    and how many frames it had ingested at that moment."""
+
+    def __init__(self, gw: IngestionGateway) -> None:
+        self.gw = gw
+        self.writes: list[tuple[int, bytes]] = []
+
+    def write(self, data: bytes) -> None:
+        self.writes.append((self.gw.frames_in, data))
+
+    def is_closing(self) -> bool:
+        return False
+
+    def close(self) -> None:
+        pass
+
+
+class TestReadLoop:
+    """The device read loop handles one socket buffer per loop turn."""
+
+    FRAMES = 2400
+    PING_AFTER = 1000
+
+    def _pump(self, resilience: ResilienceConfig):
+        """Feed FRAMES readings (one ping among them) to a session in a
+        single ``feed_data``; a second task samples ``frames_in`` on
+        each of its own loop turns."""
+        clock = _FrameClock()
+        gw = IngestionGateway(
+            GatewayConfig(
+                zone_width=W, zone_height=H, period_s=PERIOD_S, seed=7,
+                resilience=resilience,
+            ),
+            clock=clock,
+        )
+        clock.gateway = gw
+        rng = random.Random(5)
+        frames = [
+            protocol.ws_encode(
+                json.dumps(
+                    {"type": "reading", "value": 20.0 + k, "noise_std": 0.5}
+                ),
+                mask=True, rng=rng,
+            )
+            for k in range(self.FRAMES)
+        ]
+        frames.insert(
+            self.PING_AFTER,
+            protocol.ws_encode(
+                b"mid", opcode=protocol.OP_PING, mask=True, rng=rng
+            ),
+        )
+        stream = b"".join(frames)
+        sink = _Sink(gw)
+        request = protocol.HttpRequest(
+            "GET", "/sensor/connect", "/sensor/connect",
+            query={"x": "1", "y": "1", "id": "t"},
+        )
+        seen: list[int] = []
+
+        async def sampler():
+            while True:
+                seen.append(gw.frames_in + gw.frames_rate_limited)
+                await asyncio.sleep(0)
+
+        async def scenario():
+            session = gw._admit_session(request, sink, "temperature", "stream")
+            reader = asyncio.StreamReader()
+            reader.feed_data(stream)
+            reader.feed_eof()
+            other = asyncio.ensure_future(sampler())
+            await gw._pump_device(session, reader)
+            other.cancel()
+            await asyncio.gather(other, return_exceptions=True)
+            return session
+
+        try:
+            session = clock.run_until_complete(scenario())
+        finally:
+            clock.close()
+        return gw, session, sink, seen, frames
+
+    def test_yields_every_buffer_and_keeps_order(self):
+        gw, session, sink, seen, frames = self._pump(ResilienceConfig())
+        stream = b"".join(frames)
+        budgets = -(-len(stream) // server._READ_BUDGET)
+        assert budgets >= 32
+        assert gw.frames_in == session.frames_in == self.FRAMES
+        assert session.node.readings_received == self.FRAMES
+        # The other task ran at least once per budget consumed, and never
+        # found more than one budget's worth of frames gone by.
+        assert len(seen) >= budgets
+        per_budget = server._READ_BUDGET // (len(stream) // (self.FRAMES + 1))
+        steps = [b - a for a, b in zip(seen, seen[1:])]
+        assert max(steps) <= per_budget + 1
+        # The ping is answered after the 1000 frames before it and
+        # before any frame after it ...
+        pongs = [
+            (at, data) for at, data in sink.writes
+            if data[0] & 0x0F == protocol.OP_PONG
+        ]
+        assert pongs == [
+            (self.PING_AFTER, protocol.ws_encode(b"mid", opcode=protocol.OP_PONG))
+        ]
+        # ... and it did sit mid-buffer, frames either side of it.
+        ping_at = sum(len(f) for f in frames[: self.PING_AFTER])
+        assert 256 < ping_at % server._READ_BUDGET < server._READ_BUDGET - 256
+
+    def test_rate_limit_split_matches_per_frame_arithmetic(self):
+        res = ResilienceConfig(rate_limit_hz=100.0, rate_limit_burst=5)
+        gw, session, _sink, _seen, _frames = self._pump(res)
+        # The per-frame loop, written out: frame i is ruled on at i ms.
+        bucket, bucket_at, accepted = float(res.rate_limit_burst), 0.0, 0
+        for i in range(self.FRAMES):
+            now = 1e-3 * i
+            bucket = min(
+                float(res.rate_limit_burst),
+                bucket + (now - bucket_at) * res.rate_limit_hz,
+            )
+            bucket_at = now
+            if bucket >= 1.0:
+                bucket -= 1.0
+                accepted += 1
+        assert 0 < accepted < self.FRAMES
+        assert gw.frames_in == session.frames_in == accepted
+        assert gw.frames_rate_limited == self.FRAMES - accepted
+        assert session.frames_limited == self.FRAMES - accepted
