@@ -12,9 +12,35 @@ in its text) and reports the series three ways:
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# The robust solve's fit budget (tests/core/test_robust.py pins both):
+# a clean zone's ``RobustFit.fits`` — naive fit, equal-weight full fit
+# and two short objective-monotone C-step starts — and the hard cap
+# ``2 + 2 * max_rounds + max_rounds`` at the default ``max_rounds=8``.
+CLEAN_FITS_BUDGET = 12
+FITS_CAP = 26
+
+
+@contextmanager
+def recorded_robust_fits(module):
+    """Collect every ``RobustFit`` that ``module.robust_reconstruct``
+    returns inside the block, so a bench can gate on ``.fits``."""
+    solves: list = []
+    real = module.robust_reconstruct
+
+    def recording(*args, **kwargs):
+        solves.append(real(*args, **kwargs))
+        return solves[-1]
+
+    module.robust_reconstruct = recording
+    try:
+        yield solves
+    finally:
+        module.robust_reconstruct = real
 
 
 def record_series(

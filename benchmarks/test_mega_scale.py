@@ -32,10 +32,17 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.sim import mega
 from repro.sim.mega import MegaConfig, MegaSimulation
 from repro.sim.population import NodePopulation, PopulationConfig
 
-from _util import merge_bench_json, record_series
+from _util import (
+    CLEAN_FITS_BUDGET,
+    FITS_CAP,
+    merge_bench_json,
+    record_series,
+    recorded_robust_fits,
+)
 
 SMOKE = os.environ.get("REPRO_MEGA_SMOKE", "") not in ("", "0")
 BENCH_JSON = (
@@ -152,12 +159,19 @@ def test_mega_scale_serial_rounds(benchmark):
     runs = []
     for nodes, edge, zones in SCALE_STEPS:
         sim = MegaSimulation(_mega_config(nodes, edge, zones))
-        start = time.perf_counter()
-        record = sim.run_round()
-        round_s = time.perf_counter() - start
-        assert record.zones_solved == zones * zones
+        with recorded_robust_fits(mega) as solves:
+            start = time.perf_counter()
+            record = sim.run_round()
+            round_s = time.perf_counter() - start
+        assert record.zones_solved == zones * zones == len(solves)
         if not SMOKE:
             assert record.rmse < 1.0  # the round actually recovers truth
+        # Clean zones of this shape (128 reports, K=16) cost ~9 fits
+        # each since the C-steps stop when the objective does; waiting
+        # for the survivor set to repeat cost 18.
+        fits = [solve.fits for solve in solves]
+        assert max(fits) <= FITS_CAP
+        assert float(np.mean(fits)) <= CLEAN_FITS_BUDGET
         rows.append(
             [
                 nodes,
@@ -166,6 +180,7 @@ def test_mega_scale_serial_rounds(benchmark):
                 record.reports_delivered,
                 round_s,
                 record.rmse,
+                float(np.mean(fits)),
             ]
         )
         runs.append(
@@ -176,6 +191,7 @@ def test_mega_scale_serial_rounds(benchmark):
                 "reports": record.reports_delivered,
                 "round_s": round_s,
                 "rmse": record.rmse,
+                "fits_per_zone": float(np.mean(fits)),
             }
         )
 
@@ -183,7 +199,7 @@ def test_mega_scale_serial_rounds(benchmark):
         "MEGA-SCALE",
         "one serial round at constant density (32x32-cell zones, "
         f"{REPORTS_PER_ZONE} reports/zone)",
-        ["nodes", "field", "zones", "reports", "round_s", "rmse"],
+        ["nodes", "field", "zones", "reports", "round_s", "rmse", "fits/zone"],
         rows,
         notes="collect+solve+finalize, robust trim solves"
         + ("; SMOKE sizes" if SMOKE else ""),

@@ -19,6 +19,8 @@ O(N log N) ``lexsort``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -91,24 +93,26 @@ class IncrementalQR:
         new column of Q, read-only use) — or ``None`` once the factor
         is degenerate and solves run through ``lstsq``.
         """
-        col = np.asarray(col, dtype=float).ravel()
-        if col.size != self._m:
-            raise ValueError(f"column length {col.size} != M={self._m}")
+        # The one contiguous copy: Gram-Schmidt runs on it in place.
+        v = np.array(col, dtype=float)
+        if v.shape != (self._m,):
+            raise ValueError(f"column shape {v.shape} != ({self._m},)")
         if self._k >= self._capacity:
             raise ValueError("IncrementalQR capacity exceeded")
         k = self._k
-        self._cols[:, k] = col
+        self._cols[:, k] = v
         if not self.degenerate:
             q = self._q[:, :k]
-            v = col.copy()
+            # sqrt(v.dot(v)) is np.linalg.norm(v) without the dispatch.
+            col_norm = math.sqrt(v.dot(v))
             r1 = q.T @ v
             v -= q @ r1
             # One reorthogonalisation pass ("twice is enough") keeps Q
             # orthonormal to machine precision even for long supports.
             r2 = q.T @ v
             v -= q @ r2
-            norm = float(np.linalg.norm(v))
-            if norm <= self._rtol * max(float(np.linalg.norm(col)), 1e-300):
+            norm = math.sqrt(v.dot(v))
+            if norm <= self._rtol * max(col_norm, 1e-300):
                 self.degenerate = True
             else:
                 self._r[:k, k] = r1 + r2

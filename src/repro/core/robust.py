@@ -14,9 +14,19 @@ claimed variance buys an outlier enough *leverage* that the fit nearly
 interpolates it, leaving the liar with the smallest residual in the
 zone.  Both wrappers therefore screen against a separate
 **equal-weight LTS-style concentration fit**: fit all rows with no
-covariance (no row can buy leverage), keep the best-fitting half,
-refit on them, and iterate until the survivor set stabilises.  Rows
-are then classified against that robust reference:
+covariance (no row can buy leverage), keep the best-fitting half and
+refit on them (a *C-step*), scoring every iterate by its trimmed sum
+of squared standardised residuals.  A start's C-steps stop as soon as
+one fails to lower that objective (the FAST-LTS rule of Rousseeuw &
+Van Driessen), and the lowest-scoring iterate visited is the reference.
+An exact least-squares C-step can only lower the objective, so "until
+the survivor set repeats" would be the same stop; a greedy sparse
+refit is not one, its objective wanders, and waiting for a repeat
+burned the whole refit budget to return whichever iterate came last.
+Screening against one naive fit and concentrating only when a row
+looks bad would be cheaper still and was rejected: masking and
+leverage are exactly the cases where no row looks bad.
+Rows are then classified against that robust reference:
 
 - ``mode="trim"`` — hard rejection: rows whose standardised residual
   (claimed std floored by the MAD of the residuals, so an
@@ -64,7 +74,8 @@ class RobustFit:
 
     ``kept`` masks the *input* rows (True = row survived); ``weights``
     carries the final IRLS weights (all ones for trim mode).  ``rounds``
-    counts refits beyond the initial fit — 0 means the naive fit stood.
+    counts refits beyond the initial fit — 0 means the naive fit stood;
+    ``fits`` counts every ``fit`` call the solve made, screening included.
     """
 
     result: Reconstruction
@@ -74,6 +85,7 @@ class RobustFit:
     weights: np.ndarray
     rounds: int = 0
     scales: np.ndarray = field(default_factory=lambda: np.empty(0))
+    fits: int = 0
 
     @property
     def rejected_rows(self) -> np.ndarray:
@@ -104,8 +116,10 @@ def robust_scales(
     legitimately exceed the sensor noise).
     """
     residual = np.asarray(residual, dtype=float)
-    center = float(np.median(residual)) if residual.size else 0.0
-    sigma_mad = 1.4826 * float(np.median(np.abs(residual - center))) if residual.size else 0.0
+    sigma_mad = 0.0
+    if residual.size:
+        center = float(np.median(residual))
+        sigma_mad = 1.4826 * float(np.median(np.abs(residual - center)))
     floor = max(sigma_mad, 1e-12)
     if noise_stds is None:
         return np.full(residual.shape, floor)
@@ -131,15 +145,15 @@ def _concentration_fit(
     noise_stds: np.ndarray | None,
     h: int,
     max_rounds: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Equal-weight LTS concentration: the robust screening reference.
 
     Fits *without* covariance (an understated claimed variance buys no
     leverage here), keeps the ``h`` best-fitting rows — best by
     residual standardised against the claimed std, so a liar's tiny
-    claim makes it *easier* to expel, not harder — refits on them, and
-    iterates until the survivor set stops changing.  Returns the
-    reference estimate and the surviving row indices.
+    claim makes it *easier* to expel, not harder — and refits on them,
+    for as long as the trimmed objective keeps falling (at most
+    ``max_rounds`` refits per start).  Returns the reference estimate.
     """
     m = values.size
     scale = (
@@ -149,18 +163,15 @@ def _concentration_fit(
     )
     _, x_full = fit(values, locations, None)
     if h >= m:
-        return x_full, np.arange(m)
+        return x_full
 
-    def c_steps(keep_idx):
-        x_ref = x_full
-        for _ in range(max_rounds):
-            _, x_ref = fit(values[keep_idx], locations[keep_idx], None)
-            z = np.abs(values - x_ref[locations]) / scale
-            new_idx = np.sort(np.argsort(z, kind="stable")[:h])
-            if np.array_equal(new_idx, keep_idx):
-                break
-            keep_idx = new_idx
-        return x_ref, keep_idx
+    def score(x_ref):
+        """An estimate's ``h`` best-fitting rows and its objective, the
+        trimmed sum of their squared standardised residuals."""
+        z = np.abs(values - x_ref[locations]) / scale
+        best_rows = np.argsort(z, kind="stable")[:h]
+        # Squaring is monotone, so this is sum(sort(z**2)[:h]).
+        return np.sort(best_rows), float(np.sum(z[best_rows] ** 2))
 
     # Multi-start (FAST-LTS style): a start set from a corrupted fit can
     # converge to a corrupted local minimum — with few degrees of
@@ -169,11 +180,10 @@ def _concentration_fit(
     # other: rows closest to the value median (no fit to corrupt), and
     # the best rows of the equal-weight full fit (spatially aware).
     dist = np.abs(values - np.median(values))
-    z_full = np.abs(values - x_full[locations]) / scale
-    starts = [
-        np.sort(np.argsort(dist, kind="stable")[:h]),
-        np.sort(np.argsort(z_full, kind="stable")[:h]),
-    ]
+    full_idx, full_ssr = score(x_full)
+    starts = [np.sort(np.argsort(dist, kind="stable")[:h]), full_idx]
+    if np.array_equal(*starts):
+        starts.pop()
     # The equal-weight full fit itself competes as a candidate
     # reference under the same trimmed-SSR objective.  On clean data it
     # is the *best-informed* fit available, and a half-sample
@@ -182,20 +192,21 @@ def _concentration_fit(
     # honest rows and makes the "robust" estimate far worse than the
     # naive one it was meant to protect.  With real outliers the
     # dragged full fit loses this contest decisively.
-    best = (
-        float(np.sum(np.sort(z_full**2, kind="stable")[:h])),
-        x_full,
-        starts[1],
-    )
-    for i, keep0 in enumerate(starts):
-        if i and np.array_equal(starts[0], starts[1]):
-            break
-        x_ref, keep_idx = c_steps(keep0)
-        z = np.abs(values - x_ref[locations]) / scale
-        trimmed_ssr = float(np.sum(np.sort(z**2, kind="stable")[:h]))
-        if trimmed_ssr < best[0] - 1e-12:
-            best = (trimmed_ssr, x_ref, keep_idx)
-    return best[1], best[2]
+    best_ssr, best_x = full_ssr, x_full
+    for keep_idx in starts:
+        start_ssr = np.inf
+        for _ in range(max_rounds):
+            _, x_ref = fit(values[keep_idx], locations[keep_idx], None)
+            new_idx, trimmed_ssr = score(x_ref)
+            if not trimmed_ssr < start_ssr - 1e-12:
+                break  # stopped descending: the start's best is behind it
+            start_ssr = trimmed_ssr
+            if trimmed_ssr < best_ssr - 1e-12:
+                best_ssr, best_x = trimmed_ssr, x_ref
+            if np.array_equal(new_idx, keep_idx):
+                break
+            keep_idx = new_idx
+    return best_x
 
 
 def robust_reconstruct(
@@ -272,7 +283,14 @@ def robust_reconstruct(
         min_keep = max(4, m // 2)
     min_keep = min(min_keep, m)
 
-    result, x_hat = fit(values, locations, covariance)
+    fits = 0
+
+    def counted_fit(*args):
+        nonlocal fits
+        fits += 1
+        return fit(*args)
+
+    result, x_hat = counted_fit(values, locations, covariance)
     kept = np.ones(m, dtype=bool)
     weights = np.ones(m, dtype=float)
 
@@ -299,8 +317,8 @@ def robust_reconstruct(
     # Robust screening reference (see module docstring): residuals are
     # judged against an equal-weight concentration fit, never against
     # the naive fit a coordinated block of liars can drag or leverage.
-    x_ref, ref_idx = _concentration_fit(
-        fit, values, locations, noise_stds, min_keep, max_rounds
+    x_ref = _concentration_fit(
+        counted_fit, values, locations, noise_stds, min_keep, max_rounds
     )
 
     if mode == "trim":
@@ -314,6 +332,7 @@ def robust_reconstruct(
                 weights=weights,
                 rounds=0,
                 scales=scales,
+                fits=fits,
             )
         # Fixed point with re-inclusion: refit with the real covariance
         # on the survivors, re-classify everyone against the refit (a
@@ -324,7 +343,7 @@ def robust_reconstruct(
         for _ in range(max_rounds):
             fitted_kept = kept
             idx = np.flatnonzero(kept)
-            result_r, x_hat_r = fit(
+            result_r, x_hat_r = counted_fit(
                 values[idx],
                 locations[idx],
                 _subset_covariance(covariance, idx),
@@ -343,6 +362,7 @@ def robust_reconstruct(
                     weights=weights,
                     rounds=0,
                     scales=scales,
+                    fits=fits,
                 )
             kept = new_kept
         return RobustFit(
@@ -353,6 +373,7 @@ def robust_reconstruct(
             weights=weights,
             rounds=rounds,
             scales=scales,
+            fits=fits,
         )
 
     # -- huber: IRLS soft downweighting ---------------------------------
@@ -375,7 +396,7 @@ def robust_reconstruct(
         # Inflate each row's variance by 1/w — Huber's equivalence
         # between downweighting and a heavier claimed noise.
         inflated = (scales**2) / np.maximum(weights, 1e-12)
-        result, x_hat = fit(values, locations, inflated)
+        result, x_hat = counted_fit(values, locations, inflated)
         x_irls = x_hat
     return RobustFit(
         result=result,
@@ -385,4 +406,5 @@ def robust_reconstruct(
         weights=weights,
         rounds=rounds,
         scales=scales,
+        fits=fits,
     )

@@ -1,18 +1,27 @@
 """Tests for the robust reconstruction wrappers (repro.core.robust)."""
 
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.basis import dct_basis
+from repro.core.omp import omp
 from repro.core.reconstruction import reconstruct
+from repro.core.registry import shared_dct2_basis
 from repro.core.robust import (
     ROBUST_MODES,
     RobustFit,
+    _concentration_fit,
     robust_reconstruct,
     robust_scales,
 )
+
+WANDER_ZONE = Path(__file__).parent / "data" / "lts_wander_zone.json"
 
 
 def _problem(seed=0, n=64, m=32, k=4, noise=0.0, noise_std=0.3):
@@ -43,6 +52,181 @@ def _make_fit(phi, sparsity=6):
         return result, result.x_hat
 
     return fit
+
+
+def _row_fit(rows, sparsity):
+    """The city kernel's fit: OMP over gathered basis rows, addressed by
+    report number, predicting at the reporting rows only."""
+
+    def fit(values, idx, covariance):
+        result = omp(
+            rows[idx], values, min(sparsity, len(idx)), covariance=covariance
+        )
+        support = result.support
+        return result, rows[:, support] @ result.coefficients[support]
+
+    return fit
+
+
+def _city_zone(seed, m=128):
+    """A clean zone of the layered bench's ``city_solve`` shape: 8 of the
+    64 lowest 2-D DCT atoms of a 32x32 zone, ``m`` noisy reports."""
+    basis = np.asarray(shared_dct2_basis(32, 32))
+    rng = np.random.default_rng(seed)
+    coefficients = np.zeros(1024)
+    coefficients[rng.choice(64, size=8, replace=False)] = rng.normal(0, 3, 8)
+    cells = rng.choice(1024, size=m, replace=False)
+    stds = rng.uniform(0.25, 1.0, size=m)
+    values = (basis @ coefficients)[cells] + stds * rng.standard_normal(m)
+    return basis[cells], values, stds
+
+
+def _trimmed_ssr(x_ref, values, locations, stds, h):
+    """The LTS objective as the textbook writes it."""
+    z = (values - x_ref[locations]) / stds
+    return float(np.sum(np.sort(z**2)[:h]))
+
+
+def _traced_concentration(fit, values, locations, stds, h, max_rounds):
+    """Run the concentration fit; return its reference's objective and
+    the objective of every candidate it visited: the full fit's, then
+    one list per start (a start begins where a fit is handed ``h`` rows
+    that are not the previous iterate's best ``h``)."""
+    visited = []
+
+    def traced(vals, loc, covariance):
+        result, x_ref = fit(vals, loc, covariance)
+        z = np.abs(values - x_ref[locations]) / stds
+        best = locations[np.argsort(z, kind="stable")[:h]]
+        visited.append(
+            (set(loc.tolist()), set(best.tolist()),
+             _trimmed_ssr(x_ref, values, locations, stds, h))
+        )
+        return result, x_ref
+
+    x_ref = _concentration_fit(traced, values, locations, stds, h, max_rounds)
+    full, starts = visited[0][2], []
+    for i, (rows_in, _, objective) in enumerate(visited[1:], start=1):
+        if i == 1 or rows_in != visited[i - 1][1]:
+            starts.append([])
+        starts[-1].append(objective)
+    return _trimmed_ssr(x_ref, values, locations, stds, h), full, starts
+
+
+class TestConcentrationFit:
+    @given(
+        seed=st.integers(0, 2**16),
+        outliers=st.integers(0, 12),
+        max_rounds=st.integers(1, 8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_start_descends_and_the_minimum_wins(
+        self, seed, outliers, max_rounds
+    ):
+        phi, x, loc, y, stds = _problem(seed=seed, noise=0.2)
+        rng = np.random.default_rng(seed)
+        y = y.copy()
+        bad = rng.choice(y.size, size=outliers, replace=False)
+        y[bad] += rng.choice([-30.0, 30.0], size=outliers)
+        stds = stds.copy()
+        stds[bad[: outliers // 2]] = 0.01  # half the liars understate
+        h = y.size // 2
+        returned, full, starts = _traced_concentration(
+            _make_fit(phi), y, loc, stds, h, max_rounds
+        )
+        assert 1 <= len(starts) <= 2
+        for objectives in starts:
+            assert len(objectives) <= max_rounds
+            # Strictly down; only the iterate that ends the start may
+            # fail to improve, and nothing is fitted after it.
+            improving = objectives[:-1] if len(objectives) > 1 else objectives
+            assert all(b < a for a, b in zip(improving, improving[1:]))
+        candidates = [full] + [o for objectives in starts for o in objectives]
+        assert returned <= min(candidates) + 1e-9
+
+    def test_old_stop_rule_regression(self):
+        # A recorded city_solve zone on which waiting for the survivor
+        # set to repeat spent all 2 x 8 C-steps while the objective
+        # wandered, and handed the contest the median start's *last*
+        # iterate (1.41) although its third (0.70) was better.
+        doc = json.loads(WANDER_ZONE.read_text())
+        old = doc["old_c_step_objectives"]
+        assert [len(o) for o in old] == [8, 8]
+        assert doc["old_returned_ssr"] == old[0][-1] > 2 * min(old[0])
+        rows = np.asarray(shared_dct2_basis(32, 32))[doc["cells"]]
+        values, stds = np.array(doc["values"]), np.array(doc["stds"])
+        returned, full, starts = _traced_concentration(
+            _row_fit(rows, doc["sparsity"]),
+            values, np.arange(values.size), stds, values.size // 2, 8,
+        )
+        # Same trajectory, cut where it stops descending.
+        for new, recorded in zip(starts, old):
+            assert new == pytest.approx(recorded[: len(new)], rel=1e-9)
+        assert sum(len(o) for o in starts) <= 8
+        assert returned == pytest.approx(min(old[0]), rel=1e-9)
+        assert returned < full
+
+    @pytest.mark.parametrize("seed", [101, 202, 303])
+    def test_clean_city_zone_fit_budget(self, seed):
+        rows, values, stds = _city_zone(seed)
+        robust = robust_reconstruct(
+            _row_fit(rows, 16), values, np.arange(values.size),
+            covariance=stds**2, noise_stds=stds, mode="trim",
+        )
+        assert robust.fits <= 12
+
+    @pytest.mark.parametrize("mode", ["trim", "huber"])
+    @given(
+        seed=st.integers(0, 2**16),
+        outliers=st.integers(0, 16),
+        max_rounds=st.integers(1, 8),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_fits_counts_every_call_and_respects_the_cap(
+        self, mode, seed, outliers, max_rounds
+    ):
+        phi, x, loc, y, stds = _problem(seed=seed, noise=0.3)
+        y = y.copy()
+        y[:outliers] += 25.0
+        calls = []
+        fit = _make_fit(phi)
+
+        def counting(*args):
+            calls.append(1)
+            return fit(*args)
+
+        robust = robust_reconstruct(
+            counting, y, loc, covariance=stds**2, mode=mode,
+            max_rounds=max_rounds,
+        )
+        assert robust.fits == len(calls)
+        # naive + equal-weight full fit, two starts, the trim/IRLS loop.
+        assert robust.fits <= 2 + 2 * max_rounds + max_rounds
+        assert robust.rounds <= robust.fits
+
+
+class TestKernelNorm:
+    @given(
+        seed=st.integers(0, 2**16),
+        m=st.integers(1, 600),
+        exponent=st.integers(-150, 150),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sqrt_dot_is_linalg_norm_bit_for_bit(self, seed, m, exponent):
+        # The pursuit kernel takes ||v|| as sqrt(v.dot(v)) — the very
+        # expression np.linalg.norm evaluates for a 1-D float vector —
+        # on contiguous M-vectors: a measurement vector, a whitened
+        # basis column, a Gram-Schmidt remainder.
+        rng = np.random.default_rng(seed)
+        basis = np.asarray(shared_dct2_basis(16, 16))
+        for v in (
+            rng.standard_normal(m) * 10.0**exponent,
+            np.array(basis[rng.choice(256, size=min(m, 256)), 3]),
+            basis[: min(m, 256), 5] * rng.uniform(0.1, 2.0, min(m, 256)),
+            np.zeros(m),
+        ):
+            assert v.flags.c_contiguous
+            assert math.sqrt(v.dot(v)) == float(np.linalg.norm(v))
 
 
 class TestRobustScales:

@@ -8,6 +8,8 @@ basis bytes the parent exported.  The remaining tests exercise the
 overload (PR 6) and Byzantine (PR 4) layers on top of the array core.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,6 +267,46 @@ class TestZoneKernel:
             assert np.array_equal(rejected, forward[zone_id][1])
         for zone_id in (1, 2):  # the trim refits ran
             assert forward[zone_id][1][:zone_id].all()
+
+
+def _golden_payload(kind: str):
+    """One 16x16 zone, 96 reports, at a pinned seed per kind."""
+    basis = np.asarray(shared_dct2_basis(16, 16))
+    seed = {"clean": 31, "adversarial": 32, "stuck": 33}[kind]
+    rng = np.random.default_rng(seed)
+    truth = basis[:, [0, 2, 19, 33]] @ np.array([5.0, -3.0, 2.0, 1.0])
+    cells = rng.choice(256, size=96, replace=False)
+    stds = rng.uniform(0.05, 0.3, size=96)
+    values = truth[cells] + stds * rng.standard_normal(96)
+    if kind == "adversarial":  # 10 % liars, +9 offset, claiming std 0.01
+        liars = rng.choice(96, size=10, replace=False)
+        values[liars] += 9.0
+        stds[liars] = 0.01
+    elif kind == "stuck":  # five sensors frozen at one reading
+        values[rng.choice(96, size=5, replace=False)] = 25.0
+    return (0, cells, values, stds, 8), basis
+
+
+# (rows rejected, sha256 over the zone estimate's bytes + the rejected
+# mask), the same before and after the concentration fit's C-steps
+# became objective-monotone (PR 22).  The solve passes through BLAS, so
+# these pin this platform's numpy build, like every golden vector;
+# serial == sharded bit-identity is the Hypothesis property above.
+ZONE_GOLDEN = {
+    "clean": (0, "5dd7e268fd783f490424d599b45fac77dab3f81e53d0a9ecdc5b2736fc165775"),
+    "adversarial": (10, "9be6e5a8514cf765d039abd17270f55b6e2413f6954f9d682394b26c30cfdc33"),
+    "stuck": (5, "5e5100357cd2cbcb469279b1ee8ea84af5e32831e3aae864c96705da0f1bf13b"),
+}
+
+
+class TestZoneGolden:
+    @pytest.mark.parametrize("kind", sorted(ZONE_GOLDEN))
+    def test_solve_zone_matches_committed_digest(self, kind):
+        payload, basis = _golden_payload(kind)
+        _, field, rejected = mega._solve_zone(payload, basis)
+        digest = hashlib.sha256(field.tobytes())
+        digest.update(rejected.tobytes())
+        assert (int(rejected.sum()), digest.hexdigest()) == ZONE_GOLDEN[kind]
 
 
 class TestShardedSanitizer:
