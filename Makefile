@@ -21,8 +21,8 @@ lint:
 	else \
 		echo "lint: ruff not installed, skipping (CI runs it)"; \
 	fi
-# reprolint runs both the per-file rules (RPR001-RPR009) and the
-# whole-program pass (RPR010, RPR012, RPR013) by default.
+# reprolint: one pass, each file parsed once, every rule (the cross-file
+# RPR012/RPR013 fold the seed and topic sites each file records).
 	PYTHONPATH=src $(PYTHON) -m repro.analysis src/repro
 	@if $(PYTHON) -c "import mypy" >/dev/null 2>&1; then \
 		$(PYTHON) -m mypy; \

@@ -3,12 +3,10 @@
 Text output is one finding per line (``path:line:col: RPRnnn[name]
 message``); ``--format json`` emits a machine-readable report for CI,
 and ``--format github`` emits workflow-command annotations so findings
-attach to the PR diff.  Runs include the whole-program pass (RPR010,
-RPR012, RPR013) by default; ``--no-whole-program`` restricts to the
-per-file rules.  ``--graph FILE`` dumps the resolved call graph as JSON
-(``-`` for stdout) for debugging cross-file findings.  The exit status
-is 0 when no unsuppressed findings remain, 1 otherwise, and 2 on usage
-errors.
+attach to the PR diff.  One pass parses each file once and runs every
+rule, the cross-file ones (RPR012 duplicate seeds, RPR013 pub/sub flow)
+included.  The exit status is 0 when no unsuppressed findings remain, 1
+otherwise, and 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -56,18 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also print pragma-suppressed findings (text format)",
     )
     parser.add_argument(
-        "--no-whole-program",
-        action="store_true",
-        help="skip the cross-file rules (RPR010, RPR012, RPR013)",
-    )
-    parser.add_argument(
-        "--graph",
-        metavar="FILE",
-        default=None,
-        help="dump the resolved call graph as JSON to FILE ('-' for "
-        "stdout) and exit",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -110,28 +96,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("\n".join(sorted(lines)))
         return 0
 
-    if args.graph is not None:
-        from .project import ProjectModel
-
-        model = ProjectModel(args.paths).load()
-        payload = model.graph_json()
-        if args.graph == "-":
-            print(payload)
-        else:
-            with open(args.graph, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        return 0
-
     select = args.select.split(",") if args.select else None
     try:
-        if args.no_whole_program:
-            findings, scanned = lint_paths(args.paths, select=select)
-        else:
-            from .wholeprogram import analyze_paths
-
-            findings, scanned, _model = analyze_paths(
-                args.paths, select=select
-            )
+        findings, scanned = lint_paths(args.paths, select=select)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -151,18 +118,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 indent=2,
             )
         )
-    elif args.format == "github":
-        shown = findings if args.show_suppressed else active
-        for finding in shown:
-            print(_github_annotation(finding))
-        print(
-            f"reprolint: {scanned} file(s) scanned, "
-            f"{len(active)} finding(s), {len(suppressed)} suppressed"
-        )
     else:
-        shown = findings if args.show_suppressed else active
-        for finding in shown:
-            print(finding.render())
+        render = _github_annotation if args.format == "github" else Finding.render
+        for finding in findings if args.show_suppressed else active:
+            print(render(finding))
         print(
             f"reprolint: {scanned} file(s) scanned, "
             f"{len(active)} finding(s), {len(suppressed)} suppressed"

@@ -51,8 +51,8 @@ def nmse(x: np.ndarray, x_hat: np.ndarray) -> float:
     x, x_hat = _pair(x, x_hat)
     denom = float(np.sum(x**2))
     num = float(np.sum((x - x_hat) ** 2))
-    if denom == 0.0:  # reprolint: allow[float-eq] -- exact-zero sentinel
-        return 0.0 if num == 0.0 else float("inf")  # reprolint: allow[float-eq] -- exact-zero sentinel
+    if denom == 0.0:
+        return 0.0 if num == 0.0 else float("inf")
     return num / denom
 
 
@@ -64,7 +64,7 @@ def relative_error(x: np.ndarray, x_hat: np.ndarray) -> float:
 def snr_db(x: np.ndarray, x_hat: np.ndarray) -> float:
     """Reconstruction signal-to-noise ratio in dB (higher is better)."""
     value = nmse(x, x_hat)
-    if value == 0.0:  # reprolint: allow[float-eq] -- exact-zero sentinel
+    if value == 0.0:
         return float("inf")
     return float(-10.0 * np.log10(value))
 
@@ -74,9 +74,9 @@ def psnr_db(x: np.ndarray, x_hat: np.ndarray) -> float:
     x, x_hat = _pair(x, x_hat)
     peak = float(np.max(x) - np.min(x))
     err = mse(x, x_hat)
-    if err == 0.0:  # reprolint: allow[float-eq] -- exact-zero sentinel
+    if err == 0.0:
         return float("inf")
-    if peak == 0.0:  # reprolint: allow[float-eq] -- exact-zero sentinel
+    if peak == 0.0:
         return float("-inf")
     return float(20.0 * np.log10(peak) - 10.0 * np.log10(err))
 

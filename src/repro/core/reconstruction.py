@@ -66,7 +66,7 @@ class Reconstruction:
 
 def _dense_support(coefficients: np.ndarray) -> np.ndarray:
     peak = float(np.max(np.abs(coefficients))) if coefficients.size else 0.0
-    if peak == 0.0:  # reprolint: allow[float-eq] -- exact-zero sentinel
+    if peak == 0.0:
         return np.zeros(0, dtype=int)
     return np.flatnonzero(np.abs(coefficients) > 1e-8 * peak)
 

@@ -44,7 +44,7 @@ def effective_sparsity(alpha: np.ndarray, threshold: float = 1e-3) -> int:
     if alpha.size == 0:
         return 0
     peak = float(np.max(np.abs(alpha)))
-    if peak == 0.0:  # reprolint: allow[float-eq] -- exact-zero sentinel
+    if peak == 0.0:
         return 0
     return int(np.count_nonzero(np.abs(alpha) > threshold * peak))
 
@@ -58,7 +58,7 @@ def energy_sparsity(alpha: np.ndarray, energy: float = 0.99) -> int:
     alpha = np.asarray(alpha, dtype=float).ravel()
     power = np.sort(alpha**2)[::-1]
     total = power.sum()
-    if total == 0.0:  # reprolint: allow[float-eq] -- exact-zero sentinel
+    if total == 0.0:
         return 0
     cumulative = np.cumsum(power) / total
     return int(np.searchsorted(cumulative, energy) + 1)
@@ -83,7 +83,7 @@ def best_k_term_error(x: np.ndarray, phi: np.ndarray, k: int) -> float:
         truncated[keep] = alpha[keep]
     x_k = phi @ truncated
     denom = np.linalg.norm(x)
-    if denom == 0.0:  # reprolint: allow[float-eq] -- exact-zero sentinel
+    if denom == 0.0:
         return 0.0
     return float(np.linalg.norm(x - x_k) / denom)
 

@@ -125,7 +125,7 @@ class GilbertElliottLoss:
     @property
     def stationary_loss_rate(self) -> float:
         denominator = self.p_enter_bad + self.p_exit_bad
-        if denominator == 0.0:  # reprolint: allow[float-eq] -- exact-zero sentinel
+        if denominator == 0.0:
             return self.loss_good if self.state == "good" else self.loss_bad
         pi_bad = self.p_enter_bad / denominator
         return pi_bad * self.loss_bad + (1.0 - pi_bad) * self.loss_good

@@ -225,16 +225,33 @@ def encode_wire(message: Message) -> bytes:
 
 
 def decode_wire_body(body: bytes) -> Message:
-    """Decode one frame *body* (the bytes after the length prefix)."""
-    obj = json.loads(body.decode("utf-8"))
-    return Message(
-        kind=MessageKind(obj["kind"]),
-        source=obj["source"],
-        destination=obj["destination"],
-        payload=_unjsonify(obj.get("payload") or {}),
-        payload_values=int(obj.get("payload_values", 1)),
-        timestamp=float(obj.get("timestamp", 0.0)),
-    )
+    """Decode one frame *body* (the bytes after the length prefix).
+
+    Any malformed body raises ValueError — the one error the socket
+    read loops treat as a corrupt stream — whatever the JSON holds.
+    """
+    try:
+        obj = json.loads(body.decode("utf-8"))
+        payload = _unjsonify(obj.get("payload") or {})
+        source, destination = obj["source"], obj["destination"]
+        if not (
+            isinstance(payload, dict)
+            and isinstance(source, str)
+            and isinstance(destination, str)
+        ):
+            raise TypeError("payload must be an object, addresses strings")
+        return Message(
+            kind=MessageKind(obj["kind"]),
+            source=source,
+            destination=destination,
+            payload=payload,
+            payload_values=int(obj.get("payload_values", 1)),
+            timestamp=float(obj.get("timestamp", 0.0)),
+        )
+    except (
+        KeyError, TypeError, AttributeError, OverflowError, RecursionError
+    ) as exc:
+        raise ValueError(f"malformed wire frame body: {exc!r}") from exc
 
 
 class WireDecoder:

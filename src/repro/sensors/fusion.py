@@ -26,7 +26,7 @@ def tilt_from_gravity(ax: float, ay: float, az: float) -> tuple[float, float]:
     """(pitch, roll) in radians from a gravity-dominated accelerometer
     reading — the inclinometer virtual sensor."""
     norm = float(np.sqrt(ax * ax + ay * ay + az * az))
-    if norm == 0.0:  # reprolint: allow[float-eq] -- exact-zero sentinel
+    if norm == 0.0:
         raise ValueError("zero acceleration vector has no orientation")
     pitch = float(np.arctan2(-ax, np.sqrt(ay * ay + az * az)))
     roll = float(np.arctan2(ay, az))

@@ -9,9 +9,18 @@ import textwrap
 from pathlib import Path
 
 import repro
-from repro.analysis import main
+from repro.analysis import cli, main
 
 PKG_ROOT = str(Path(repro.__file__).parent)
+
+
+def _reuse(monkeypatch, shipped_lint):
+    """Serve the session's one lint of the shipped tree to the CLI."""
+    monkeypatch.setattr(
+        cli,
+        "lint_paths",
+        lambda paths, select=None: (shipped_lint.findings, shipped_lint.scanned),
+    )
 
 
 def _write(tmp_path: Path, name: str, source: str) -> Path:
@@ -63,7 +72,7 @@ class TestExitCodes:
         path = _write(
             tmp_path,
             "pinned.py",
-            "peak = 1.0\nflag = peak == 0.0  # reprolint: allow[float-eq]\n",
+            "peak = 1.0\nflag = peak == 1.5  # reprolint: allow[float-eq]\n",
         )
         assert main(["--show-suppressed", str(path)]) == 0
         assert "(suppressed)" in capsys.readouterr().out
@@ -110,12 +119,16 @@ class TestJsonFormat:
             "rule", "name", "path", "line", "col", "message", "suppressed",
         }
 
-    def test_shipped_tree_reports_zero_unsuppressed(self, capsys):
+    def test_shipped_tree_reports_zero_unsuppressed(
+        self, capsys, monkeypatch, shipped_lint
+    ):
         """The acceptance gate: `--format json` over the shipped
         package reports zero unsuppressed findings."""
+        _reuse(monkeypatch, shipped_lint)
         assert main(["--format", "json", PKG_ROOT]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["unsuppressed"] == 0
+        assert report["suppressed"] == 1
         assert report["files_scanned"] > 50
 
 
@@ -173,16 +186,20 @@ class TestGithubFormat:
         assert "file=a%3Ab%2Cc.py" in rendered
         assert "50%25" in rendered
 
-    def test_shipped_tree_emits_no_error_annotations(self, capsys):
-        assert main(["--format", "github", PKG_ROOT]) == 0
+    def test_shipped_tree_emits_no_error_annotations(
+        self, capsys, monkeypatch, shipped_lint
+    ):
+        _reuse(monkeypatch, shipped_lint)
+        assert main(["--format", "github", "--show-suppressed", PKG_ROOT]) == 0
         out = capsys.readouterr().out
         assert "::error" not in out
+        assert out.count("::warning") == 1  # the one pragma'd site
 
 
 class TestWholeProgram:
     def test_cross_file_finding_through_cli(self, tmp_path, capsys):
-        """The default CLI run includes RPR010-RPR013: a blocking call
-        inside a gateway coroutine surfaces without any flag."""
+        """The CLI runs every rule: a blocking call inside a gateway
+        coroutine surfaces without any flag."""
         gateway = tmp_path / "repro" / "gateway"
         gateway.mkdir(parents=True)
         for d in (tmp_path / "repro", gateway):
@@ -194,47 +211,6 @@ class TestWholeProgram:
         assert main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "RPR010[async-blocking]" in out
-
-    def test_no_whole_program_flag_skips_cross_file_rules(
-        self, tmp_path, capsys
-    ):
-        gateway = tmp_path / "repro" / "gateway"
-        gateway.mkdir(parents=True)
-        for d in (tmp_path / "repro", gateway):
-            (d / "__init__.py").write_text("", encoding="utf-8")
-        (gateway / "server.py").write_text(
-            "import time\n\n\nasync def pump():\n    time.sleep(1)\n",
-            encoding="utf-8",
-        )
-        assert main(["--no-whole-program", str(tmp_path)]) == 0
-        assert "RPR010" not in capsys.readouterr().out
-
-    def test_graph_dump_to_stdout(self, tmp_path, capsys):
-        path = _write(
-            tmp_path,
-            "mod.py",
-            """
-            import time
-
-            def f():
-                time.sleep(1)
-            """,
-        )
-        assert main(["--graph", "-", str(path)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "mod.f" in payload["functions"]
-        externals = [
-            c.get("external")
-            for c in payload["functions"]["mod.f"]["calls"]
-        ]
-        assert "time.sleep" in externals
-
-    def test_graph_dump_to_file(self, tmp_path, capsys):
-        path = _write(tmp_path, "mod.py", "def f():\n    pass\n")
-        out_file = tmp_path / "graph.json"
-        assert main(["--graph", str(out_file), str(path)]) == 0
-        payload = json.loads(out_file.read_text(encoding="utf-8"))
-        assert "mod.f" in payload["functions"]
 
 
 class TestModuleEntryPoint:

@@ -15,7 +15,6 @@ from repro.analysis.reprolint import (
     RETIRED_RULES,
     RULES,
     Finding,
-    lint_paths,
     lint_source,
 )
 
@@ -248,6 +247,15 @@ class TestRPR005FloatEq:
         )
         assert _rules(findings, suppressed=False) == ["RPR005"]
 
+    def test_near_zero_literal_still_fires(self):
+        findings = _lint(
+            """
+            def f(x):
+                return x == 0.1
+            """
+        )
+        assert _rules(findings, suppressed=False) == ["RPR005"]
+
     def test_float_cast_comparison_fires(self):
         findings = _lint(
             """
@@ -266,6 +274,18 @@ class TestRPR005FloatEq:
         )
         assert findings == []
 
+    def test_literal_zero_comparison_allowed(self):
+        """Zero is exactly representable: ``== 0.0`` is a divide-by-zero
+        guard, not a tolerance question, on either side and either
+        sign."""
+        findings = _lint(
+            """
+            def f(x, y):
+                return x == 0.0, 0.0 != y, x == -0.0, float(y) != 0.0
+            """
+        )
+        assert findings == []
+
     def test_ordering_comparison_allowed(self):
         findings = _lint(
             """
@@ -279,7 +299,7 @@ class TestRPR005FloatEq:
         findings = _lint(
             """
             def f(peak):
-                return peak == 0.0  # reprolint: allow[float-eq]
+                return peak == 0.5  # reprolint: allow[float-eq]
             """
         )
         assert _rules(findings, suppressed=True) == ["RPR005"]
@@ -569,14 +589,9 @@ class TestRPR009WorkerRng:
         )
         assert findings == []
 
-    def test_shipped_tree_has_zero_worker_rng_findings(self):
-        import repro
-        from pathlib import Path
-
-        pkg_root = Path(repro.__file__).parent
-        findings, scanned = lint_paths([pkg_root], select=["RPR009"])
-        assert scanned > 50
-        active = [f for f in findings if not f.suppressed]
+    def test_shipped_tree_has_zero_worker_rng_findings(self, shipped_lint):
+        assert shipped_lint.scanned > 50
+        active = shipped_lint.active("RPR009")
         assert active == [], "\n".join(f.render() for f in active)
 
 
@@ -673,14 +688,11 @@ class TestSelectAndErrors:
 
 
 class TestTreeIsClean:
-    def test_shipped_sources_have_zero_unsuppressed_findings(self):
-        import repro
-        from pathlib import Path
-
-        pkg_root = Path(repro.__file__).parent
-        findings, scanned = lint_paths([pkg_root])
-        active = [f for f in findings if not f.suppressed]
-        assert scanned > 50
+    def test_shipped_sources_have_zero_unsuppressed_findings(
+        self, shipped_lint
+    ):
+        active = shipped_lint.active()
+        assert shipped_lint.scanned > 50
         assert active == [], "\n".join(f.render() for f in active)
 
     def test_rule_catalogue_is_stable(self):
@@ -695,25 +707,29 @@ class TestTreeIsClean:
             # stays reserved and must never be reused.
             "RPR008",
             "RPR009",
-            # RPR010/012/013 are the whole-program rules (PR 10; RPR011
-            # retired with RPR003); they live in
-            # repro.analysis.wholeprogram and only fire through
-            # analyze_paths, never lint_source.
+            # RPR011 retired with RPR003.
             "RPR010",
             "RPR012",
             "RPR013",
         }
 
-    def test_whole_program_rules_never_fire_per_file(self):
-        """lint_source has no checker for RPR010/012/013; selecting them
-        alone must yield nothing (they need the cross-file model)."""
+    def test_cross_file_rules_fire_per_file(self):
+        """lint_source runs RPR010/012/013 too, folding over its one
+        file: a sleep in a gateway coroutine and a literal seed used
+        twice both fire without a project around them."""
         findings = _lint(
             """
             import time
 
+            import numpy as np
+
             async def pump():
                 time.sleep(1)
+
+            a = np.random.default_rng(9)
+            b = np.random.default_rng(9)
             """,
+            path="src/repro/gateway/pump.py",
             select=["RPR010", "RPR012", "RPR013"],
         )
-        assert findings == []
+        assert _rules(findings, suppressed=False) == ["RPR010", "RPR012"]

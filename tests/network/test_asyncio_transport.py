@@ -7,6 +7,7 @@ peers, and always-deferred delivery.
 """
 
 import asyncio
+import struct
 
 import numpy as np
 import pytest
@@ -130,3 +131,29 @@ class TestTcpRoundTrip:
 
         transport.wall_clock.run_until_complete(scenario())
         assert transport.stats.messages == 0
+
+    def test_malformed_frame_churns_the_peer(self, transport):
+        """A well-framed body that is not a message (``{}``) ends the
+        peer like any corrupt stream: unbound and closed, with no
+        exception escaping the connection task."""
+        errors = []
+        transport.loop.set_exception_handler(
+            lambda loop, context: errors.append(context)
+        )
+        transport.register("hub")
+
+        async def scenario():
+            server = await transport.serve()
+            port = server.sockets[0].getsockname()[1]
+            client = await connect("127.0.0.1", port, "dev9")
+            await asyncio.sleep(0.05)  # hello decoded, peer bound
+            assert transport.remote_addresses == ["dev9"]
+            client.writer.write(struct.pack(">I", 2) + b"{}")
+            await client.writer.drain()
+            assert await asyncio.wait_for(client.reader.read(), 2.0) == b""
+            await asyncio.sleep(0.05)  # connection task callbacks run
+            assert transport.remote_addresses == []
+            await client.close()
+
+        transport.wall_clock.run_until_complete(scenario())
+        assert errors == []

@@ -5,10 +5,13 @@ The codec (:mod:`repro.network.frames`) carries :class:`Message` objects
 real TCP streams via ``encode_wire`` / :class:`WireDecoder`.
 """
 
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.frames import (
     MAX_WIRE_FRAME_BYTES,
@@ -149,3 +152,133 @@ class TestWireDecoder:
         assert message.payload == {}
         assert message.payload_values == 1
         assert message.timestamp == 0.0
+
+
+# -- structure-aware fuzz ----------------------------------------------
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.text(max_size=12)
+)
+_any_json = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+# The codec's own tagged objects, with fields of any shape or type.
+_tagged = st.fixed_dictionaries(
+    {
+        "dtype": st.sampled_from(["<f8", "<i8", "|b1", "O", "zz"]) | _any_json,
+        "shape": st.lists(st.integers(-2, 4), max_size=3) | _any_json,
+        "data": st.sampled_from(["", "AA==", "AAAAAAAAAAA="]) | _any_json,
+    }
+).flatmap(
+    lambda packed: st.sampled_from(
+        [
+            {"__ndarray__": packed},
+            {"__zone_report_frame__": packed},
+            {"__zone_report_frame__": {"zone_id": 1, "round_index": 2,
+                                       "node_ids": {"__x": packed}}},
+        ]
+    )
+)
+_hostile_bodies = st.one_of(
+    st.binary(max_size=64),
+    _any_json.map(lambda v: json.dumps(v).encode()),
+    st.fixed_dictionaries(
+        {
+            "kind": st.sampled_from([k.value for k in MessageKind]) | _any_json,
+            "source": st.just("a") | _any_json,
+            "destination": st.just("b") | _any_json,
+        },
+        optional={
+            "payload": st.dictionaries(
+                st.text(max_size=4), _tagged | _any_json, max_size=3
+            )
+            | _tagged
+            | _any_json,
+            "payload_values": _any_json,
+            "timestamp": _any_json,
+        },
+    ).map(lambda v: json.dumps(v).encode()),
+)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_messages = st.builds(
+    Message,
+    kind=st.sampled_from(MessageKind),
+    source=st.text(min_size=1, max_size=8),
+    destination=st.text(min_size=1, max_size=8),
+    payload=st.dictionaries(
+        st.text(max_size=6),
+        st.none() | st.booleans() | st.integers(-(2**53), 2**53)
+        | _finite | st.text(max_size=8),
+        max_size=4,
+    ),
+    payload_values=st.integers(0, 10**6),
+    timestamp=_finite,
+)
+
+
+def _fields(message):
+    return (
+        message.kind,
+        message.source,
+        message.destination,
+        message.payload,
+        message.payload_values,
+        message.timestamp,
+    )
+
+
+class TestWireDecoderFuzz:
+    @given(messages=st.lists(_messages, max_size=5), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_chunking_decodes_like_one_feed(self, messages, data):
+        stream = b"".join(encode_wire(m) for m in messages)
+        decoder = WireDecoder()
+        whole = decoder.feed(stream)
+        assert [_fields(m) for m in whole] == [_fields(m) for m in messages]
+        assert decoder.buffered == 0
+        cuts = sorted(
+            data.draw(
+                st.lists(st.integers(0, len(stream)), max_size=16),
+                label="cuts",
+            )
+        )
+        decoder, got, at = WireDecoder(), [], 0
+        for cut in [*cuts, len(stream)]:
+            got += decoder.feed(stream[at:cut])
+            at = max(at, cut)
+        assert [_fields(m) for m in got] == [_fields(m) for m in whole]
+        assert decoder.buffered == 0
+
+    @given(message=_messages)
+    @settings(max_examples=40, deadline=None)
+    def test_truncation_at_every_byte_buffers(self, message):
+        frame = encode_wire(message)
+        for fed in range(len(frame)):
+            decoder = WireDecoder()
+            assert decoder.feed(frame[:fed]) == []
+            assert decoder.buffered == fed
+
+    @given(length=st.integers(MAX_WIRE_FRAME_BYTES + 1, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_oversize_prefix_rejected_on_the_header(self, length):
+        with pytest.raises(ValueError, match="exceeds"):
+            WireDecoder().feed(struct.pack(">I", length))
+
+    @given(body=_hostile_bodies)
+    @settings(max_examples=150, deadline=None)
+    def test_any_body_is_a_message_or_value_error(self, body):
+        frame = struct.pack(">I", len(body)) + body
+        try:
+            decoded = WireDecoder().feed(frame)
+        except ValueError:
+            return
+        assert len(decoded) == 1
+        assert isinstance(decoded[0], Message)
+        assert isinstance(decoded[0].payload, dict)
