@@ -7,10 +7,12 @@ checks ``--base`` out into a temporary ``git worktree``, then runs
 checkout and on the working tree in turn — the side that goes first
 alternates pair by pair, so drift of the host lands on both — and prints,
 per end-to-end metric, each side's median and quartiles, the per-pair
-change and how many pairs the working tree won.  This is the protocol
-for claiming a gain (win at least nine pairs in ten, medians apart by
-more than the base's interquartile distance); it measures, it does not
-gate.  Each side runs its *own* copy of ``benchmarks/perf``, so the
+change, how many pairs the working tree won, and one verdict per metric
+(:func:`verdict`: ``gain``, ``regressed``, ``unresolved`` or ``flat``,
+by the rule for claiming a gain — win at least nine pairs in ten,
+medians apart by more than the base's interquartile distance — and the
+``bound`` each metric has in ``BENCHMARK.json``).  It measures, it does
+not gate.  Each side runs its *own* copy of ``benchmarks/perf``, so the
 comparison is only like for like when that directory is unchanged
 between the two.
 """
@@ -52,22 +54,48 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(metric: dict, base: list[float], head: list[float]) -> str:
+    """One metric's verdict over paired runs (``base[i]`` beside ``head[i]``).
+
+    - ``gain``: the head wins at least nine pairs in ten (a tie is no
+      win) and the medians are apart by more than the base's
+      interquartile distance;
+    - ``regressed``: the head median is worse than the base median by
+      more than the metric's ``bound`` (a fraction of the base median);
+    - ``unresolved``: the base's interquartile distance is wider than
+      the bound, unless every head run beats every base run;
+    - ``flat``: none of these.
+    """
+    sign = -1 if metric["better"] == "lower" else 1
+    bq1, bq2, bq3 = quartiles(base)
+    bound = metric["bound"] * abs(bq2)
+    better_by = sign * (quartiles(head)[1] - bq2)
+    wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    if wins >= 0.9 * len(base) and better_by > bq3 - bq1:
+        return "gain"
+    if better_by < -bound:
+        return "regressed"
+    dominates = all(sign * (h - b) > 0 for h in head for b in base)
+    if bq3 - bq1 > bound and not dominates:
+        return "unresolved"
+    return "flat"
+
+
 def report(spec: dict, base: list[dict], head: list[dict]) -> None:
     pairs = len(base)
     print(f"\n{'metric':<22}{'base p50 [q1, q3]':>32}{'head p50 [q1, q3]':>32}"
-          f"{'change':>9}{'wins':>7}")
+          f"{'change':>9}{'wins':>7}  verdict")
     for metric in spec["end_to_end"]:
         name = metric["name"]
         sign = -1 if metric["better"] == "lower" else 1
         b = [run[name] for run in base]
         h = [run[name] for run in head]
         wins = sum(sign * (hv - bv) > 0 for bv, hv in zip(b, h))
-        ties = sum(hv == bv for bv, hv in zip(b, h))
         (bq1, bq2, bq3), (hq1, hq2, hq3) = quartiles(b), quartiles(h)
         change = (hq2 - bq2) / abs(bq2) if bq2 else float("nan")
         print(f"{name:<22}{f'{bq2:.5g} [{bq1:.5g}, {bq3:.5g}]':>32}"
               f"{f'{hq2:.5g} [{hq1:.5g}, {hq3:.5g}]':>32}"
-              f"{change:>+9.1%}{f'{wins}/{pairs - ties}':>7}")
+              f"{change:>+9.1%}{f'{wins}/{pairs}':>7}  {verdict(metric, b, h)}")
         deltas = " ".join(
             f"{(hv - bv) / abs(bv):+.1%}" if bv else "n/a"
             for bv, hv in zip(b, h)

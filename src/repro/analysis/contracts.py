@@ -13,7 +13,10 @@ Enable with ``REPRO_SANITIZE=1`` in the environment (or
   writeable again, and :func:`verify_shared_arrays` re-checksums every
   guarded array (the sharded city solve calls it after each fan-out);
 - :class:`repro.middleware.rounds.ZoneRoundDriver` asserts that its
-  state transitions run on the thread that owns the driver.
+  state transitions run on the thread that owns the driver;
+- every read of a NanoCloud's cached energy subtotal
+  (:meth:`repro.middleware.nanocloud.MemberTable.energy_mj`) is compared
+  bit-for-bit against a fresh sum over the member ledgers.
 
 When disabled (the default) every check collapses to one module-level
 boolean test, so the production path pays effectively nothing — the

@@ -10,8 +10,10 @@ aggregation.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .model import Battery
 
@@ -24,6 +26,10 @@ class EnergyLedger:
 
     Categories in use across the middleware: ``sensing``, ``radio_tx``,
     ``radio_rx``, ``cpu``.  Arbitrary categories are allowed.
+
+    ``on_change`` is called whenever the total moves (:meth:`post`,
+    :meth:`merge`): the NanoCloud member table that caches a sum over
+    its members' totals hooks it to drop that sum.
     """
 
     node_id: str = ""
@@ -31,14 +37,21 @@ class EnergyLedger:
     _by_category: dict[str, float] = field(
         default_factory=lambda: defaultdict(float)
     )
+    on_change: Callable[[], None] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def post(self, category: str, amount_mj: float) -> None:
         """Record an energy expense and drain the battery if present."""
         if not category:
             raise ValueError("category must be non-empty")
-        if amount_mj < 0:
-            raise ValueError("energy amounts must be non-negative")
+        if not 0.0 <= amount_mj < math.inf:
+            if amount_mj < 0:
+                raise ValueError("energy amounts must be non-negative")
+            raise ValueError(f"energy amount must be finite, got {amount_mj}")
         self._by_category[category] += amount_mj
+        if self.on_change is not None:
+            self.on_change()
         if self.battery is not None:
             self.battery.drain(amount_mj)
 
@@ -56,6 +69,8 @@ class EnergyLedger:
         """Fold another ledger's totals into this one (fleet rollups)."""
         for category, amount in other._by_category.items():
             self._by_category[category] += amount
+        if self.on_change is not None:
+            self.on_change()
 
 
 @dataclass

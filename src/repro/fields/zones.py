@@ -236,7 +236,7 @@ def allocate_measurements(
     allocation = {}
     for zone in zones:
         share = total_budget * weights[zone.zone_id] / total_weight
-        allocation[zone.zone_id] = int(np.clip(round(share), min_per_zone, zone.n))
+        allocation[zone.zone_id] = min(max(round(share), min_per_zone), zone.n)
 
     # Repair rounding drift: add/remove from zones with most headroom/slack.
     def drift() -> int:

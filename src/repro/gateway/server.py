@@ -52,7 +52,7 @@ from ..fields.generators import smooth_field
 from ..middleware.broker import Broker
 from ..middleware.config import BrokerConfig
 from ..middleware.localcloud import LocalCloud
-from ..middleware.nanocloud import NanoCloud
+from ..middleware.nanocloud import MemberTable, NanoCloud
 from ..middleware.overload import MAX_LEVEL
 from ..middleware.rounds import ZoneRoundDriver, ZoneRoundOutcome
 from ..network.asyncio_transport import AsyncioTransport
@@ -273,7 +273,7 @@ class IngestionGateway:
                     cell, TemperatureSensor(rng=int(rng.integers(2**31)))
                 )
         self.nanocloud = NanoCloud(
-            broker=broker, nodes={}, bus=self.transport
+            broker=broker, nodes=MemberTable(), bus=self.transport
         )
         self.localcloud = LocalCloud.from_nanoclouds(
             "gw", self.transport, [self.nanocloud], config=broker.config
@@ -510,8 +510,8 @@ class IngestionGateway:
             slot = self.devices_joined % n
             x = float(slot // cfg.zone_height)
             y = float(slot % cfg.zone_height)
-        i = int(np.clip(round(x), 0, cfg.zone_width - 1))
-        j = int(np.clip(round(y), 0, cfg.zone_height - 1))
+        i = min(max(round(x), 0), cfg.zone_width - 1)
+        j = min(max(round(y), 0), cfg.zone_height - 1)
         return i * cfg.zone_height + j, x, y
 
     async def _serve_device(

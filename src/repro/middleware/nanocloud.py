@@ -12,9 +12,11 @@ zone-local.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
+from ..analysis import contracts
 from ..energy.model import Battery
 from ..network.bus import MessageBus
 from ..network.links import BLUETOOTH, LTE, WIFI, LinkModel
@@ -32,7 +34,7 @@ from .broker import Broker, ZoneEstimate
 from .config import BrokerConfig
 from .node import MobileNode
 
-__all__ = ["NanoCloud", "default_node_sensors"]
+__all__ = ["MemberTable", "NanoCloud", "default_node_sensors"]
 
 
 def default_node_sensors(
@@ -68,16 +70,102 @@ def default_node_sensors(
     return sensors
 
 
+class MemberTable(dict[str, MobileNode]):
+    """A NanoCloud's members (node id -> node) and their energy subtotal.
+
+    :meth:`energy_mj` caches the sum of the member ledgers' totals, in
+    table order.  The cache is dropped by every write to the table and,
+    through each member ledger's ``on_change`` hook, by every post to or
+    merge into a member's ledger.  Recomputing hooks every member, so a
+    cached subtotal always has all of them hooked; a node belongs to one
+    table at a time (a ledger has one hook).  Under ``REPRO_SANITIZE=1``
+    every cached read is checked bit-for-bit against a fresh sum.
+    """
+
+    __slots__ = ("_energy_mj",)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._energy_mj: float | None = None
+
+    def invalidate(self) -> None:
+        """Drop the cached subtotal (a member's total moved)."""
+        self._energy_mj = None
+
+    def _fresh_energy_mj(self) -> float:
+        return sum(node.ledger.total_mj() for node in self.values())
+
+    def energy_mj(self) -> float:
+        """Sum of the member ledgers' totals, recomputed only when stale."""
+        cached = self._energy_mj
+        if cached is None:
+            hook = self.invalidate
+            for node in self.values():
+                node.ledger.on_change = hook
+            cached = self._energy_mj = self._fresh_energy_mj()
+        elif contracts.enabled():
+            fresh = self._fresh_energy_mj()
+            if float(fresh).hex() != float(cached).hex():
+                raise contracts.ContractViolation(
+                    f"NanoCloud energy subtotal: cached {cached!r} != "
+                    f"fresh sum {fresh!r}; a member ledger moved without "
+                    "invalidating its table"
+                )
+        return cached
+
+    # Every dict mutator drops the cache.
+    def __setitem__(self, key: str, node: MobileNode) -> None:
+        self._energy_mj = None
+        super().__setitem__(key, node)
+
+    def __delitem__(self, key: str) -> None:
+        self._energy_mj = None
+        super().__delitem__(key)
+
+    def __ior__(self, other: Any) -> "MemberTable":
+        self._energy_mj = None
+        return super().__ior__(other)
+
+    def pop(self, *args: Any) -> Any:
+        self._energy_mj = None
+        return super().pop(*args)
+
+    def popitem(self) -> tuple[str, MobileNode]:
+        self._energy_mj = None
+        return super().popitem()
+
+    def setdefault(self, key: str, default: Any = None) -> Any:
+        self._energy_mj = None
+        return super().setdefault(key, default)
+
+    def update(self, *args: Any, **kwargs: Any) -> None:
+        self._energy_mj = None
+        super().update(*args, **kwargs)
+
+    def clear(self) -> None:
+        self._energy_mj = None
+        super().clear()
+
+
 @dataclass
 class NanoCloud:
-    """One NanoCloud: broker + nodes, wired to a bus."""
+    """One NanoCloud: broker + nodes, wired to a bus.
+
+    ``nodes`` is always a :class:`MemberTable`; assigning a plain dict
+    wraps it.
+    """
 
     broker: Broker
-    nodes: dict[str, MobileNode]
+    nodes: MemberTable
     bus: MessageBus
     origin: tuple[int, int] = (0, 0)
     selector: NetworkSelector | None = None
     cell_size_m: float = 10.0
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name == "nodes" and not isinstance(value, MemberTable):
+            value = MemberTable(value)
+        super().__setattr__(name, value)
 
     def broker_position(self) -> tuple[float, float]:
         """The broker sits at the zone centre (global coordinates)."""
@@ -194,7 +282,7 @@ class NanoCloud:
             if heterogeneous
             else [STANDARD_TIERS[1]] * n_nodes
         )
-        nodes: dict[str, MobileNode] = {}
+        nodes = MemberTable()
         ox, oy = origin
         for idx, (cell, tier) in enumerate(zip(cells.tolist(), tiers)):
             node_id = f"{nc_id}/node{idx}"
@@ -243,8 +331,8 @@ class NanoCloud:
         zb = self.broker
         ox, oy = self.origin
         for node_id, node in self.nodes.items():
-            i = int(np.clip(round(node.state.x - ox), 0, zb.zone_width - 1))
-            j = int(np.clip(round(node.state.y - oy), 0, zb.zone_height - 1))
+            i = min(max(round(node.state.x - ox), 0), zb.zone_width - 1)
+            j = min(max(round(node.state.y - oy), 0), zb.zone_height - 1)
             zb.members[node_id] = i * zb.zone_height + j
 
     # -- broker failover ----------------------------------------------
@@ -384,4 +472,4 @@ class NanoCloud:
 
     def total_node_energy_mj(self) -> float:
         """Sensing+CPU energy drawn from the member phones so far."""
-        return sum(node.ledger.total_mj() for node in self.nodes.values())
+        return self.nodes.energy_mj()

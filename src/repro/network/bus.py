@@ -97,13 +97,27 @@ class TrafficStats:
     # ("backpressure") can never be conflated in one bucket.
     losses_by_reason: Counter[str] = field(default_factory=Counter)
 
-    def record(self, message: Message, link: LinkModel) -> None:
+    def record(
+        self,
+        kind: str,
+        size: int,
+        transmit_mj: float,
+        receive_mj: float,
+        latency_s: float,
+        extra_latency_s: float,
+    ) -> None:
+        """Account one delivered message, metered once by the bus.
+
+        ``latency_s`` is the link's transfer latency and
+        ``extra_latency_s`` any fault-injected delay on top, added in
+        that order.
+        """
         self.messages += 1
-        self.bytes += message.size_bytes
-        self.transmit_energy_mj += link.transfer_energy_mj(message)
-        self.receive_energy_mj += link.receive_energy_mj(message)
-        self.latency_sum_s += link.transfer_latency_s(message)
-        self.by_kind[message.kind.value] += 1
+        self.bytes += size
+        self.transmit_energy_mj += transmit_mj
+        self.receive_energy_mj += receive_mj
+        self.latency_sum_s = self.latency_sum_s + latency_s + extra_latency_s
+        self.by_kind[kind] += 1
 
     def record_loss(self, reason: str) -> None:
         self.losses_by_reason[reason] += 1
@@ -546,14 +560,20 @@ class MessageBus:
         link = destination.link
         if self.deferred:
             message.arrived_at = float(self.clock.now)
-        destination.stats.record(message, link)
-        destination.stats.latency_sum_s += extra_latency
-        if message.source in self._endpoints:
-            sender = self._endpoints[message.source]
-            sender.stats.record(message, link)
-            sender.stats.latency_sum_s += extra_latency
-        self.stats.record(message, link)
-        self.stats.latency_sum_s += extra_latency
+        # Meter once; the same figures go to receiver, sender and bus.
+        metered = (
+            message.kind.value,
+            message.size_bytes,
+            link.transfer_energy_mj(message),
+            link.receive_energy_mj(message),
+            link.transfer_latency_s(message),
+            extra_latency,
+        )
+        destination.stats.record(*metered)
+        sender = self._endpoints.get(message.source)
+        if sender is not None:
+            sender.stats.record(*metered)
+        self.stats.record(*metered)
         if destination.handler is not None:
             destination.handler(message)
         else:

@@ -152,16 +152,16 @@ class Environment:
                 f"environment has no field {name!r}; available: "
                 f"{sorted(self.fields)}"
             ) from None
-        i = int(np.clip(round(x), 0, fld.width - 1))
-        j = int(np.clip(round(y), 0, fld.height - 1))
+        i = min(max(round(x), 0), fld.width - 1)
+        j = min(max(round(y), 0), fld.height - 1)
         return float(fld.grid[j, i])
 
     def is_indoor(self, x: float, y: float) -> bool:
         """Ground-truth indoor flag at (x, y); False with no indoor map."""
         if self.indoor_map is None:
             return False
-        i = int(np.clip(round(x), 0, self.indoor_map.width - 1))
-        j = int(np.clip(round(y), 0, self.indoor_map.height - 1))
+        i = min(max(round(x), 0), self.indoor_map.width - 1)
+        j = min(max(round(y), 0), self.indoor_map.height - 1)
         return bool(self.indoor_map.grid[j, i] > 0.5)
 
 

@@ -1,17 +1,17 @@
 """Discrete-event simulation clock and event queue.
 
-A minimal but complete priority-queue event loop: events are (time,
-sequence, callback) triples; ties break by insertion order so runs are
-deterministic.  Used by :mod:`repro.sim.engine` to interleave mobility
-steps, field evolution, sensing rounds and context windows on their own
-periods.
+A minimal but complete priority-queue event loop: the heap holds
+``(time, sequence, event)`` tuples, so ordering is compared in C and
+ties break by insertion order — runs are deterministic.  Used by
+:mod:`repro.sim.engine` to interleave mobility steps, field evolution,
+sensing rounds and context windows on their own periods.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 __all__ = ["Event", "PeriodicHandle", "SimClock"]
@@ -19,14 +19,14 @@ __all__ = ["Event", "PeriodicHandle", "SimClock"]
 EventCallback = Callable[[float], None]
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class Event:
-    """One scheduled event; ordering is (time, sequence)."""
+    """One scheduled event; the queue orders it by (time, sequence)."""
 
     time: float
     sequence: int
-    callback: EventCallback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: EventCallback
+    cancelled: bool = False
 
 
 @dataclass
@@ -46,19 +46,24 @@ class SimClock:
     """Deterministic event queue with periodic-event support."""
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        # Heap of (time, sequence, event): the first two fields order it,
+        # and sequence is unique, so the event itself is never compared.
+        self._queue: list[tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self.now = 0.0
         self.events_run = 0
 
     def schedule(self, time: float, callback: EventCallback) -> Event:
         """Schedule a one-shot callback at an absolute time."""
-        if time < self.now:
+        if not time >= self.now:
+            if time != time:
+                raise ValueError("cannot schedule at a NaN time")
             raise ValueError(
                 f"cannot schedule at {time} before current time {self.now}"
             )
-        event = Event(time=time, sequence=next(self._sequence), callback=callback)
-        heapq.heappush(self._queue, event)
+        sequence = next(self._sequence)
+        event = Event(time, sequence, callback)
+        heapq.heappush(self._queue, (time, sequence, event))
         return event
 
     def schedule_in(self, delay: float, callback: EventCallback) -> Event:
@@ -106,16 +111,8 @@ class SimClock:
             current.cancelled = True
 
     def step(self) -> bool:
-        """Run the next event; returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            event.callback(event.time)
-            self.events_run += 1
-            return True
-        return False
+        """Run the next live event; returns False when none is left."""
+        return self._run(float("inf"), 1) == 1
 
     def run_until(self, end_time: float) -> int:
         """Run all events scheduled at or before ``end_time``.
@@ -123,17 +120,32 @@ class SimClock:
         Returns the number of events executed.  The clock lands exactly
         on ``end_time`` afterwards even if the last event was earlier.
         """
-        if end_time < self.now:
-            raise ValueError("cannot run backwards")
-        executed = 0
-        while self._queue:
-            if self._queue[0].time > end_time:
-                break
-            if self.step():
-                executed += 1
+        if not end_time >= self.now:
+            raise ValueError(f"cannot run backwards (or to NaN): {end_time}")
+        executed = self._run(end_time, -1)
         self.now = end_time
+        return executed
+
+    def _run(self, end_time: float, limit: int) -> int:
+        """Run up to ``limit`` live events (``-1``: no limit) due at or
+        before ``end_time``; cancelled ones are dropped on the way and
+        never move the clock.  Returns how many ran."""
+        queue = self._queue
+        heappop = heapq.heappop
+        executed = 0
+        while queue and executed != limit:
+            time, _, event = queue[0]
+            if time > end_time:
+                break
+            heappop(queue)
+            if event.cancelled:
+                continue
+            self.now = time
+            event.callback(time)
+            self.events_run += 1
+            executed += 1
         return executed
 
     @property
     def pending(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)

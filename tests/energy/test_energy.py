@@ -1,5 +1,6 @@
 """Tests for the energy model and accounting."""
 
+import numpy as np
 import pytest
 
 from repro.energy.accounting import (
@@ -88,6 +89,25 @@ class TestLedger:
             ledger.post("", 1.0)
         with pytest.raises(ValueError):
             ledger.post("x", -1.0)
+
+    @pytest.mark.parametrize(
+        "amount", [float("nan"), float("inf"), float("-inf"), np.nan]
+    )
+    def test_non_finite_amount_rejected(self, amount):
+        battery = Battery(capacity_mj=10.0)
+        ledger = EnergyLedger(node_id="n1", battery=battery)
+        ledger.post("cpu", 1.0)
+        with pytest.raises(ValueError):
+            ledger.post("cpu", amount)
+        assert ledger.total_mj() == 1.0
+        assert battery.remaining_mj == 9.0
+
+    def test_post_and_merge_fire_on_change(self):
+        changes = []
+        a = EnergyLedger(node_id="a", on_change=lambda: changes.append(1))
+        a.post("sensing", 1.0)
+        a.merge(EnergyLedger(node_id="b"))
+        assert len(changes) == 2
 
 
 class TestFleetReport:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import contracts
 from repro.core import metrics
 from repro.fields.generators import smooth_field
 from repro.middleware.config import BrokerConfig
@@ -104,3 +105,78 @@ class TestRounds:
         assert nc.total_node_energy_mj() == 0.0
         nc.run_round(env, measurements=20)
         assert nc.total_node_energy_mj() > 0.0
+
+
+def _fresh_energy(nc):
+    return sum(node.ledger.total_mj() for node in nc.nodes.values())
+
+
+class TestEnergySubtotal:
+    """The cached per-NanoCloud energy subtotal and what invalidates it."""
+
+    @pytest.fixture
+    def nc(self):
+        nc = NanoCloud.build("nc0", MessageBus(), 4, 4, n_nodes=6, rng=10)
+        for k, node in enumerate(nc.nodes.values()):
+            node.ledger.post("sensing", 0.1 * (k + 1))
+        assert nc.total_node_energy_mj() == _fresh_energy(nc)
+        return nc
+
+    def test_member_post_and_merge_invalidate(self, nc):
+        ledger = nc.nodes["nc0/node3"].ledger
+        ledger.post("cpu", 0.7)
+        assert nc.total_node_energy_mj() == _fresh_energy(nc)
+        other = type(ledger)(node_id="x")
+        other.post("radio_tx", 1.3)
+        ledger.merge(other)
+        assert nc.total_node_energy_mj() == _fresh_energy(nc)
+
+    def test_every_membership_write_invalidates(self, nc):
+        spare = NanoCloud.build("nc1", MessageBus(), 2, 2, n_nodes=3, rng=11)
+        donor = list(spare.nodes.values())
+        for node in donor:
+            node.ledger.post("sensing", 2.5)
+        writes = [
+            lambda: nc.nodes.__setitem__("a", donor[0]),
+            lambda: nc.nodes.update(b=donor[1]),
+            lambda: nc.nodes.setdefault("c", donor[2]),
+            lambda: nc.nodes.pop("a"),
+            lambda: nc.nodes.__delitem__("b"),
+            lambda: nc.nodes.popitem(),
+            lambda: nc.nodes.__ior__({"a": donor[0]}),
+            lambda: nc.promote_broker(),
+            lambda: nc.nodes.clear(),
+        ]
+        for write in writes:
+            write()
+            assert nc.total_node_energy_mj() == _fresh_energy(nc)
+
+    def test_assigned_dict_becomes_a_member_table(self, nc):
+        nodes = dict(nc.nodes)
+        nodes.pop("nc0/node0")
+        nc.nodes = nodes
+        assert nc.total_node_energy_mj() == _fresh_energy(nc)
+        nc.nodes["nc0/node1"].ledger.post("cpu", 4.0)
+        assert nc.total_node_energy_mj() == _fresh_energy(nc)
+
+    def test_matches_the_uncached_sum_bit_for_bit(self, env):
+        nc = NanoCloud.build(
+            "nc0", MessageBus(), 8, 8, n_nodes=30,
+            config=BrokerConfig(seed=12), rng=12,
+        )
+        for t in range(4):
+            nc.run_round(env, timestamp=float(t), measurements=20)
+            assert nc.total_node_energy_mj().hex() == _fresh_energy(nc).hex()
+
+    def test_sanitizer_catches_a_silent_ledger_write(self, nc):
+        ledger = nc.nodes["nc0/node2"].ledger
+        ledger._by_category["sensing"] += 1.0  # bypasses the hook
+        was_enabled = contracts.enabled()
+        try:
+            contracts.enable(False)
+            assert nc.total_node_energy_mj() != _fresh_energy(nc)
+            contracts.enable(True)
+            with pytest.raises(contracts.ContractViolation):
+                nc.total_node_energy_mj()
+        finally:
+            contracts.enable(was_enabled)

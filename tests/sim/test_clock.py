@@ -40,6 +40,20 @@ class TestScheduling:
         with pytest.raises(ValueError):
             SimClock().schedule_in(-1.0, lambda t: None)
 
+    def test_nan_time_rejected(self):
+        clock = SimClock()
+        hits = []
+        with pytest.raises(ValueError):
+            clock.schedule(float("nan"), hits.append)
+        with pytest.raises(ValueError):
+            clock.schedule_in(float("nan"), hits.append)
+        clock.schedule(1.0, hits.append)
+        with pytest.raises(ValueError):
+            clock.run_until(float("nan"))
+        clock.run_until(2.0)
+        assert hits == [1.0]
+        assert clock.now == 2.0
+
     def test_cancel(self):
         clock = SimClock()
         hits = []
@@ -174,6 +188,30 @@ class TestRunUntil:
         clock.run_until(5.0)
         with pytest.raises(ValueError):
             clock.run_until(4.0)
+
+    def test_cancelled_head_does_not_release_later_events(self):
+        # A cancelled event at the head of the queue must not let the
+        # next live event run early, whatever its time.
+        clock = SimClock()
+        hits = []
+        clock.cancel(clock.schedule(5.0, hits.append))
+        clock.schedule(20.0, hits.append)
+        assert clock.run_until(10.0) == 0
+        assert hits == []
+        assert clock.now == 10.0
+        assert clock.pending == 1
+        assert clock.run_until(20.0) == 1
+        assert hits == [20.0]
+
+    def test_step_skips_cancelled_events(self):
+        clock = SimClock()
+        hits = []
+        clock.cancel(clock.schedule(1.0, hits.append))
+        clock.schedule(3.0, hits.append)
+        assert clock.step() is True
+        assert hits == [3.0]
+        assert clock.now == 3.0
+        assert clock.step() is False
 
     def test_step_returns_false_when_empty(self):
         assert SimClock().step() is False
