@@ -42,8 +42,9 @@ allowlist (see ``docs/invariants.md``).
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import hmac
 import json
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -291,10 +292,11 @@ class IngestionGateway:
         self.sessions: dict[str, _DeviceSession] = {}
         #: Disconnected-but-resumable sessions, keyed by resume token.
         self._parked: dict[str, _DeviceSession] = {}
-        #: Seeded token stream: same gateway seed -> same token series,
-        #: so chaos runs replay (tokens never leave the deployment, so
-        #: predictability is a feature here, not a leak).
-        self._token_rng = random.Random(cfg.seed ^ 0x52455355)
+        #: Resume tokens are HMAC(seed-derived secret, join number): one
+        #: series per seed, so chaos runs replay, but tokens a device
+        #: sees predict no later one (knowing the seed is the secret).
+        self._token_key = hashlib.sha256(b"resume/%d" % cfg.seed).digest()
+        self._tokens_issued = 0
         self.devices_joined = 0
         self.frames_in = 0
         self.frames_out = 0
@@ -633,16 +635,10 @@ class IngestionGateway:
         return session
 
     def _issue_token(self) -> str:
-        """Mint a resume token unique across live and parked sessions."""
-        while True:
-            token = f"r{self._token_rng.getrandbits(64):016x}"
-            if token in self._parked:
-                continue
-            if any(
-                s.resume_token == token for s in self.sessions.values()
-            ):
-                continue
-            return token
+        """Mint the next resume token (unique: one sequence number each)."""
+        self._tokens_issued += 1
+        mac = hmac.new(self._token_key, b"%d" % self._tokens_issued, "sha256")
+        return f"r{mac.hexdigest()[:32]}"
 
     def _resume_session(
         self, token: str, writer: asyncio.StreamWriter
@@ -819,6 +815,9 @@ class IngestionGateway:
             self._parked.pop(session.resume_token, None)
         self.nanocloud.nodes.pop(node_id, None)
         self.nanocloud.broker.members.pop(node_id, None)
+        # Churn forgets, parking keeps: a parked session's standing waits
+        # for its resumer, a churned id's record would never be read.
+        self.nanocloud.broker.trust.forget(node_id)
         self.transport.unregister(node_id)
 
     # -- liveness sweep ------------------------------------------------

@@ -28,7 +28,7 @@ from .participation import (
 )
 from .spacetime import SpaceTimeWindow, gather_spacetime_window
 from .storage import ContextRecord, DataStore
-from .trust import NodeTrust, TrustManager
+from .trust import TrustManager
 from .upload import (
     BatchedUpload,
     ImmediateUpload,
@@ -80,6 +80,5 @@ __all__ = [
     "UploadStats",
     "ContextRecord",
     "DataStore",
-    "NodeTrust",
     "TrustManager",
 ]

@@ -901,9 +901,10 @@ class Broker:
         if robust is not None:
             rejected = robust.row_rejected()
             rejected_reports = int(rejected.sum())
-            for row_sources, row_rejected in zip(pending.sources, rejected):
-                for node_id in row_sources:
-                    self.trust.observe(node_id, bool(row_rejected))
+            sources = pending.sources
+            slots = [self.trust.slot(n) for row in sources for n in row]
+            counts = [len(row) for row in sources]
+            self.trust.observe(slots, np.repeat(rejected, counts))
             self.trust.update_quarantine(
                 self._rounds_run + 1, member_count=len(self.members)
             )

@@ -1,80 +1,64 @@
-"""Per-node trust scores, quarantine, and rehabilitation.
+"""Per-node trust, quarantine and rehabilitation: one ledger, both tiers.
 
-The broker, not the node, owns data-quality judgment (sensor censoring
-for distributed sparse recovery, Wu et al.; data-aided sensing, Choi):
-a node's self-reported ``noise_std`` is a *claim*, and the robust solve
-(:mod:`repro.core.robust`) produces the evidence — which rows the fit
-had to reject.  This module turns that rejection history into state:
-
-- **Trust** — an EWMA over accept(1)/reject(0) outcomes per node,
-  starting at 1.0.  Trust discounts the node's GLS weight (its
-  effective variance is ``max(std, floor)^2 / trust``), so a node that
-  keeps producing rejected rows loses influence *before* it is ever
-  excluded.
-- **Quarantine** — a repeat offender (trust below a threshold after at
-  least ``min_rejections`` rejections) is removed from candidate
-  selection entirely; planned cells it covered fall to co-located
-  replacements or infrastructure.
-- **Rehabilitation** — every ``rehab_interval`` rounds the broker
-  probes a few quarantined nodes (one planned cell each).  A recovered
-  sensor's reports stop being rejected, its trust climbs back through
-  ``release_at``, and it rejoins the candidate pool.
-
-Everything here is deterministic — updates are pure arithmetic on
-observed rejections, and probe selection is worst-trust-first with the
-node id as tie-break — so same-seed faulty runs replay exactly.
+The broker, not the node, owns data-quality judgment (sensor censoring,
+Wu et al.; data-aided sensing, Choi): a node's ``noise_std`` is a
+*claim*, and the robust solve's rejected rows are the evidence.  Trust
+(an EWMA over accept/reject verdicts) discounts a node's GLS weight
+(variance ``std^2 / trust``), repeat offenders are quarantined out of
+candidate selection, and rehab probes let a recovered sensor climb back.
+Updates are pure arithmetic and every ordering breaks ties by node id,
+so same-seed faulty runs replay exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 
-__all__ = ["NodeTrust", "TrustManager"]
+import numpy as np
+from numpy.typing import ArrayLike
+
+from ..analysis import contracts
+
+__all__ = ["TrustManager"]
+
+_NO_SLOTS = np.empty(0, dtype=np.int64)
+# Column, dtype, value with no history (int32 counts: 1.6 MB per 100k).
+_COLUMNS = (
+    ("trust", np.float64, 1.0), ("accepted", np.int32, 0),
+    ("rejected", np.int32, 0), ("in_quarantine", np.bool_, False),
+    ("quarantined_at", np.int32, 0), ("probes", np.int32, 0),
+)
 
 
-@dataclass
-class NodeTrust:
-    """One node's standing with its broker."""
-
-    trust: float = 1.0
-    accepted: int = 0
-    rejected: int = 0
-    quarantined: bool = False
-    quarantined_at_round: int | None = None
-    probes: int = 0
-
-    @property
-    def observations(self) -> int:
-        return self.accepted + self.rejected
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise contracts.ContractViolation(f"trust ledger: {what}")
 
 
 class TrustManager:
-    """EWMA trust ledger with quarantine/rehabilitation transitions.
+    """Struct-of-arrays EWMA trust ledger with quarantine transitions.
 
-    Parameters
-    ----------
-    alpha:
-        EWMA step: ``trust <- (1 - alpha) * trust + alpha * outcome``
-        with outcome 1.0 for an accepted row, 0.0 for a rejected one.
-    quarantine_below / release_at:
-        Hysteresis pair: a node is quarantined when its trust falls
-        below the former (and it is a repeat offender), released once
-        probes push it back above the latter.
-    min_rejections:
-        Never quarantine on fewer total rejections than this — a single
-        unlucky 3.5-sigma row is not an offender.
-    max_quarantine_fraction:
-        Upper bound on the fraction of known members that may sit in
-        quarantine at once; beyond it the worst offenders keep their
-        slots and the rest stay (a broker that quarantines its whole
-        crowd has no measurements left to change its mind with).
-    floor:
-        Trust never decays below this (keeps the GLS discount finite
-        and leaves rehabilitation a ladder to climb back up).
+    Six columns, one slot per node: ``trust``, ``accepted``/``rejected``
+    verdict counts, ``in_quarantine``, ``quarantined_at`` (round, 0 when
+    free) and ``probes``.  ``TrustManager(n)`` indexes slots by node (the
+    city); ``TrustManager()`` keys them by id (the broker): :meth:`slot`
+    allocates on first use, growing every column; :meth:`forget` frees.
+    ``trust <- max((1 - alpha) * trust + alpha * accepted, floor)``; a
+    node under ``quarantine_below`` after ``min_rejections`` rejections is
+    quarantined, worst first, up to ``max_quarantine_fraction`` of the
+    members, and released at ``release_at``.
     """
+
+    trust: np.ndarray
+    accepted: np.ndarray
+    rejected: np.ndarray
+    in_quarantine: np.ndarray
+    quarantined_at: np.ndarray
+    probes: np.ndarray
 
     def __init__(
         self,
+        size: int = 0,
         *,
         alpha: float = 0.3,
         quarantine_below: float = 0.35,
@@ -83,138 +67,176 @@ class TrustManager:
         max_quarantine_fraction: float = 0.5,
         floor: float = 0.05,
     ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if not 0.0 <= quarantine_below < release_at <= 1.0:
-            raise ValueError(
-                "need 0 <= quarantine_below < release_at <= 1"
-            )
-        if min_rejections < 1:
-            raise ValueError("min_rejections must be >= 1")
-        if not 0.0 < max_quarantine_fraction <= 1.0:
-            raise ValueError("max_quarantine_fraction must be in (0, 1]")
-        if not 0.0 < floor < 1.0:
-            raise ValueError("floor must be in (0, 1)")
+        for ok, what in (
+            (0.0 < alpha <= 1.0, "alpha must be in (0, 1]"),
+            (0.0 <= quarantine_below < release_at <= 1.0,
+             "need 0 <= quarantine_below < release_at <= 1"),
+            (min_rejections >= 1, "min_rejections must be >= 1"),
+            (0.0 < max_quarantine_fraction <= 1.0,
+             "max_quarantine_fraction must be in (0, 1]"),
+            (0.0 < floor < 1.0, "floor must be in (0, 1)"),
+        ):
+            if not ok:
+                raise ValueError(what)
         self.alpha = alpha
         self.quarantine_below = quarantine_below
         self.release_at = release_at
         self.min_rejections = min_rejections
         self.max_quarantine_fraction = max_quarantine_fraction
         self.floor = floor
-        self._nodes: dict[str, NodeTrust] = {}
+        for name, dtype, blank in _COLUMNS:
+            setattr(self, name, np.full(size, blank, dtype))
+        self._keyed = size == 0
+        self._slots: dict[str, int] = {}  # keyed ledger: id -> slot
+        self._ids: list[str | None] = []  # keyed ledger: slot -> id
+        self._free: list[int] = []
+        self._touched: list[np.ndarray] = []
+        self._deferred = _NO_SLOTS
 
-    # -- queries --------------------------------------------------------
+    def slot(self, node_id: str) -> int:
+        """``node_id``'s slot in a keyed ledger, allocated on first use."""
+        slot = self._slots.get(node_id)
+        if slot is not None:
+            return slot
+        if not self._keyed:
+            raise KeyError(f"index ledger has no id {node_id!r}")
+        if self._free:
+            slot = self._free.pop()
+            self._ids[slot] = node_id
+        else:
+            slot = len(self._ids)
+            self._ids.append(node_id)
+            for name, dtype, blank in _COLUMNS:
+                column = np.append(getattr(self, name), np.full(1, blank, dtype))
+                setattr(self, name, column)
+        self._slots[node_id] = slot
+        return slot
 
-    def get(self, node_id: str) -> NodeTrust:
-        record = self._nodes.get(node_id)
-        if record is None:
-            record = NodeTrust()
-            self._nodes[node_id] = record
-        return record
+    def forget(self, node_id: str) -> None:
+        """Drop a node's standing (it left for good); its slot is reused."""
+        slot = self._slots.pop(node_id, None)
+        if slot is not None:
+            self._ids[slot] = None
+            for name, _, blank in _COLUMNS:
+                getattr(self, name)[slot] = blank
+            self._free.append(slot)
+
+    def __len__(self) -> int:
+        """Slots holding a node: tracked ids, or every index slot."""
+        return len(self._slots) if self._keyed else self.trust.size
+
+    def _names(self, slots: np.ndarray) -> list:
+        if not self._keyed:
+            return slots.tolist()
+        return [self._ids[s] for s in slots.tolist()]
+
+    def _order(self, slots: np.ndarray, primary: np.ndarray) -> np.ndarray:
+        """``slots`` sorted by ``(primary, node id)``."""
+        ties = np.array(self._names(slots)) if self._keyed else slots
+        return slots[np.lexsort((ties, primary))]
 
     def trust_of(self, node_id: str) -> float:
-        record = self._nodes.get(node_id)
-        return record.trust if record is not None else 1.0
+        slot = self._slots.get(node_id)
+        return 1.0 if slot is None else float(self.trust[slot])
 
-    def row_trust(self, sources: tuple[str, ...]) -> float:
-        """Trust of one measurement row: the *least* trusted contributor
-        (infrastructure rows have no sources and full trust)."""
-        if not sources:
-            return 1.0
-        return min(self.trust_of(node_id) for node_id in sources)
+    def row_trust(self, sources: Iterable[str]) -> float:
+        """A row's trust: its least trusted contributor (1 if none)."""
+        return min(map(self.trust_of, sources), default=1.0)
 
     def is_quarantined(self, node_id: str) -> bool:
-        record = self._nodes.get(node_id)
-        return record is not None and record.quarantined
+        slot = self._slots.get(node_id)
+        return slot is not None and bool(self.in_quarantine[slot])
 
     @property
     def quarantined(self) -> set[str]:
-        return {
-            node_id
-            for node_id, record in self._nodes.items()
-            if record.quarantined
-        }
+        return set(self._names(np.flatnonzero(self.in_quarantine)))
 
     def snapshot(self) -> dict[str, float]:
-        """Trust per tracked node (only nodes with history appear)."""
+        """Trust per tracked id (only ids with a slot appear)."""
         return {
-            node_id: record.trust
-            for node_id, record in sorted(self._nodes.items())
+            node_id: float(self.trust[slot])
+            for node_id, slot in sorted(self._slots.items())
         }
 
-    # -- updates --------------------------------------------------------
-
-    def observe(self, node_id: str, rejected: bool) -> float:
-        """Fold one row outcome into ``node_id``'s trust; returns it."""
-        record = self.get(node_id)
-        outcome = 0.0 if rejected else 1.0
-        record.trust = max(
-            (1.0 - self.alpha) * record.trust + self.alpha * outcome,
-            self.floor,
-        )
-        if rejected:
-            record.rejected += 1
-        else:
-            record.accepted += 1
-        return record.trust
+    def observe(self, slots: ArrayLike, rejected: ArrayLike) -> None:
+        """Fold one verdict per slot (True = the row was rejected).  Each
+        node contributes one row per round, so no slot repeats."""
+        slots = np.asarray(slots, dtype=np.int64)
+        miss = np.asarray(rejected, dtype=bool)
+        if slots.shape != miss.shape:
+            raise ValueError("slots and rejected must align")
+        if sanitize := contracts.enabled():
+            _require(np.unique(slots).size == slots.size, "slot seen twice")
+            before = self.accepted[slots] + self.rejected[slots]
+        # alpha * outcome is exactly alpha or 0.0: one multiply saved.
+        trust = self.trust[slots]
+        trust *= 1.0 - self.alpha
+        trust += np.where(miss, 0.0, self.alpha)
+        self.trust[slots] = np.maximum(trust, self.floor, out=trust)
+        self.accepted[slots] += ~miss
+        self.rejected[slots[miss]] += 1
+        self._touched.append(slots)
+        if sanitize:
+            after = self.accepted[slots] + self.rejected[slots]
+            _require((after == before + 1).all(),
+                     "a verdict count did not advance by one")
+            self._check()
 
     def update_quarantine(
-        self, round_index: int, member_count: int | None = None
-    ) -> tuple[list[str], list[str]]:
-        """Apply quarantine/release transitions after a round's updates.
-
-        Returns ``(newly_quarantined, released)``, both sorted.  The
-        quarantine cap is enforced against ``member_count`` (default:
-        the number of tracked nodes).
-        """
-        released = []
-        for node_id, record in sorted(self._nodes.items()):
-            if record.quarantined and record.trust >= self.release_at:
-                record.quarantined = False
-                record.quarantined_at_round = None
-                released.append(node_id)
-        population = (
-            member_count if member_count is not None else len(self._nodes)
+        self, round_index: int = 0, member_count: int | None = None
+    ) -> tuple[list, list]:
+        """Apply quarantine/release to the slots observed since the last
+        call and to offenders the cap held back, never the whole table.
+        Returns ``(newly_quarantined, released)`` ids, sorted; the cap
+        counts ``member_count`` members (default ``len(self)``)."""
+        parts, self._touched = self._touched, []
+        if self._deferred.size:
+            parts.append(self._deferred)
+        # One observe needs no dedup: it never repeats a slot.
+        slots = parts[0] if len(parts) == 1 else np.unique(
+            np.concatenate([_NO_SLOTS, *parts])
         )
-        cap = max(int(self.max_quarantine_fraction * population), 1)
-        in_quarantine = len(self.quarantined)
-        offenders = sorted(
-            (
-                (record.trust, node_id)
-                for node_id, record in self._nodes.items()
-                if not record.quarantined
-                and record.trust < self.quarantine_below
-                and record.rejected >= self.min_rejections
-            ),
-        )
-        newly = []
-        for trust, node_id in offenders:
-            if in_quarantine >= cap:
-                break
-            record = self._nodes[node_id]
-            record.quarantined = True
-            record.quarantined_at_round = round_index
-            in_quarantine += 1
-            newly.append(node_id)
-        return sorted(newly), released
+        held = self.in_quarantine[slots]
+        trust = self.trust[slots]
+        released = newly = self._deferred = _NO_SLOTS
+        if np.count_nonzero(held):
+            released = slots[held & (trust >= self.release_at)]
+            self.in_quarantine[released] = False
+            self.quarantined_at[released] = 0
+        low = trust < self.quarantine_below
+        if np.count_nonzero(low):
+            offenders = slots[
+                low & ~held & (self.rejected[slots] >= self.min_rejections)
+            ]
+            offenders = self._order(offenders, self.trust[offenders])
+            members = len(self) if member_count is None else member_count
+            cap = max(int(self.max_quarantine_fraction * members), 1)
+            room = max(cap - int(self.in_quarantine.sum()), 0)
+            newly, self._deferred = offenders[:room], offenders[room:]
+            self.in_quarantine[newly] = True
+            self.quarantined_at[newly] = round_index
+            if contracts.enabled() and newly.size:
+                _require(self.in_quarantine.sum() <= cap, "over the cap")
+        if contracts.enabled():
+            _require(not np.intersect1d(newly, released).size,
+                     "one update released and quarantined a slot")
+            self._check()
+        if not (newly.size or released.size):  # the usual case: skip names
+            return [], []
+        return sorted(self._names(newly)), sorted(self._names(released))
 
     def probe_candidates(self, limit: int) -> list[str]:
         """Quarantined nodes to probe this round: longest-quarantined
         first (they have had the most time to recover), id tie-break."""
-        if limit <= 0:
-            return []
-        order = sorted(
-            (
-                (record.quarantined_at_round or 0, node_id)
-                for node_id, record in self._nodes.items()
-                if record.quarantined
-            ),
-        )
-        chosen = [node_id for _, node_id in order[:limit]]
-        for node_id in chosen:
-            self._nodes[node_id].probes += 1
-        return chosen
+        held = np.flatnonzero(self.in_quarantine)
+        chosen = self._order(held, self.quarantined_at[held])[:max(limit, 0)]
+        self.probes[chosen] += 1
+        return self._names(chosen)
 
-    def forget(self, node_id: str) -> None:
-        """Drop a node's record (it left the NanoCloud)."""
-        self._nodes.pop(node_id, None)
+    def _check(self) -> None:
+        """Sanitizer: trust in [floor, 1] (NaN and inf fail), counts >= 0."""
+        trust = self.trust
+        _require(((trust >= self.floor) & (trust <= 1.0)).all(),
+                 "trust not finite in [floor, 1]")
+        for counts in (self.accepted, self.rejected, self.probes):
+            _require((counts >= 0).all(), "negative count")

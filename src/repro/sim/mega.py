@@ -20,8 +20,9 @@ process scale:
 - **finalize** (serial, parent): merge zone estimates into the global
   field, serve stale estimates for zones whose frame was lost or shed
   (the PR-6 overload idiom), and feed the robust layer's per-report
-  trim verdicts into the population's EWMA trust/quarantine arrays
-  (the PR-4 Byzantine idiom).
+  trim verdicts into the population's trust ledger — the broker's
+  :class:`repro.middleware.trust.TrustManager`, indexed by node (the
+  PR-4 Byzantine idiom).
 
 Workers never construct their own RNG (solves are pure); reprolint rule
 RPR009 enforces that any worker that *does* need randomness derives it
@@ -71,7 +72,6 @@ class MegaConfig:
     inbox_capacity: int | None = None
     drop_policy: str = "drop-newest"
     loss_rate: float = 0.0
-    trust_updates: bool = True
 
     def __post_init__(self) -> None:
         if self.reports_per_zone < 1:
@@ -342,8 +342,7 @@ class MegaSimulation:
             self._solved_once.add(zone_id)
             frame = by_zone[zone_id]
             rejected_total += int(rejected.sum())
-            if self.config.trust_updates:
-                self.population.update_trust(frame.node_ids, rejected)
+            self.population.update_trust(frame.node_ids, rejected)
         solved_ids = {zone_id for zone_id, _, _ in solved}
         stale = len(self._solved_once - solved_ids)
         record = MegaRoundRecord(

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from ..core.registry import spawn_shard_seeds
+from ..middleware.trust import TrustManager
 from ..mobility.models import (
     MODE_NAMES,
     GaussMarkov,
@@ -145,10 +146,11 @@ class NodePopulation:
 
     Arrays (all length ``n_nodes``): ``x``, ``y``, ``speed``,
     ``heading``, ``mode`` (int8 codes into
-    :data:`repro.mobility.models.MODE_NAMES`), ``noise_std``, ``trust``
-    (EWMA in [0, 1]), ``quarantined`` (bool).  ``zone_id`` is a property
-    derived from ``x``/``y`` on first read after a tick.  Random-
-    waypoint populations additionally keep the per-node leg plan
+    :data:`repro.mobility.models.MODE_NAMES`), ``noise_std``, and
+    ``trust``/``quarantined`` (columns of the city's trust ledger,
+    ``trust_ledger``).  ``zone_id`` is a property derived from
+    ``x``/``y`` on first read after a tick.  Random-waypoint
+    populations additionally keep the per-node leg plan
     (``leg_speed``, ``target_x``, ``target_y``, ``pause_next``,
     ``pause_left``) and the ``(2, n)`` leg direction cache ``leg_dir``
     (cos/sin of ``heading``) as arrays instead of dynamic attributes.
@@ -175,8 +177,10 @@ class NodePopulation:
         self.noise_std = config.base_noise_std * tier_noise_multipliers(
             n, config.tiers, np.random.default_rng(tier_ss)
         )
-        self.trust = np.ones(n)
-        self.quarantined = np.zeros(n, dtype=bool)
+        self.trust_ledger = TrustManager(n, quarantine_below=0.25)
+        # The ledger's own columns (an index ledger never reallocates).
+        self.trust = self.trust_ledger.trust
+        self.quarantined = self.trust_ledger.in_quarantine
 
         if config.mobility == "gauss_markov":
             self.speed[:] = config.mean_speed
@@ -435,42 +439,15 @@ class NodePopulation:
 
     # -- trust ---------------------------------------------------------
 
-    def update_trust(
-        self,
-        node_ids: np.ndarray,
-        rejected: np.ndarray,
-        *,
-        ewma: float = 0.3,
-        quarantine_below: float = 0.25,
-        release_above: float = 0.6,
-    ) -> None:
-        """EWMA trust update from one round's per-report verdicts.
-
-        ``rejected`` is a boolean array aligned with ``node_ids``
-        (True = the robust layer threw the report out).  Trust decays
-        toward 0 for rejected reporters and recovers toward 1 for
-        accepted ones; falling below ``quarantine_below`` sets the
-        ``quarantined`` flag, which removes the node from
-        :meth:`zone_members`.
-
-        At city scale quarantine is one-way: a node excluded from
-        :meth:`zone_members` is never sampled again, and
-        ``MegaSimulation`` schedules no rehab probes (the broker tier's
-        ``TrustManager`` does), so its trust never gets another
-        verdict.  The ``release_above`` line therefore only ever sees
-        nodes that were not quarantined; it would take effect if a
-        caller fed verdicts for quarantined ids.
-        """
-        if not 0 < ewma <= 1:
-            raise ValueError("ewma must be in (0, 1]")
-        ids = np.asarray(node_ids, dtype=np.int64)
-        miss = np.asarray(rejected, dtype=bool)
-        if ids.shape != miss.shape:
-            raise ValueError("node_ids and rejected must align")
-        outcome = np.where(miss, 0.0, 1.0)
-        self.trust[ids] = (1.0 - ewma) * self.trust[ids] + ewma * outcome
-        self.quarantined[ids[self.trust[ids] < quarantine_below]] = True
-        self.quarantined[ids[self.trust[ids] >= release_above]] = False
+    def update_trust(self, node_ids: np.ndarray, rejected: np.ndarray) -> None:
+        """Fold one zone frame's verdicts (True = the robust layer threw
+        the report out) into the city's trust ledger: the broker's
+        :class:`repro.middleware.trust.TrustManager` over node indices,
+        quarantining below 0.25.  A quarantined node leaves
+        :meth:`zone_members`; the city sends no rehab probes, so its
+        quarantine is one-way."""
+        self.trust_ledger.observe(node_ids, rejected)
+        self.trust_ledger.update_quarantine()
 
     # -- diagnostics ---------------------------------------------------
 

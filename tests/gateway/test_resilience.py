@@ -25,6 +25,7 @@ from repro.gateway.server import (
     IngestionGateway,
     ResilienceConfig,
 )
+from repro.middleware.config import BrokerConfig
 
 W = H = 4
 PERIOD_S = 0.25
@@ -232,10 +233,11 @@ class TestResume:
             assert node.readings_received == 1
 
             # Give the node distinctive trust standing to carry across.
-            record = gw.nanocloud.broker.trust.get(node_id)
-            record.trust = 0.42
-            record.accepted = 9
-            record.rejected = 3
+            ledger = gw.nanocloud.broker.trust
+            slot = ledger.slot(node_id)
+            ledger.trust[slot] = 0.42
+            ledger.accepted[slot] = 9
+            ledger.rejected[slot] = 3
 
             await device.close()
             await asyncio.sleep(0.1)
@@ -262,9 +264,9 @@ class TestResume:
             assert gw.sessions[node_id].node is node  # the same object
 
             # Trust continuity across the reconnect (acceptance).
-            carried = gw.nanocloud.broker.trust.get(node_id)
-            assert carried.trust == pytest.approx(0.42)
-            assert carried.accepted == 9 and carried.rejected == 3
+            assert ledger.trust_of(node_id) == pytest.approx(0.42)
+            slot = ledger.slot(node_id)
+            assert ledger.accepted[slot] == 9 and ledger.rejected[slot] == 3
             # The cached reading survived too; new pushes accumulate.
             back.push_reading(22.0)
             await back.writer.drain()
@@ -594,6 +596,96 @@ class TestDuplicateIds:
 
         gw.clock.run_until_complete(scenario())
         gw.clock.close()
+
+
+class TestTrustLifecycle:
+    def test_churn_forgets_and_parking_keeps_trust(self):
+        """A churned node's trust record goes with it; a parked one's
+        stays for its resumer.  Devices reusing one id while an earlier
+        holder is parked are renamed ``gw/nc0/me.<n>``; each feeds a
+        robust round (so the broker holds a record for it), disconnects,
+        parks, and is churned when its resume window lapses."""
+        gw = make_gateway(
+            ResilienceConfig(resume_enabled=True, resume_ttl_s=0.4),
+            broker=BrokerConfig(robust_mode="trim"),
+        )
+
+        async def scenario():
+            await gw.start()
+            node_ids = []
+            for k in range(6):
+                device = _Device(
+                    gw.port, "/sensor/connect?x=1&y=1&id=me", seed=20 + k
+                )
+                joined = await device.connect()
+                node_ids.append(joined["node_id"])
+                device.push_reading(21.0 + k)
+                await device.writer.drain()
+                await asyncio.sleep(2 * PERIOD_S)  # a round reads it
+                await device.close()
+                await asyncio.sleep(0.05)
+            await asyncio.sleep(0.1)
+            trust = gw.nanocloud.broker.trust.snapshot()
+            assert len(set(node_ids)) > 1  # renamed while parked
+            assert gw.evictions["expired"] >= 3
+            assert len(trust) <= len(gw.sessions) + len(gw._parked)
+            # Parking keeps: the newest device is parked, standing intact.
+            assert node_ids[-1] in gw.nanocloud.broker.members
+            assert node_ids[-1] in trust
+            await gw.stop()
+
+        gw.clock.run_until_complete(scenario())
+        gw.clock.close()
+
+
+def _untemper(y: int) -> int:
+    """Invert MT19937's output tempering (one 32-bit word)."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    t = y
+    for _ in range(4):
+        t = y ^ ((t << 7) & 0x9D2C5680)
+    y = t
+    t = y
+    for _ in range(2):
+        t = y ^ (t >> 11)
+    return t & 0xFFFFFFFF
+
+
+def _predict_next_64(values: list[int]) -> int:
+    """Clone an MT19937 from 312 consecutive ``getrandbits(64)`` draws
+    (624 words, low word first) and draw the next 64 bits."""
+    words = []
+    for value in values:
+        words += [value & 0xFFFFFFFF, value >> 32]
+    clone = random.Random()
+    clone.setstate((3, tuple(_untemper(w) for w in words) + (624,), None))
+    return clone.getrandbits(64)
+
+
+class TestResumeTokens:
+    def test_untwisting_predicts_a_plain_mersenne_stream(self):
+        rng = random.Random(0x5EED)
+        draws = [rng.getrandbits(64) for _ in range(312)]
+        assert _predict_next_64(draws) == rng.getrandbits(64)
+
+    def test_observed_tokens_do_not_predict_the_next(self):
+        gw = make_gateway(ResilienceConfig(resume_enabled=True))
+        try:
+            tokens = [gw._issue_token() for _ in range(313)]
+        finally:
+            gw.clock.close()
+        assert len(set(tokens)) == len(tokens)
+        observed = [int(token[1:], 16) & (2**64 - 1) for token in tokens]
+        predicted = _predict_next_64(observed[:312])
+        assert predicted != observed[312]
+        assert f"r{predicted:016x}" != tokens[312]
+        # Same seed, same token series: chaos runs still replay.
+        again = make_gateway(ResilienceConfig(resume_enabled=True))
+        try:
+            assert [again._issue_token() for _ in range(3)] == tokens[:3]
+        finally:
+            again.clock.close()
 
 
 class TestLoadgenResilience:

@@ -336,12 +336,12 @@ class TestByzantineLifecycle:
         driver.start(until=600.0)
         clock.run_until(620.0)
         broker = nc.broker
-        record = broker.trust.get(bad_id)
+        ledger = broker.trust
         # It was quarantined (stuck through t<100), probed after the
         # sensor recovered, and released once trust climbed back.
-        assert record.probes >= 1
-        assert not record.quarantined
-        assert record.trust >= broker.trust.release_at
+        assert ledger.probes[ledger.slot(bad_id)] >= 1
+        assert not ledger.is_quarantined(bad_id)
+        assert ledger.trust_of(bad_id) >= ledger.release_at
         bad_commands = [t for t, dest in sent if dest == bad_id]
         # Commanded again as a regular candidate after release.
         assert max(bad_commands) > 400.0

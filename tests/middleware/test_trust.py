@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.analysis import contracts
 from repro.middleware.broker import Broker
 from repro.middleware.config import BrokerConfig, CompressionPolicy
 from repro.middleware.node import MobileNode
-from repro.middleware.trust import NodeTrust, TrustManager
+from repro.middleware.trust import TrustManager
 from repro.network.bus import MessageBus
 from repro.sensors.base import Environment, NodeState
 from repro.sensors.faults import Adversarial, SensorFaultInjector, StuckAt
@@ -14,64 +15,84 @@ from repro.sensors.physical import TemperatureSensor
 from repro.fields.generators import smooth_field
 
 
+def _observe(ledger, node_id, rejected):
+    """Fold one verdict for ``node_id``; returns its trust."""
+    slot = ledger.slot(node_id)
+    ledger.observe([slot], [rejected])
+    return ledger.trust[slot]
+
+
 class TestTrustManager:
     def test_unknown_node_has_full_trust(self):
         trust = TrustManager()
         assert trust.trust_of("nobody") == 1.0
         assert not trust.is_quarantined("nobody")
+        assert len(trust) == 0
 
     def test_ewma_math(self):
         trust = TrustManager(alpha=0.3)
-        assert trust.observe("n1", rejected=True) == pytest.approx(0.7)
-        assert trust.observe("n1", rejected=True) == pytest.approx(0.49)
-        assert trust.observe("n1", rejected=False) == pytest.approx(
-            0.7 * 0.49 + 0.3
-        )
-        record = trust.get("n1")
-        assert record.rejected == 2
-        assert record.accepted == 1
-        assert record.observations == 3
+        assert _observe(trust, "n1", True) == pytest.approx(0.7)
+        assert _observe(trust, "n1", True) == pytest.approx(0.49)
+        assert _observe(trust, "n1", False) == pytest.approx(0.7 * 0.49 + 0.3)
+        slot = trust.slot("n1")
+        assert trust.rejected[slot] == 2
+        assert trust.accepted[slot] == 1
+
+    def test_vectorised_observe_matches_one_at_a_time(self):
+        batch, single = TrustManager(), TrustManager()
+        ids = ["c", "a", "b"]
+        verdicts = [True, False, True]
+        for _ in range(3):
+            batch.observe([batch.slot(i) for i in ids], verdicts)
+            for node_id, verdict in zip(ids, verdicts):
+                _observe(single, node_id, verdict)
+        assert batch.snapshot() == single.snapshot()
+
+    def test_observe_rejects_misaligned_verdicts(self):
+        trust = TrustManager()
+        with pytest.raises(ValueError):
+            trust.observe([trust.slot("a")], [True, False])
 
     def test_trust_never_below_floor(self):
         trust = TrustManager(alpha=1.0, floor=0.05)
         for _ in range(10):
-            trust.observe("n1", rejected=True)
+            _observe(trust, "n1", True)
         assert trust.trust_of("n1") == 0.05
 
     def test_row_trust_is_least_contributor(self):
         trust = TrustManager(alpha=0.5)
-        trust.observe("bad", rejected=True)
+        _observe(trust, "bad", True)
         assert trust.row_trust(()) == 1.0  # infrastructure row
         assert trust.row_trust(("good",)) == 1.0
         assert trust.row_trust(("good", "bad")) == 0.5
 
     def test_quarantine_needs_repeat_offense(self):
         trust = TrustManager(alpha=1.0, min_rejections=2)
-        trust.observe("n1", rejected=True)  # trust at floor already
+        _observe(trust, "n1", True)  # trust at floor already
         newly, released = trust.update_quarantine(1)
         assert newly == [] and released == []
-        trust.observe("n1", rejected=True)
+        _observe(trust, "n1", True)
         newly, _ = trust.update_quarantine(2)
         assert newly == ["n1"]
         assert trust.is_quarantined("n1")
-        assert trust.get("n1").quarantined_at_round == 2
+        assert trust.quarantined_at[trust.slot("n1")] == 2
 
     def test_release_hysteresis(self):
         trust = TrustManager(
             alpha=0.5, quarantine_below=0.4, release_at=0.8, min_rejections=1
         )
-        trust.observe("n1", rejected=True)
-        trust.observe("n1", rejected=True)  # 0.25 < 0.4
+        _observe(trust, "n1", True)
+        _observe(trust, "n1", True)  # 0.25 < 0.4
         trust.update_quarantine(1)
         assert trust.is_quarantined("n1")
-        trust.observe("n1", rejected=False)  # 0.625: above quarantine,
+        _observe(trust, "n1", False)  # 0.625: above quarantine,
         _, released = trust.update_quarantine(2)  # below release
         assert released == []
-        trust.observe("n1", rejected=False)  # 0.8125 >= 0.8
+        _observe(trust, "n1", False)  # 0.8125 >= 0.8
         _, released = trust.update_quarantine(3)
         assert released == ["n1"]
         assert not trust.is_quarantined("n1")
-        assert trust.get("n1").quarantined_at_round is None
+        assert trust.quarantined_at[trust.slot("n1")] == 0
 
     def test_quarantine_cap_keeps_worst_offenders(self):
         trust = TrustManager(
@@ -79,35 +100,54 @@ class TestTrustManager:
         )
         for node, rejections in (("a", 3), ("b", 2), ("c", 1)):
             for _ in range(rejections):
-                trust.observe(node, rejected=True)
+                _observe(trust, node, True)
         # Population 8 -> cap 2; all three are at the floor so the
         # sorted (trust, id) order decides: a and b enter first.
         newly, _ = trust.update_quarantine(1, member_count=8)
         assert newly == ["a", "b"]
         assert trust.quarantined == {"a", "b"}
+        # The held-back offender is reconsidered once there is room,
+        # although it was not observed again.
+        newly, _ = trust.update_quarantine(2, member_count=12)
+        assert newly == ["c"]
 
     def test_probe_candidates_longest_quarantined_first(self):
         trust = TrustManager(alpha=1.0, min_rejections=1)
         for node, round_index in (("late", 5), ("early", 1)):
-            trust.observe(node, rejected=True)
-            trust.observe(node, rejected=True)
-            record = trust.get(node)
-            record.quarantined = True
-            record.quarantined_at_round = round_index
+            _observe(trust, node, True)
+            _observe(trust, node, True)
+            slot = trust.slot(node)
+            trust.in_quarantine[slot] = True
+            trust.quarantined_at[slot] = round_index
         assert trust.probe_candidates(1) == ["early"]
-        assert trust.get("early").probes == 1
-        assert trust.get("late").probes == 0
+        assert trust.probes[trust.slot("early")] == 1
+        assert trust.probes[trust.slot("late")] == 0
         assert trust.probe_candidates(0) == []
 
     def test_snapshot_and_forget(self):
         trust = TrustManager(alpha=0.5)
-        trust.observe("b", rejected=True)
-        trust.observe("a", rejected=False)
+        _observe(trust, "b", True)
+        _observe(trust, "a", False)
         assert list(trust.snapshot()) == ["a", "b"]
         assert trust.snapshot()["b"] == pytest.approx(0.5)
         trust.forget("b")
         assert "b" not in trust.snapshot()
         assert trust.trust_of("b") == 1.0
+        assert len(trust) == 1
+        # The freed slot is recycled with a clean record.
+        slot = trust.slot("c")
+        assert trust.trust[slot] == 1.0 and trust.rejected[slot] == 0
+
+    def test_index_ledger_uses_node_indices_as_slots(self):
+        trust = TrustManager(4, alpha=0.5, quarantine_below=0.3)
+        for _ in range(3):
+            trust.observe(np.array([0, 2]), np.array([True, False]))
+        newly, released = trust.update_quarantine()
+        assert newly == [0] and released == []
+        assert trust.in_quarantine.tolist() == [True, False, False, False]
+        assert len(trust) == 4
+        with pytest.raises(KeyError):
+            trust.slot("n1")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -118,17 +158,37 @@ class TestTrustManager:
             {"min_rejections": 0},
             {"max_quarantine_fraction": 0.0},
             {"floor": 0.0},
+            {"size": -1},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TrustManager(**kwargs)
 
-    def test_nodetrust_defaults(self):
-        record = NodeTrust()
-        assert record.trust == 1.0
-        assert record.observations == 0
-        assert not record.quarantined
+
+class TestLedgerSanitizer:
+    @pytest.fixture(autouse=True)
+    def sanitize(self, monkeypatch):
+        monkeypatch.setattr(contracts, "_ENABLED", True)
+
+    def test_duplicate_slot_in_one_observe_is_a_violation(self):
+        trust = TrustManager()
+        slot = trust.slot("a")
+        with pytest.raises(contracts.ContractViolation, match="twice"):
+            trust.observe([slot, slot], [True, True])
+
+    def test_trust_outside_its_range_is_a_violation(self):
+        trust = TrustManager()
+        slot_a, slot_b = trust.slot("a"), trust.slot("b")
+        trust.trust[slot_b] = float("nan")
+        with pytest.raises(contracts.ContractViolation, match="floor"):
+            trust.observe([slot_a], [False])
+
+    def test_clean_updates_pass(self):
+        trust = TrustManager(alpha=1.0, min_rejections=1)
+        for _ in range(2):
+            trust.observe([trust.slot("a"), trust.slot("b")], [True, False])
+        assert trust.update_quarantine(1) == (["a"], [])
 
 
 # -- broker integration ----------------------------------------------------
@@ -322,5 +382,5 @@ class TestBrokerRobustRounds:
                 break
         assert released_at is not None
         assert broker.trust.trust_of("n05") >= broker.trust.release_at
-        assert broker.trust.get("n05").probes >= 1
+        assert broker.trust.probes[broker.trust.slot("n05")] >= 1
         assert "n05" not in estimate.quarantined_nodes

@@ -159,23 +159,6 @@ class TestRoundMechanics:
         # from honest nodes only and the field estimate stays sane.
         assert records[-1].rmse < 1.0
 
-    def test_trust_updates_can_be_disabled(self):
-        injector = SensorFaultInjector()
-        injector.attach("meganode-0", StuckAt(1e6))
-        sim = MegaSimulation(
-            MegaConfig(
-                population=_pop(13),
-                reports_per_zone=200,
-                sparsity=8,
-                trust_updates=False,
-            ),
-            sensor_fault_injector=injector,
-        )
-        for _ in range(4):
-            record = sim.run_round()
-        assert record.quarantined_nodes == 0
-        assert (sim.population.trust == 1.0).all()
-
 
 class TestZoneKernel:
     @pytest.mark.parametrize("outliers", [0, 5])
