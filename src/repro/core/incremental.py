@@ -14,7 +14,8 @@ degrades gracefully to the dense ``lstsq`` path).
 largest-scoring indices with the seed's deterministic tie-break (ties go
 to the lower coefficient index — the low-frequency prior for physical
 fields), computed with ``argpartition`` in O(N) instead of a full
-O(N log N) ``lexsort``.
+O(N log N) ``lexsort``.  :func:`first_max_index` is its one-atom form,
+where "tie" means equal up to rounding.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
-__all__ = ["IncrementalQR", "top_k_indices"]
+__all__ = ["IncrementalQR", "first_max_index", "top_k_indices"]
+
+#: Scores within this relative distance of the best are tied.  Two atoms
+#: that coincide on the sampled rows (aliases: DCT columns 0 and 16 of
+#: N = 24 when no row 1, 4, 7, ... is sampled) score the same in exact
+#: arithmetic; rounding, which differs between a projected and a
+#: refitted residual, must not decide which one is admitted.
+TIE_RTOL = 1e-9
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -53,6 +61,23 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
         return chosen
     order = np.lexsort((chosen, -scores[chosen]))
     return chosen[order]
+
+
+def first_max_index(scores: np.ndarray) -> int:
+    """Index of the largest score, ties (within :data:`TIE_RTOL` of it)
+    broken toward the lower index.
+
+    Plain ``np.argmax`` when the best score is not finite and positive:
+    a NaN, ``-inf`` (everything masked) or zero best is the caller's
+    stopping signal and is returned as is.
+    """
+    best = int(scores.argmax())
+    top = float(scores[best])
+    if best and 0.0 < top < math.inf:
+        # Only a lower index can win a tie; the slice ends at ``best``,
+        # which always qualifies.
+        best = int((scores[: best + 1] >= top * (1.0 - TIE_RTOL)).argmax())
+    return best
 
 
 class IncrementalQR:

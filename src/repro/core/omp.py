@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from ..analysis import contracts
-from .incremental import IncrementalQR, top_k_indices
+from .incremental import IncrementalQR, first_max_index, top_k_indices
 from .least_squares import Whitener
 
 __all__ = ["OMPResult", "omp"]
@@ -115,8 +115,7 @@ def _pursue(
         scores = np.abs(alpha_r) / norms
         scores[in_support] = -np.inf  # never reselect
         if batch_size == 1:
-            # argmax returns the first maximum: the same tie-break.
-            picked = [int(np.argmax(scores))]
+            picked = [first_max_index(scores)]
         else:
             room = capacity - len(support)
             picked = top_k_indices(scores, min(batch_size, room)).tolist()

@@ -7,6 +7,11 @@ fields (property-tested in ``tests/core/test_fast_solver.py``), and the
 PERF-SOLVER bench times the two side by side so every speedup claim in
 ``BENCH_PERF.json`` has an honest before-arm.
 
+The one thing the fast paths share with them is the one-atom tie rule,
+:func:`~repro.core.incremental.first_max_index`: aliased atoms tie in
+exact arithmetic, and the two residuals round differently, so a plain
+``argmax`` on each side would let rounding pick different atoms.
+
 Known (intentional) costs of the reference forms:
 
 - CHS analyses the interpolated residual with a dense ``Phi.T @ e`` —
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .incremental import first_max_index
 from .least_squares import gls_solve, ols_solve
 
 __all__ = ["chs_reference", "omp_reference"]
@@ -81,6 +87,11 @@ def chs_reference(
         new = [int(i) for i in order if int(i) not in set(support)]
         room = max_sparsity - len(support)
         picked = new[: min(batch_size, room)]
+        if batch_size == 1 and picked:
+            # The fast loop's one-atom tie rule (module docstring).
+            masked = scores.copy()
+            masked[support] = -np.inf
+            picked = [first_max_index(masked)]
         if not picked:
             break
         support.extend(picked)
@@ -144,7 +155,7 @@ def omp_reference(
     for _ in range(sparsity):
         correlations = np.abs(phi_tilde.T @ residual) / safe_norms
         correlations[support] = -np.inf  # never reselect
-        best = int(np.argmax(correlations))
+        best = first_max_index(correlations)
         if not np.isfinite(correlations[best]) or correlations[best] <= 0:
             break
         support.append(best)

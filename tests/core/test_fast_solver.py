@@ -12,7 +12,7 @@ and compares.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.basis import dct_basis
@@ -22,7 +22,11 @@ from repro.core.chs import (
     nearest_interpolate,
     zero_fill_interpolate,
 )
-from repro.core.incremental import IncrementalQR, top_k_indices
+from repro.core.incremental import (
+    IncrementalQR,
+    first_max_index,
+    top_k_indices,
+)
 from repro.core.omp import omp
 from repro.core.operators import DCT2Operator, DCTOperator
 from repro.core.reconstruction import reconstruct
@@ -43,6 +47,11 @@ def _problem(n, m, k, seed, noise=0.0):
 
 
 class TestFastCHSEquivalence:
+    # Pinned: instances where two atoms are aliases on the sampled rows
+    # and rounding alone used to pick different ones on the two sides.
+    @example(seed=26190)
+    @example(seed=46762)
+    @example(seed=58458)
     @given(seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=25, deadline=None)
     def test_fast_matches_reference_default_interpolator(self, seed):
@@ -260,6 +269,11 @@ class TestFastOMPEquivalence:
             assert np.allclose(fast.coefficients, ref.coefficients, atol=1e-8)
 
     @pytest.mark.parametrize("kind", ["none", "vector", "full"])
+    # Pinned: DCT atoms 0 and 16 (N = 24) coincide on the sampled rows;
+    # the two sides used to split them on rounding.
+    @example(seed=1700)
+    @example(seed=36909)
+    @example(seed=59521)
     @given(seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=20, deadline=None)
     def test_projection_loop_matches_reference(self, kind, seed):
@@ -404,6 +418,29 @@ class TestTopKIndices:
 
     def test_empty_when_all_masked(self):
         assert top_k_indices(np.full(5, -np.inf), 3).size == 0
+
+
+class TestFirstMaxIndex:
+    def test_rounding_tie_goes_to_lower_index(self):
+        # Two aliased atoms: equal in exact arithmetic, the later one a
+        # rounding step above.  argmax takes the later one.
+        scores = np.array([0.1, 0.48078093, 0.2, np.nextafter(0.48078093, 1)])
+        assert int(np.argmax(scores)) == 3
+        assert first_max_index(scores) == 1
+
+    def test_clear_winner_kept(self):
+        scores = np.array([0.5, 0.5 * (1 - 1e-6), 0.7, -np.inf])
+        assert first_max_index(scores) == 2
+
+    def test_stopping_signals_returned_as_argmax(self):
+        # All masked, all zero or a NaN: what argmax returns, so the
+        # caller's "nothing worth admitting" check sees it.
+        for scores in (
+            np.full(4, -np.inf),
+            np.zeros(4),
+            np.array([0.2, np.nan, 0.9]),
+        ):
+            assert first_max_index(scores) == int(np.argmax(scores))
 
 
 class TestIncrementalQR:
