@@ -55,10 +55,6 @@ class LoadReport:
     #: Close frames carrying 1013 — admission sheds the fleet absorbed.
     shed_closes: int = 0
 
-    @property
-    def frames_per_s(self) -> float:
-        return self.frames_sent / self.duration_s if self.duration_s else 0.0
-
 
 class _ClientState:
     """Mutable per-client tallies shared between the pump and drain."""

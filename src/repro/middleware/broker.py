@@ -19,6 +19,7 @@ optional infrastructure sensors), it
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from ..energy.accounting import EnergyLedger
 from ..fields.coverage import largest_gap_radius
 from ..fields.field import SpatialField
 from ..fields.priors import ZonePrior
-from ..network.bus import MessageBus
+from ..network.bus import Endpoint, MessageBus
 from ..network.message import Message, MessageKind
 from ..sensors.base import Environment, NodeState, Sensor
 from .config import GLS_STD_FLOOR, BrokerConfig
@@ -153,9 +154,7 @@ class _RoundPlan:
 
     :meth:`Broker.plan_round` performs every RNG draw of the round's
     planning (the stochastic spatial sampling) and snapshots the member
-    map, so the synchronous collect loop and the event-driven round
-    driver command the exact same cells from the exact same draw
-    sequence.
+    map; the :class:`_Collector` then commands exactly these cells.
     """
 
     k_est: int
@@ -167,6 +166,350 @@ class _RoundPlan:
     # that cell this round (empty unless robust_mode is active and the
     # rehab cadence fired).
     probes: dict[int, str] = field(default_factory=dict)
+
+
+@dataclass(slots=True)
+class _CellAttempt:
+    """One cell's command progress and the reports it has gathered."""
+
+    cell: int
+    candidates: list[str]
+    stamp: float  # timestamp of the current attempt's command (zero bus)
+    candidate_idx: int = 0
+    attempt: int = 0
+    awaiting: str | None = None
+    satisfied: bool = False
+    exhausted: bool = False
+    reports: tuple[tuple[str, float, float], ...] = ()  # (node, value, std)
+
+
+class _Collector:
+    """One broker's command/report exchange for one round, on any bus.
+
+    Cells are commanded in plan order.  Each walks its co-located
+    candidates (:meth:`Broker._cell_order`), re-commanding a silent one
+    up to ``command_retries`` times before moving on, and falls back to
+    its infrastructure sensor when no candidate answered.  With
+    ``suppress_redundant`` the first report realises the cell; without
+    it every candidate is asked and the reports are averaged.  Once
+    every planned cell has resolved, ``topup_resampling`` commands spare
+    cells in one random order until the planned M is met.  Reports
+    arrive through the endpoint handlers :meth:`attach` installs.
+
+    Only the detection of a silent attempt depends on the bus.  On the
+    zero-latency bus ``send`` runs the destination's handler inline, so
+    when it returns the exchange is over: an attempt neither answered
+    nor moved on by then failed (command lost, report lost or node
+    gone), and the next goes out at once, stamped
+    ``retry_backoff_s * 2**min(a - 1, 5)`` later.  On a deferred bus a
+    ``report_timeout_s`` timer, doubling per retry, decides instead.
+    """
+
+    def __init__(
+        self,
+        broker: Broker,
+        plan: _RoundPlan,
+        bus: MessageBus,
+        nodes: dict[str, MobileNode],
+        env: Environment,
+        timestamp: float,
+        *,
+        on_settled: Callable[[], None] | None = None,
+        on_late: Callable[[], None] | None = None,
+    ) -> None:
+        self.broker = broker
+        self.plan = plan
+        self.bus = bus
+        self.nodes = nodes
+        self.env = env
+        self.timestamp = timestamp
+        self.on_settled = on_settled  # every cell resolved
+        self.on_late = on_late  # a report nobody here awaits
+        self.collected = _Collected()
+        self.telemetry = _RoundTelemetry()
+        self.cells: dict[int, _CellAttempt] = {}
+        self.commanded: dict[str, int] = {}
+        self.closed = False
+        self._deferred = bus.deferred
+        self._open = 0  # cells neither satisfied nor exhausted
+        self._spare: list[int] | None = None  # top-up cells, reversed
+        self._settling = False
+        endpoint = bus.endpoint(broker.broker_id)
+        self._lost_baseline = (endpoint.outbound_lost, endpoint.inbound_lost)
+
+    @property
+    def settled(self) -> bool:
+        return self._open == 0
+
+    @property
+    def partial(self) -> bool:
+        """A planned cell went unrealised."""
+        return any(
+            not self.cells[cell].satisfied
+            for cell in self.plan.plan.locations.tolist()
+        )
+
+    def attach(self) -> list[tuple[Endpoint, Callable | None]]:
+        """Route the broker's and the members' arrivals here; returns
+        the handlers replaced."""
+        endpoint = self.bus.endpoint(self.broker.broker_id)
+        replaced = [(endpoint, endpoint.handler)]
+        endpoint.handler = self._on_report
+        for node_id, node in self.nodes.items():
+            try:
+                endpoint = self.bus.endpoint(node_id)
+            except KeyError:
+                continue  # churned off the bus; sends to it drop-and-count
+            replaced.append((endpoint, endpoint.handler))
+            endpoint.handler = lambda message, n=node: self._on_command(
+                n, message
+            )
+        return replaced
+
+    def run(self) -> None:
+        """Command every planned cell, in plan order."""
+        probes = self.plan.probes
+        # Open them all first: top-up waits until none is left open.
+        attempts = [
+            self._open_cell(cell, probes)
+            for cell in self.plan.plan.locations.tolist()
+        ]
+        for ca in attempts:
+            self._dispatch(ca)
+
+    def close(self) -> _PendingRound:
+        """Stop collecting and freeze the round (raises RuntimeError
+        when nothing was collected)."""
+        self.closed = True
+        broker = self.broker
+        # Cells still in flight at the deadline keep what reported, else
+        # read their fixed sensor.
+        for cell in sorted(self.cells):
+            ca = self.cells[cell]
+            if not (ca.satisfied or ca.exhausted):
+                self._exhaust(ca)
+        if not self.collected.locations:
+            # Last-ditch graceful degradation: the whole crowd is dark
+            # (total loss, partition, mass churn) but the zone still
+            # owns fixed sensors — read them all rather than abort.
+            for cell in sorted(broker.infrastructure):
+                value, noise_std = broker._read_infrastructure(
+                    cell, self.env, self._now()
+                )
+                self.telemetry.infra_reads += 1
+                self.collected.add(cell, value, noise_std)
+        endpoint = self.bus.endpoint(broker.broker_id)
+        self.telemetry.commands_lost += (
+            endpoint.outbound_lost - self._lost_baseline[0]
+        )
+        self.telemetry.reports_lost += (
+            endpoint.inbound_lost - self._lost_baseline[1]
+        )
+        return broker._freeze_round(
+            self.collected, self.telemetry, self.plan.k_est,
+            self.plan.planned_m, self.timestamp,
+        )
+
+    # -- cells ----------------------------------------------------------
+
+    def _now(self) -> float:
+        return float(self.bus.clock.now) if self._deferred else self.timestamp
+
+    def _open_cell(
+        self, cell: int, probes: dict[int, str] | None = None
+    ) -> _CellAttempt:
+        ca = _CellAttempt(
+            cell=cell,
+            candidates=self.broker._cell_order(
+                cell, self.plan.members_by_cell, self.nodes, probes
+            ),
+            stamp=self.timestamp,
+        )
+        self.cells[cell] = ca
+        self._open += 1
+        return ca
+
+    def _dispatch(self, ca: _CellAttempt) -> None:
+        """Command the cell's current candidate until the cell resolves
+        (zero bus) or a report is awaited (deferred bus)."""
+        broker = self.broker
+        while not (ca.satisfied or ca.exhausted):
+            if ca.candidate_idx >= len(ca.candidates):
+                self._exhaust(ca)
+                return
+            node_id = ca.candidates[ca.candidate_idx]
+            if node_id not in self.nodes:
+                self._rotate(ca)
+                continue
+            command = Message(
+                kind=MessageKind.SENSE_COMMAND,
+                source=broker.broker_id,
+                destination=node_id,
+                payload={"sensor": broker.sensor_name, "grid_index": ca.cell},
+                payload_values=2,
+                timestamp=(
+                    float(self.bus.clock.now) if self._deferred else ca.stamp
+                ),
+            )
+            self.commanded[node_id] = ca.cell
+            ca.awaiting = node_id
+            if self._deferred:
+                if not self.bus.send(command, strict=False):
+                    # Endpoint gone at transmit time; rotate immediately.
+                    self._rotate(ca)
+                    continue
+                self.bus.clock.schedule_in(
+                    broker.config.report_timeout_s * 2 ** min(ca.attempt, 5),
+                    lambda now, a=ca, n=node_id, k=ca.attempt: self._timeout(
+                        a, n, k
+                    ),
+                )
+                return
+            turn = (ca.candidate_idx, ca.attempt)
+            self.bus.send(command, strict=False)
+            if turn == (ca.candidate_idx, ca.attempt) and not ca.satisfied:
+                self._retry(ca)  # send returned unanswered
+
+    def _retry(self, ca: _CellAttempt) -> None:
+        """The current attempt failed: re-command, or move on."""
+        config = self.broker.config
+        if ca.attempt < config.command_retries:
+            ca.attempt += 1
+            self.telemetry.retries_used += 1
+            ca.stamp += config.retry_backoff_s * 2 ** min(ca.attempt - 1, 5)
+        else:
+            self._rotate(ca)
+
+    def _rotate(self, ca: _CellAttempt) -> None:
+        ca.candidate_idx += 1
+        ca.attempt = 0
+        ca.stamp = self.timestamp
+
+    def _timeout(self, ca: _CellAttempt, node_id: str, attempt: int) -> None:
+        if self.closed or ca.satisfied or ca.exhausted:
+            return
+        if ca.awaiting != node_id or ca.attempt != attempt:
+            return  # stale timer: the cell moved on without us
+        self._retry(ca)
+        self._dispatch(ca)
+
+    def _exhaust(self, ca: _CellAttempt) -> None:
+        """No candidate left: average what reported, else read the fixed
+        sensor, else the cell stays unrealised."""
+        if ca.reports:
+            self._realise(ca, *self._average(ca))
+        elif ca.cell in self.broker.infrastructure:
+            value, noise_std = self.broker._read_infrastructure(
+                ca.cell, self.env, self._now()
+            )
+            self.telemetry.infra_reads += 1
+            self._realise(ca, value, noise_std, ())
+        else:
+            ca.exhausted = True
+            self._open -= 1
+            self._settle()
+
+    @staticmethod
+    def _average(ca: _CellAttempt) -> tuple[float, float, tuple[str, ...]]:
+        """Co-located reports average to a lower-noise virtual reading:
+        std scales as 1/sqrt(r)."""
+        if len(ca.reports) == 1:
+            source, value, noise_std = ca.reports[0]
+            return value, noise_std, (source,)
+        sources, values, stds = zip(*ca.reports)
+        noise_std = np.sqrt(np.mean(np.square(stds))) / np.sqrt(len(stds))
+        return float(np.mean(values)), float(noise_std), sources
+
+    def _realise(
+        self,
+        ca: _CellAttempt,
+        value: float,
+        noise_std: float | None,
+        sources: tuple[str, ...],
+    ) -> None:
+        if not ca.exhausted:
+            self._open -= 1
+        ca.satisfied = True
+        self.collected.add(ca.cell, value, noise_std, sources)
+        self._settle()
+
+    def _settle(self) -> None:
+        """A cell resolved: once every planned cell has, top up toward
+        the planned M; when nothing is left open, tell the owner."""
+        if self._settling or self.closed:
+            return
+        planned_m = self.plan.planned_m
+        if (
+            self._open == 0
+            and self._spare is None
+            and self.broker.config.topup_resampling
+            and len(self.collected.locations) < planned_m
+        ):
+            # Replacement sampling: a lost report is just a dropped row
+            # of Phi — draw substitute cells from the uncommanded
+            # coverage until the effective M is back near the plan (or
+            # the coverage runs out).
+            spare = [
+                c for c in self.plan.candidates.tolist() if c not in self.cells
+            ]
+            order = self.broker._rng.permutation(len(spare)).tolist()
+            self._spare = [spare[i] for i in reversed(order)]
+        if self._spare:
+            self._settling = True
+            while (
+                self._spare
+                and len(self.collected.locations) + self._open < planned_m
+            ):
+                self._dispatch(self._open_cell(self._spare.pop()))
+            self._settling = False
+        if self._open == 0 and self.on_settled is not None:
+            self.on_settled()
+
+    # -- arrivals -------------------------------------------------------
+
+    def _on_command(self, node: MobileNode, message: Message) -> None:
+        if message.kind is MessageKind.SENSE_COMMAND:
+            node.handle_command(message, self.env, self.bus)
+        else:
+            self.bus.requeue(message)
+
+    def _on_report(self, message: Message) -> None:
+        if message.kind is not MessageKind.SENSE_REPORT:
+            # Context shares etc. keep their inbox path for the usual
+            # consumers (Broker.process_inbox) — re-enqueued through the
+            # bounded bus API so a saturated broker sheds them instead
+            # of queueing without limit (RPR008).
+            self.bus.requeue(message)
+            return
+        cell = None if self.closed else self.commanded.get(message.source)
+        if cell is None:
+            if self.on_late is not None:
+                self.on_late()
+            return
+        ca = self.cells[cell]
+        if ca.satisfied:
+            return
+        payload = message.payload
+        if payload.get("ok"):
+            value = float(payload["value"])
+            noise_std = float(payload.get("noise_std", 0.0))
+            if self.broker.config.suppress_redundant:
+                # Aquiba-style suppression [25]: one answer per cell is
+                # enough; spare the co-located phones.
+                self._realise(ca, value, noise_std, (message.source,))
+                return
+            if all(source != message.source for source, _, _ in ca.reports):
+                ca.reports += ((message.source, value, noise_std),)
+            if ca.exhausted:
+                self._realise(ca, *self._average(ca))
+                return
+        else:
+            # An explicit refusal (privacy / missing sensor).
+            self.telemetry.refused += 1
+        if ca.awaiting == message.source:
+            self._rotate(ca)
+            if self._deferred:
+                self._dispatch(ca)
 
 
 @dataclass(frozen=True)
@@ -490,62 +833,6 @@ class Broker:
             return [probe, *candidates]
         return candidates
 
-    def _command_node(
-        self,
-        node: MobileNode,
-        grid_index: int,
-        bus: MessageBus,
-        env: Environment,
-        timestamp: float,
-        telemetry: _RoundTelemetry | None = None,
-    ) -> dict | None:
-        """Command/telemetry exchange with a member node, with retries.
-
-        Returns the report payload, or ``None`` when every attempt
-        failed — command lost, report lost, or the node churned off the
-        bus entirely (the drop-and-count ``strict=False`` path).  Each
-        retry re-transmits after a capped exponential backoff in
-        *simulated* time (the retry command's timestamp advances), and
-        is metered through the link model like any other message, so the
-        energy ledgers price reliability honestly.
-        """
-        if telemetry is None:
-            telemetry = _RoundTelemetry()
-        backoff = self.config.retry_backoff_s
-        attempt_time = timestamp
-        for attempt in range(self.config.command_retries + 1):
-            if attempt:
-                telemetry.retries_used += 1
-                attempt_time += backoff * 2 ** min(attempt - 1, 5)
-            command = Message(
-                kind=MessageKind.SENSE_COMMAND,
-                source=self.broker_id,
-                destination=node.node_id,
-                payload={
-                    "sensor": self.sensor_name,
-                    "grid_index": grid_index,
-                },
-                payload_values=2,
-                timestamp=attempt_time,
-            )
-            if not bus.send(command, strict=False):
-                telemetry.commands_lost += 1
-                continue
-            # Drain the node's inbox so the command is consumed in order.
-            for message in bus.endpoint(node.node_id).drain():
-                if message.message_id == command.message_id:
-                    node.handle_command(message, env, bus)
-            for message in bus.endpoint(self.broker_id).drain():
-                if (
-                    message.kind is MessageKind.SENSE_REPORT
-                    and message.source == node.node_id
-                ):
-                    return message.payload
-            # The command arrived (the node sensed and replied), but the
-            # report leg never made it back.
-            telemetry.reports_lost += 1
-        return None
-
     def _read_infrastructure(
         self, grid_index: int, env: Environment, timestamp: float
     ) -> tuple[float, float]:
@@ -557,74 +844,13 @@ class Broker:
         self.ledger.post("sensing", sensor.spec.energy_per_sample_mj)
         return reading.value, sensor.spec.noise_std
 
-    def _collect_cell(
-        self,
-        cell: int,
-        members_by_cell: dict[int, list[str]],
-        nodes: dict[str, MobileNode],
-        bus: MessageBus,
-        env: Environment,
-        timestamp: float,
-        collected: _Collected,
-        telemetry: _RoundTelemetry,
-        probes: dict[int, str] | None = None,
-    ) -> bool:
-        """Try to realise one planned measurement at ``cell``.
-
-        Commands candidate nodes in rotation order, falls back to an
-        infrastructure sensor, and appends the result to ``collected``.
-        Returns True when the cell produced a value.
-        """
-        value: float | None = None
-        noise_std: float | None = None
-        cell_values: list[float] = []
-        cell_stds: list[float] = []
-        cell_sources: list[str] = []
-        for node_id in self._cell_order(
-            cell, members_by_cell, nodes, probes
-        ):
-            node = nodes.get(node_id)
-            if node is None:
-                continue
-            payload = self._command_node(
-                node, cell, bus, env, timestamp, telemetry
-            )
-            if payload and payload.get("ok"):
-                cell_values.append(float(payload["value"]))
-                cell_stds.append(float(payload.get("noise_std", 0.0)))
-                cell_sources.append(node_id)
-                if self.config.suppress_redundant:
-                    # Aquiba-style suppression [25]: one answer per
-                    # cell is enough; spare the co-located phones.
-                    break
-            elif payload is not None:
-                # An explicit refusal (privacy / missing sensor); lost
-                # exchanges are already counted in the telemetry.
-                telemetry.refused += 1
-        if cell_values:
-            # Multiple (unsuppressed) co-located reports average to
-            # a lower-noise virtual reading: std scales as 1/sqrt(r).
-            value = float(np.mean(cell_values))
-            noise_std = float(
-                np.sqrt(np.mean(np.square(cell_stds)))
-                / np.sqrt(len(cell_stds))
-            )
-        if value is None and cell in self.infrastructure:
-            value, noise_std = self._read_infrastructure(
-                cell, env, timestamp
-            )
-            telemetry.infra_reads += 1
-            cell_sources = []
-        if value is None:
-            return False
-        collected.add(cell, value, noise_std, tuple(cell_sources))
-        return True
-
     # -- the aggregation round -------------------------------------------
     #
     # A round has three phases joined by data, not by shared state:
     #
-    #   collect_round   — bus traffic, node commands, RNG draws; ends by
+    #   collect_round   — plan_round's draws, then a _Collector's
+    #                     command/report exchange (the ZoneRoundDriver
+    #                     runs the same collector per NanoCloud); ends by
     #                     freezing everything the solve reads into a
     #                     _PendingRound.
     #   solve_round     — solve_pending(pending): pure numerics, a
@@ -644,11 +870,10 @@ class Broker:
         measurements: int | None = None,
         sparsity_cap: int | None = None,
     ) -> _RoundPlan:
-        """Draw one round's sampling plan (all of the round's RNG).
+        """Draw one round's sampling plan (all of its RNG bar the
+        collector's top-up order).
 
-        Shared by the synchronous collect loop and the event-driven
-        round driver, so both command the same cells from the same draw
-        sequence.  ``sparsity_cap`` clamps the round's working sparsity
+        ``sparsity_cap`` clamps the round's working sparsity
         estimate (the degradation ladder's coarse level: a capped K
         bounds both M and the solve's iteration count); ``None`` leaves
         the estimate untouched.
@@ -718,21 +943,6 @@ class Broker:
             members_by_cell=members_by_cell,
             probes=probes,
         )
-
-    def _infra_sweep(
-        self,
-        collected: _Collected,
-        telemetry: _RoundTelemetry,
-        env: Environment,
-        timestamp: float,
-    ) -> None:
-        """Last-ditch graceful degradation: the whole crowd is dark
-        (total loss, partition, mass churn) but the zone still owns
-        fixed sensors — read them all rather than abort."""
-        for cell in sorted(self.infrastructure):
-            value, noise_std = self._read_infrastructure(cell, env, timestamp)
-            telemetry.infra_reads += 1
-            collected.add(cell, value, noise_std)
 
     def _freeze_round(
         self,
@@ -818,53 +1028,28 @@ class Broker:
         Performs every side-effecting step of the round — the sampling
         plan's RNG draws, all command/report bus exchanges, infrastructure
         reads — and freezes the result into a :class:`_PendingRound`.
+        On the zero-latency bus every exchange completes inside ``send``,
+        so the whole collection happens within this call.
 
         Raises
         ------
         RuntimeError
             If no usable measurements could be collected.
         """
-        round_plan = self.plan_round(
-            measurements=measurements, sparsity_cap=sparsity_cap
+        collector = _Collector(
+            self,
+            self.plan_round(
+                measurements=measurements, sparsity_cap=sparsity_cap
+            ),
+            bus, nodes, env, timestamp,
         )
-        members_by_cell = round_plan.members_by_cell
-
-        collected = _Collected()
-        telemetry = _RoundTelemetry()
-        planned_m = round_plan.planned_m
-        for cell in round_plan.plan.locations.tolist():
-            self._collect_cell(
-                cell, members_by_cell, nodes, bus, env, timestamp,
-                collected, telemetry, round_plan.probes,
-            )
-
-        if (
-            self.config.topup_resampling
-            and len(collected.locations) < planned_m
-        ):
-            # Replacement sampling: a lost report is just a dropped row
-            # of Phi — draw substitute cells from the uncommanded
-            # coverage until the effective M is back near the plan (or
-            # the coverage runs out).
-            attempted = set(round_plan.plan.locations.tolist())
-            spare = np.array(
-                [c for c in round_plan.candidates.tolist() if c not in attempted],
-                dtype=int,
-            )
-            for idx in self._rng.permutation(spare.size):
-                if len(collected.locations) >= planned_m:
-                    break
-                self._collect_cell(
-                    int(spare[idx]), members_by_cell, nodes, bus, env,
-                    timestamp, collected, telemetry,
-                )
-
-        if not collected.locations and self.infrastructure:
-            self._infra_sweep(collected, telemetry, env, timestamp)
-
-        return self._freeze_round(
-            collected, telemetry, round_plan.k_est, planned_m, timestamp
-        )
+        replaced = collector.attach()
+        try:
+            collector.run()
+        finally:
+            for endpoint, handler in replaced:
+                endpoint.handler = handler
+        return collector.close()
 
     def solve_round(
         self, pending: _PendingRound

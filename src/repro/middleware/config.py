@@ -121,24 +121,28 @@ class BrokerConfig:
     # retry is a real transmission metered through the link model —
     # persistence has an honest radio-energy price.
     command_retries: int = 0
-    # Base backoff between retries in *simulated* seconds; attempt i
-    # waits retry_backoff_s * 2**(i-1), capped at 32x the base.
+    # Zero-latency bus: base backoff between retries in *simulated*
+    # seconds — retry i goes out at once, stamped retry_backoff_s *
+    # 2**(i-1) (capped at 32x the base) after the previous attempt.  A
+    # deferred bus waits report_timeout_s instead.
     retry_backoff_s: float = 0.5
     # When a planned cell yields nothing (loss, churn, refusal and no
     # infrastructure), draw replacement cells from the uncommanded
     # coverage so the effective M stays near the planned M — a dropped
     # row of Phi is replaced instead of mourned.
     topup_resampling: bool = False
-    # Event-driven rounds (latency_mode="link"): sim seconds after the
-    # commands go out at which the broker stops waiting and solves with
-    # whatever reports arrived — the partial-solve deadline of the
-    # COLLECTING state.  Ignored on the synchronous zero-latency path
-    # where every exchange completes within the round instant.
+    # Deferred bus (latency_mode="link"), read by ZoneRoundDriver: sim
+    # seconds after the commands go out at which the broker stops
+    # waiting and solves with whatever reports arrived — the
+    # partial-solve deadline of the COLLECTING state.  On the
+    # zero-latency bus every exchange completes inside send, so no
+    # round ever reaches it.
     report_deadline_s: float = 10.0
-    # Event-driven rounds: how long to wait for one command's report
-    # before retrying (or moving to the next co-located candidate).
-    # Doubles per retry attempt.  Must comfortably exceed the command +
-    # report round-trip latency of the slowest link in play.
+    # Deferred bus: how long to wait for one command's report before
+    # retrying (or moving to the next co-located candidate).  Doubles
+    # per retry attempt.  Must comfortably exceed the command + report
+    # round-trip latency of the slowest link in play.  The zero-latency
+    # bus knows an attempt failed when send returns unanswered.
     report_timeout_s: float = 2.0
     # Overload protection (repro.middleware.overload): admission
     # control on round launch, the solve-deadline circuit breaker and

@@ -89,13 +89,6 @@ class MobileNode:
 
     # -- sensing -------------------------------------------------------
 
-    def attach_sensor(self, sensor: Sensor) -> None:
-        """Plug in an (external or built-in) sensor probe."""
-        self.sensors[sensor.spec.name] = sensor
-
-    def has_sensor(self, name: str) -> bool:
-        return name in self.sensors
-
     def effective_noise_std(self, sensor_name: str) -> float:
         """Noise std after applying the handset tier multiplier."""
         sensor = self.sensors[sensor_name]

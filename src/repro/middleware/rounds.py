@@ -1,47 +1,41 @@
 """Event-driven aggregation rounds: resumable broker state machines.
 
-The synchronous path (:meth:`repro.middleware.broker.Broker.run_round`)
-completes a whole command → collect → solve round inside one function
-call — fine when the transport is instantaneous, wrong when WiFi/BT/GSM
-links impose real latency.  This module reworks the round into a state
-machine driven by the discrete-event clock:
+A round is a command → collect → solve exchange.  This module drives it
+on the discrete-event clock as a state machine:
 
     IDLE → COMMANDING → COLLECTING → SOLVING → FINALIZED
 
-- **COMMANDING**: the broker draws its plan (same RNG sequence as the
-  synchronous path, via :meth:`Broker.plan_round`) and transmits one
-  SENSE_COMMAND per planned cell; deliveries arrive after link latency.
-- **COLLECTING**: reports arrive as bus events; per-command timeouts
-  re-transmit (the PR-1 retry/backoff policy, now as scheduled events)
-  or rotate to the next co-located candidate; a *report deadline* event
-  bounds the wait — when it fires, the round solves with whatever
+- **COMMANDING**: each NanoCloud's broker draws its plan
+  (:meth:`Broker.plan_round`) and its collector transmits one
+  SENSE_COMMAND per planned cell.
+- **COLLECTING**: reports arrive as bus events; the collector retries or
+  rotates to the next co-located candidate when a report does not come
+  (see :class:`repro.middleware.broker._Collector`); a *report deadline*
+  event bounds the wait — when it fires, the round solves with whatever
   arrived (partial-report solve) after infrastructure fallback.
 - **SOLVING/FINALIZED**: the pure-numeric solve of each frozen round
   and the state adaptation, then a round-completed callback.
 
 One :class:`ZoneRoundDriver` runs one zone (LocalCloud) on its own
 period and phase offset, so zones desynchronise instead of marching
-under a global barrier.  With the bus in ``latency_mode="zero"`` the
-driver collapses COMMANDING/COLLECTING into the synchronous collect —
-every exchange completes within the round instant — which is
-property-tested bit-identical to the lockstep path.
+under a global barrier.  The collector is the one ``Broker.collect_round``
+runs, so on a ``latency_mode="zero"`` bus — where every exchange
+completes inside ``send`` — a round closes at the instant it starts,
+bit-identical to the lockstep rounds.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from ..analysis import contracts
-from ..network.message import Message, MessageKind
 from ..sensors.base import Environment
-from .broker import Broker, _Collected, _RoundPlan, _RoundTelemetry
+from .broker import Broker, _Collector
 from .localcloud import LocalCloud, LocalCloudResult
-from .nanocloud import NanoCloud
-from .node import MobileNode
 from .overload import OverloadController, RoundDirectives
 
 if TYPE_CHECKING:
@@ -87,9 +81,11 @@ class ZoneSchedule:
 class ZoneRoundOutcome:
     """One completed zone round, with its command-to-estimate latency.
 
-    ``stale`` marks an overload outcome that re-serves the previous
-    round's field (breaker OPEN or ladder LEVEL_STALE) instead of
-    sensing — its estimates carry ``staleness_rounds`` > 0.
+    ``partial`` means a planned cell went unrealised (no candidate
+    answered and no fixed sensor covered it), on either bus.  ``stale``
+    marks an overload outcome that re-serves the previous round's field
+    (breaker OPEN or ladder LEVEL_STALE) instead of sensing — its
+    estimates carry ``staleness_rounds`` > 0.
     """
 
     zone_id: int
@@ -104,34 +100,6 @@ class ZoneRoundOutcome:
     def latency_s(self) -> float:
         """Sim time from the first command to the finalized estimate."""
         return self.completed_at - self.started_at
-
-
-@dataclass
-class _CellAttempt:
-    """Per-cell command progress: which candidate, which retry."""
-
-    cell: int
-    candidates: list[str]
-    candidate_idx: int = 0
-    attempt: int = 0
-    awaiting: str | None = None
-    satisfied: bool = False
-    exhausted: bool = False
-
-
-@dataclass
-class _NcCollection:
-    """One NanoCloud's in-flight collection state for one round."""
-
-    nc: NanoCloud
-    broker: Broker
-    plan: _RoundPlan | None
-    collected: _Collected = field(default_factory=_Collected)
-    telemetry: _RoundTelemetry = field(default_factory=_RoundTelemetry)
-    cells: dict[int, _CellAttempt] = field(default_factory=dict)
-    commanded: dict[str, int] = field(default_factory=dict)
-    baseline_out: int = 0
-    baseline_in: int = 0
 
 
 class ZoneRoundDriver:
@@ -209,7 +177,7 @@ class ZoneRoundDriver:
         self.last_outcome: ZoneRoundOutcome | None = None
         self._generation = 0
         self._started_at = 0.0
-        self._collections: list[_NcCollection] = []
+        self._collections: list[_Collector | None] = []
         self._handle: "PeriodicHandle | None" = None
         self._directives = RoundDirectives()
         self._busy_streak = 0
@@ -227,13 +195,11 @@ class ZoneRoundDriver:
         self._handle = self.clock.schedule_periodic(
             self.period_s, self._begin_round, start=first, until=until
         )
-        if self.bus.deferred:
-            # AGGREGATE traffic to the head/cloud tiers is metered on
-            # arrival and then discarded (the lockstep path drains those
-            # inboxes explicitly; event mode has no drain point).
-            self.bus.set_handler(self.lc.head_address, lambda message: None)
-            if self.cloud_address is not None:
-                self.bus.set_handler(self.cloud_address, lambda message: None)
+        # AGGREGATE traffic to the head/cloud tiers is metered on
+        # arrival and then discarded (nothing here drains those inboxes).
+        self.bus.set_handler(self.lc.head_address, lambda message: None)
+        if self.cloud_address is not None:
+            self.bus.set_handler(self.cloud_address, lambda message: None)
 
     def stop(self) -> None:
         if self._handle is not None:
@@ -356,211 +322,43 @@ class ZoneRoundDriver:
         self._directives = directives
         self._generation += 1
         self._started_at = now
-        if not self.bus.deferred:
-            self._run_synchronous(now, directives)
-            return
         gen = self._generation
         self.state = RoundState.COMMANDING
         self._collections = []
         for idx, nc in enumerate(self.lc.nanoclouds):
             broker = nc.prepare_round(now)
-            budget = self._nc_budget(broker, idx, directives)
             try:
                 plan = broker.plan_round(
-                    measurements=budget,
+                    measurements=self._nc_budget(broker, idx, directives),
                     sparsity_cap=directives.sparsity_cap,
                 )
             except RuntimeError:
-                self._collections.append(
-                    _NcCollection(nc=nc, broker=broker, plan=None)
-                )
+                self._collections.append(None)
                 continue
-            endpoint = self.bus.endpoint(broker.broker_id)
-            col = _NcCollection(
-                nc=nc,
-                broker=broker,
-                plan=plan,
-                baseline_out=endpoint.outbound_lost,
-                baseline_in=endpoint.inbound_lost,
+            collector = _Collector(
+                broker, plan, self.bus, nc.nodes, self.env, now,
+                on_settled=self._maybe_complete,
+                on_late=self._count_late,
             )
-            for cell in plan.plan.locations.tolist():
-                col.cells[cell] = _CellAttempt(
-                    cell=cell,
-                    candidates=broker._cell_order(
-                        cell, plan.members_by_cell, nc.nodes, plan.probes
-                    ),
-                )
-            self._collections.append(col)
-            self._install_handlers(col, gen)
-        for col in self._collections:
-            for cell in sorted(col.cells):
-                self._dispatch(col, col.cells[cell], gen, now)
+            self._collections.append(collector)
+            collector.attach()
+            collector.run()
         self.state = RoundState.COLLECTING
-        self.clock.schedule_in(
-            self.report_deadline_s,
-            lambda t, g=gen: self._deadline(g, t),
-        )
         self._maybe_complete()
-
-    def _install_handlers(self, col: _NcCollection, gen: int) -> None:
-        self.bus.set_handler(
-            col.broker.broker_id,
-            lambda message, c=col, g=gen: self._on_broker_message(
-                c, g, message
-            ),
-        )
-        for node in col.nc.nodes.values():
-            try:
-                self.bus.set_handler(
-                    node.node_id,
-                    lambda message, n=node: self._on_node_message(n, message),
-                )
-            except KeyError:
-                pass  # churned off the bus; sends to it drop-and-count
-
-    # -- commanding / collecting ---------------------------------------
-
-    def _dispatch(
-        self, col: _NcCollection, ca: _CellAttempt, gen: int, now: float
-    ) -> None:
-        """Command the cell's current candidate (or fall back to infra)."""
-        broker = col.broker
-        while True:
-            if ca.satisfied:
-                return
-            if ca.candidate_idx >= len(ca.candidates):
-                self._exhaust_cell(col, ca, now)
-                return
-            node_id = ca.candidates[ca.candidate_idx]
-            if node_id not in col.nc.nodes:
-                ca.candidate_idx += 1
-                ca.attempt = 0
-                continue
-            command = Message(
-                kind=MessageKind.SENSE_COMMAND,
-                source=broker.broker_id,
-                destination=node_id,
-                payload={
-                    "sensor": broker.sensor_name,
-                    "grid_index": ca.cell,
-                },
-                payload_values=2,
-                timestamp=now,
-            )
-            col.commanded[node_id] = ca.cell
-            ca.awaiting = node_id
-            if not self.bus.send(command, strict=False):
-                # Endpoint gone at transmit time; rotate immediately.
-                ca.candidate_idx += 1
-                ca.attempt = 0
-                continue
-            timeout = broker.config.report_timeout_s * 2 ** min(ca.attempt, 5)
+        if self.state is RoundState.COLLECTING:
             self.clock.schedule_in(
-                timeout,
-                lambda t, c=col, a=ca, n=node_id, k=ca.attempt, g=gen: (
-                    self._report_timeout(c, a, n, k, g, t)
-                ),
+                self.report_deadline_s,
+                lambda t, g=gen: self._deadline(g, t),
             )
-            return
 
-    def _exhaust_cell(
-        self, col: _NcCollection, ca: _CellAttempt, now: float
-    ) -> None:
-        """Every candidate failed/refused: try the fixed sensor, else
-        mark the cell unrealisable so the round can close early."""
-        broker = col.broker
-        if ca.cell in broker.infrastructure:
-            value, noise_std = broker._read_infrastructure(
-                ca.cell, self.env, now
-            )
-            col.telemetry.infra_reads += 1
-            self._record_measurement(col, ca, value, noise_std, ())
-            return
-        ca.exhausted = True
-        self._maybe_complete()
-
-    def _record_measurement(
-        self,
-        col: _NcCollection,
-        ca: _CellAttempt,
-        value: float,
-        noise_std: float | None,
-        sources: tuple[str, ...],
-    ) -> None:
-        ca.satisfied = True
-        col.collected.add(ca.cell, value, noise_std, sources)
-        self._maybe_complete()
-
-    def _report_timeout(
-        self,
-        col: _NcCollection,
-        ca: _CellAttempt,
-        node_id: str,
-        attempt: int,
-        gen: int,
-        now: float,
-    ) -> None:
-        if gen != self._generation or self.state is not RoundState.COLLECTING:
-            return
-        if ca.satisfied or ca.awaiting != node_id or ca.attempt != attempt:
-            return  # stale timer: the cell moved on without us
-        if ca.attempt < col.broker.config.command_retries:
-            ca.attempt += 1
-            col.telemetry.retries_used += 1
-        else:
-            ca.candidate_idx += 1
-            ca.attempt = 0
-        self._dispatch(col, ca, gen, now)
-
-    def _on_broker_message(
-        self, col: _NcCollection, gen: int, message: Message
-    ) -> None:
-        if message.kind is not MessageKind.SENSE_REPORT:
-            # Context shares etc. keep their inbox path for the usual
-            # consumers (Broker.process_inbox) — re-enqueued through the
-            # bounded bus API so a saturated broker sheds them instead
-            # of queueing without limit (RPR008).
-            self.bus.requeue(message)
-            return
-        if gen != self._generation or self.state is not RoundState.COLLECTING:
-            self.late_reports += 1
-            return
-        cell = col.commanded.get(message.source)
-        if cell is None:
-            self.late_reports += 1
-            return
-        ca = col.cells.get(cell)
-        if ca is None or ca.satisfied:
-            return
-        if message.payload.get("ok"):
-            self._record_measurement(
-                col,
-                ca,
-                float(message.payload["value"]),
-                float(message.payload.get("noise_std", 0.0)),
-                (message.source,),
-            )
-        else:
-            col.telemetry.refused += 1
-            if ca.awaiting == message.source:
-                ca.candidate_idx += 1
-                ca.attempt = 0
-                self._dispatch(col, ca, gen, float(self.clock.now))
-
-    def _on_node_message(self, node: MobileNode, message: Message) -> None:
-        if message.kind is MessageKind.SENSE_COMMAND:
-            node.handle_command(message, self.env, self.bus)
-        else:
-            self.bus.requeue(message)
+    def _count_late(self) -> None:
+        self.late_reports += 1
 
     def _maybe_complete(self) -> None:
-        if self.state is not RoundState.COLLECTING:
-            return
-        for col in self._collections:
-            for ca in col.cells.values():
-                if not ca.satisfied and not ca.exhausted:
-                    return
-        self._close_collection(float(self.clock.now))
+        if self.state is RoundState.COLLECTING and all(
+            col is None or col.settled for col in self._collections
+        ):
+            self._close_collection(float(self.clock.now))
 
     def _deadline(self, gen: int, now: float) -> None:
         if gen != self._generation or self.state is not RoundState.COLLECTING:
@@ -575,50 +373,21 @@ class ZoneRoundDriver:
                 self._owner_ident, "ZoneRoundDriver._close_collection"
             )
         self.state = RoundState.SOLVING
-        pairs = []
-        partial = False
         for col in self._collections:
-            broker = col.broker
-            if col.plan is None:
-                self.rounds_failed += 1
-                self.state = RoundState.IDLE
-                return
-            # Deadline fallback: cells whose node exchange was still in
-            # flight read their fixed sensor now (the synchronous path's
-            # per-cell infra fallback, deferred to the deadline).
-            for cell in sorted(col.cells):
-                ca = col.cells[cell]
-                if not ca.satisfied and cell in broker.infrastructure:
-                    value, noise_std = broker._read_infrastructure(
-                        cell, self.env, now
-                    )
-                    col.telemetry.infra_reads += 1
-                    ca.satisfied = True
-                    col.collected.add(cell, value, noise_std)
-            if not col.collected.locations and broker.infrastructure:
-                broker._infra_sweep(col.collected, col.telemetry, self.env, now)
-            if any(not ca.satisfied for ca in col.cells.values()):
-                partial = True
-            endpoint = self.bus.endpoint(broker.broker_id)
-            col.telemetry.commands_lost += (
-                endpoint.outbound_lost - col.baseline_out
-            )
-            col.telemetry.reports_lost += (
-                endpoint.inbound_lost - col.baseline_in
-            )
+            if col is not None:
+                col.closed = True  # late reports and timers now miss
+        pairs = []
+        for col in self._collections:
             try:
-                pending = broker._freeze_round(
-                    col.collected,
-                    col.telemetry,
-                    col.plan.k_est,
-                    col.plan.planned_m,
-                    self._started_at,
-                )
-            except RuntimeError:
+                pending = col.close() if col is not None else None
+            except RuntimeError:  # nothing collected
+                pending = None
+            if pending is None:
                 self.rounds_failed += 1
                 self.state = RoundState.IDLE
                 return
-            pairs.append((broker, pending))
+            pairs.append((col.broker, pending))
+        partial = any(col.partial for col in self._collections)
         solved = [broker.solve_round(pending) for broker, pending in pairs]
         result = self.lc.finish_round(pairs, solved, self._started_at)
         # The estimate exists only now: on a WallClock the solve took
@@ -628,38 +397,6 @@ class ZoneRoundDriver:
         if self.cloud_address is not None:
             self.lc.report_upward(self.cloud_address, result, now)
         self._finish(result, completed_at, partial)
-
-    def _run_synchronous(
-        self, now: float, directives: RoundDirectives
-    ) -> None:
-        """Zero-latency collapse: the whole round completes at ``now``.
-
-        Bit-identical to the lockstep path — same collect/solve/finalize
-        calls on the same broker state — because with instantaneous
-        links there is nothing to wait for.
-        """
-        self.state = RoundState.SOLVING
-        if directives.m_scale < 1.0:
-            budgets = [
-                self._nc_budget(nc.broker, idx, directives)
-                for idx, nc in enumerate(self.lc.nanoclouds)
-            ]
-        else:
-            budgets = self.measurements_per_nc
-        try:
-            result = self.lc.run_round(
-                self.env, now,
-                measurements_per_nc=budgets,
-                sparsity_cap=directives.sparsity_cap,
-            )
-        except RuntimeError:
-            self.rounds_failed += 1
-            self.state = RoundState.IDLE
-            return
-        if self.cloud_address is not None:
-            self.lc.report_upward(self.cloud_address, result, now)
-            self.bus.endpoint(self.cloud_address).drain()
-        self._finish(result, now, False)
 
     def _finish(
         self, result: LocalCloudResult, now: float, partial: bool

@@ -123,10 +123,6 @@ class PopulationConfig:
     def zone_height(self) -> int:
         return self.height // self.zones_y
 
-    @property
-    def cells_per_zone(self) -> int:
-        return self.zone_width * self.zone_height
-
 
 def _grid_cells(coords: np.ndarray, extent: int) -> np.ndarray:
     """Nearest field-grid cell along one axis, clamped into the field."""

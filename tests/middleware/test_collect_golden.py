@@ -215,8 +215,9 @@ def _async_zero(loss, retries, seed):
     clock.run_until(120.0)
     digest = hashlib.sha256()
     for outcome in outcomes:
-        # ``partial`` is left out: it is a statement about the plan,
-        # not an output of the collect.
+        # ``partial`` is left out: zero mode always reported False
+        # until it came to mean "a planned cell went unrealised" on
+        # both buses.
         _hash(digest, (
             outcome.zone_id, outcome.index, outcome.started_at,
             outcome.completed_at, outcome.stale,

@@ -234,13 +234,37 @@ class TestRetriesAndTopUp:
         assert estimate.degraded
         assert estimate.delivery_ratio < 1.0
 
+    @pytest.mark.parametrize("measurements, topup", [(1024, False), (600, True)])
+    def test_partition_of_a_large_plan_does_not_recurse(
+        self, measurements, topup
+    ):
+        # On the zero-latency bus every exchange completes inside send:
+        # a dark crowd must be walked cell by cell, not by recursion.
+        env = Environment(
+            fields={"temperature": smooth_field(32, 32, offset=20.0, rng=0)}
+        )
+        bus = MessageBus()
+        nc = NanoCloud.build(
+            "nc", bus, 32, 32, n_nodes=1024, rng=2,
+            config=BrokerConfig(
+                seed=2, command_retries=1, topup_resampling=topup
+            ),
+        )
+        bus.fault_injector = FaultInjector(
+            Partition({nc.broker.broker_id}, set(nc.nodes))
+        )
+        nc.broker.add_infrastructure(0, TemperatureSensor(rng=1))
+        estimate = nc.run_round(env, measurements=measurements)
+        # Every phone was commanded twice (with top-up, the spare
+        # cells' phones too); only the fixed sensor answered.
+        assert estimate.commands_lost == 2 * 1024
+        assert estimate.infra_reads == 1
+
     def test_backoff_advances_simulated_time(self, env):
         # The retried commands must carry increasing timestamps — the
         # backoff exists in simulated time, not wall clock.
         nc = self._nanocloud(env, loss=0.0, command_retries=3,
                              retry_backoff_s=1.0)
-        broker = nc.broker
-        node_id = next(iter(nc.nodes))
         seen: list[float] = []
         original_send = nc.bus.send
 
@@ -251,10 +275,10 @@ class TestRetriesAndTopUp:
             return original_send(message, **kwargs)
 
         nc.bus.send = spy_send
-        payload = broker._command_node(
-            nc.nodes[node_id], 0, nc.bus, env, timestamp=100.0
-        )
-        assert payload is None
+        # One planned cell, one phone on it: every attempt is swallowed,
+        # so the round collects nothing.
+        with pytest.raises(RuntimeError, match="collected no measurements"):
+            nc.run_round(env, timestamp=100.0, measurements=1)
         # 1 try + 3 retries with capped exponential backoff 1, 2, 4.
         assert seen == [100.0, 101.0, 103.0, 107.0]
 

@@ -8,6 +8,7 @@ from repro.core import metrics
 from repro.fields.generators import smooth_field
 from repro.middleware.config import BrokerConfig
 from repro.middleware.nanocloud import NanoCloud
+from repro.middleware.node import SharedContext
 from repro.network.bus import MessageBus
 from repro.sensors.base import Environment
 
@@ -109,6 +110,23 @@ class TestRounds:
 
 def _fresh_energy(nc):
     return sum(node.ledger.total_mj() for node in nc.nodes.values())
+
+
+class TestQueuedTraffic:
+    def test_round_leaves_unrelated_queued_traffic(self, env):
+        # A context share waiting at the broker and a downlink waiting
+        # at every member are not the round's to consume.
+        bus = MessageBus()
+        nc = NanoCloud.build("nc", bus, 6, 4, n_nodes=24, rng=1)
+        sharer = nc.nodes[sorted(nc.nodes)[0]]
+        sharer.share_context(
+            bus, nc.broker.broker_id, SharedContext("activity", "still", 0.0)
+        )
+        nc.broker.disseminate(bus, {"hint": 1}, 1, 0.0)
+        estimate = nc.run_round(env, measurements=24)
+        assert estimate.reports_ok == 24
+        assert nc.broker.process_inbox(bus, 1.0) == 1
+        assert [bus.endpoint(n).pending() for n in nc.nodes] == [1] * 24
 
 
 class TestEnergySubtotal:

@@ -139,6 +139,20 @@ class TestPartialRounds:
         assert estimate.planned_m == 6
         assert estimate.degraded
 
+    def test_zero_mode_partial_means_an_unrealised_planned_cell(self):
+        clock, bus, lc = _deployment(latency_mode="zero")
+        bus.unregister(sorted(lc.nanoclouds[0].nodes)[0])
+        outcomes = []
+        driver = ZoneRoundDriver(
+            0, lc, _env(), clock, period_s=30.0, on_complete=outcomes.append
+        )
+        driver.start(until=30.0)
+        clock.run_until(30.0)
+        (outcome,) = outcomes
+        assert outcome.latency_s == 0.0
+        assert outcome.partial
+        assert outcome.result.nc_estimates[0].plan.m == 5
+
     def test_deadline_closes_round_with_infra_fallback(self):
         # The victim node is crash-scheduled down, so its commands are
         # eaten in flight; the per-command timeout chain outlives the
@@ -245,6 +259,64 @@ class TestPartialRounds:
         clock.run_until(60.0)
         assert driver.rounds_completed >= 3
         assert driver.rounds_skipped == 0
+
+
+class TestLinkModeHonoursConfig:
+    """Collector settings hold on a latency-faithful bus too."""
+
+    def test_unsuppressed_cells_average_every_colocated_report(self):
+        config = BrokerConfig(
+            policy=CompressionPolicy(mode="dense"), suppress_redundant=False
+        )
+        clock, bus, lc = _deployment(config=config, nodes_per_nc=16)
+        nc = lc.nanoclouds[0]
+        # Two phones on each of the 8 cells (zone height 2).
+        for index, node_id in enumerate(sorted(nc.nodes)):
+            cell = index // 2
+            nc.nodes[node_id].state.x = float(cell // 2)
+            nc.nodes[node_id].state.y = float(cell % 2)
+        frozen = []
+        finish_round = lc.finish_round
+
+        def spy(pairs, solved, timestamp):
+            frozen.extend(pending for _, pending in pairs)
+            return finish_round(pairs, solved, timestamp)
+
+        lc.finish_round = spy
+        driver = ZoneRoundDriver(0, lc, _env(), clock, period_s=30.0)
+        driver.start(until=30.0)
+        clock.run_until(45.0)
+        assert driver.rounds_completed == 1
+        (pending,) = frozen
+        assert pending.locations.size == 8
+        assert [len(row) for row in pending.sources] == [2] * 8
+
+    def test_topup_keeps_a_lossy_round_near_the_plan(self):
+        clock = SimClock()
+        bus = MessageBus(loss_rate=0.3, seed=4)
+        bus.attach_clock(clock, "link")
+        config = BrokerConfig(
+            command_retries=1,
+            topup_resampling=True,
+            report_timeout_s=1.0,
+            report_deadline_s=60.0,
+        )
+        lc = LocalCloud(
+            "lc0", bus, 8, 6, n_nanoclouds=1, nodes_per_nc=48,
+            config=config, heterogeneous=False, rng=5,
+        )
+        outcomes = []
+        driver = ZoneRoundDriver(
+            0, lc, _env(8, 6), clock, period_s=100.0,
+            measurements_per_nc=[20], on_complete=outcomes.append,
+        )
+        driver.start(until=300.0)
+        clock.run_until(400.0)
+        assert len(outcomes) == 3
+        for outcome in outcomes:
+            (estimate,) = outcome.result.nc_estimates
+            assert estimate.planned_m == 20
+            assert estimate.effective_m >= 0.9 * estimate.planned_m
 
 
 class TestByzantineLifecycle:
