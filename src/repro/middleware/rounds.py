@@ -382,12 +382,12 @@ class ZoneRoundDriver:
                 pending = col.close() if col is not None else None
             except RuntimeError:  # nothing collected
                 pending = None
-            if pending is None:
+            if col is None or pending is None:
                 self.rounds_failed += 1
                 self.state = RoundState.IDLE
                 return
             pairs.append((col.broker, pending))
-        partial = any(col.partial for col in self._collections)
+        partial = any(col.partial for col in self._collections if col)
         solved = [broker.solve_round(pending) for broker, pending in pairs]
         result = self.lc.finish_round(pairs, solved, self._started_at)
         # The estimate exists only now: on a WallClock the solve took

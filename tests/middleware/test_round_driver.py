@@ -216,6 +216,33 @@ class TestPartialRounds:
         # exhausted the candidate: closed early, before the deadline.
         assert outcome.latency_s == pytest.approx(0.5 + 1.0 + 2.0)
 
+    def test_refused_cell_counts_no_retry(self):
+        # A refusal exhausts its cell at once; the refused command's
+        # report timer must not count a retry when it fires later (the
+        # round is still open, waiting out a crashed node's retries).
+        config = BrokerConfig(
+            policy=CompressionPolicy(mode="dense"),
+            report_deadline_s=8.0,
+            report_timeout_s=0.5,
+            command_retries=2,
+        )
+        injector = FaultInjector(CrashSchedule())
+        clock, bus, lc = _deployment(config=config, fault_injector=injector)
+        nc = lc.nanoclouds[0]
+        crashed, refuser = sorted(nc.nodes)[:2]
+        injector.faults[0].crash(crashed, 0.0)
+        nc.nodes[refuser].policy.blocked_sensors.add("temperature")
+        outcomes = []
+        driver = ZoneRoundDriver(
+            0, lc, _env(), clock, period_s=30.0, on_complete=outcomes.append
+        )
+        driver.start(until=30.0)
+        clock.run_until(60.0)
+        estimate = outcomes[0].result.nc_estimates[0]
+        assert estimate.reports_refused == 1
+        assert estimate.plan.m == 4
+        assert estimate.retries_used == 2  # the crashed node's, only
+
     def test_refusal_rotates_to_infrastructure(self):
         # A privacy-blocked node refuses; with no co-located alternative
         # the cell falls back to its fixed sensor immediately.
