@@ -11,7 +11,7 @@ Three measurements of the PR-7 core:
   density (~1.5 nodes/cell, 32x32-cell zones, 128 reports/zone) from
   10k up to 100k nodes, serial solves.
 - **MEGA-WORKERS**: the 100k-node round with zone solves fanned out
-  over a shared-memory basis to 1/2/4 worker processes, against the
+  to 1/2/4 forked worker processes, against the
   serial arm.  All arms are bit-identical; the wall-clock column is an
   honest picture of what process fan-out buys on *this* host (on a
   single-core runner the IPC overhead dominates and sharding loses —
@@ -244,7 +244,7 @@ def test_mega_sharded_worker_sweep(benchmark):
 
     record_series(
         "MEGA-WORKERS",
-        f"one {nodes}-node round, serial vs shared-memory fan-out",
+        f"one {nodes}-node round, serial vs fork fan-out",
         ["arm", "workers", "round_s", "rmse"],
         rows,
         notes=f"host cpu count {os.cpu_count()}; all arms bit-identical"

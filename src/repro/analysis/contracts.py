@@ -11,7 +11,8 @@ Enable with ``REPRO_SANITIZE=1`` in the environment (or
 - dense arrays handed out by the shared basis registry are wrapped in a
   mutation guard: the returned view is read-only *and* cannot be made
   writeable again, and :func:`verify_shared_arrays` re-checksums every
-  guarded array (the sharded city solve calls it after each fan-out);
+  guarded array (the sharded city solve calls it in each forked worker
+  after every zone, and in the parent after each fan-out);
 - :class:`repro.middleware.rounds.ZoneRoundDriver` asserts that its
   state transitions run on the thread that owns the driver;
 - every read of a NanoCloud's cached energy subtotal
@@ -39,7 +40,6 @@ __all__ = [
     "check_vector",
     "check_shape",
     "guard_shared_array",
-    "digest_array",
     "verify_shared_arrays",
     "guarded_array_count",
     "reset_guards",
@@ -136,18 +136,6 @@ _GUARDED: dict[int, tuple[np.ndarray, str]] = {}
 
 def _digest(array: np.ndarray) -> str:
     return hashlib.sha1(np.ascontiguousarray(array).tobytes()).hexdigest()
-
-
-def digest_array(array: np.ndarray) -> str:
-    """Content checksum of an array (sha1 over its C-order bytes).
-
-    Public so the shared-memory registry (:mod:`repro.core.shardmem`)
-    can stamp a segment's expected digest into the spec it ships to
-    worker processes — the cross-process extension of the in-process
-    :func:`verify_shared_arrays` invariant.  Always available (not
-    sanitizer-gated): exporters pay it once per segment, not per round.
-    """
-    return _digest(array)
 
 
 def guard_shared_array(array: np.ndarray) -> np.ndarray:

@@ -45,6 +45,7 @@ import asyncio
 import hashlib
 import hmac
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,6 +301,8 @@ class IngestionGateway:
         self.devices_joined = 0
         self.frames_in = 0
         self.frames_out = 0
+        #: Frames dropped as not a JSON object, or with a bad number.
+        self.frames_malformed = 0
         self.evictions: dict[str, int] = dict.fromkeys(_EVICTION_REASONS, 0)
         self.sessions_resumed = 0
         self.sessions_parked = 0
@@ -463,6 +466,7 @@ class IngestionGateway:
             "devices_joined": self.devices_joined,
             "frames_in": self.frames_in,
             "frames_out": self.frames_out,
+            "frames_malformed": self.frames_malformed,
             "rounds_completed": self.driver.rounds_completed,
             "rounds_failed": self.driver.rounds_failed,
             "rounds_skipped": self.driver.rounds_skipped,
@@ -534,6 +538,12 @@ class IngestionGateway:
         if mode not in STREAM_MODES:
             writer.write(
                 protocol.http_response(400, b'{"error":"bad mode"}')
+            )
+            await writer.drain()
+            return
+        if not (_finite_query(request, "x") and _finite_query(request, "y")):
+            writer.write(
+                protocol.http_response(400, b'{"error":"bad position"}')
             )
             await writer.drain()
             return
@@ -719,6 +729,7 @@ class IngestionGateway:
                         break
                     frame = parse_device_frame(payload)
                     if frame is None:
+                        self.frames_malformed += 1
                         continue
                     if limited and not self._take_token(session):
                         session.frames_limited += 1
@@ -726,7 +737,8 @@ class IngestionGateway:
                         continue
                     self.frames_in += 1
                     session.frames_in += 1
-                    node.handle_device_frame(frame, self.transport)
+                    if not node.handle_device_frame(frame, self.transport):
+                        self.frames_malformed += 1
                 await asyncio.sleep(0)
         except ConnectionError:
             pass
@@ -853,6 +865,14 @@ class IngestionGateway:
                 if now - parked_at > res.resume_ttl_s:
                     self._churn(session)
                     self.evictions["expired"] += 1
+
+
+def _finite_query(request: protocol.HttpRequest, key: str) -> bool:
+    """Whether query parameter ``key`` is absent or a finite number."""
+    try:
+        return math.isfinite(float(request.query.get(key, "0")))
+    except ValueError:
+        return False
 
 
 def _no_uplink(payload: dict) -> None:

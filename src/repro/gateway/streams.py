@@ -14,6 +14,7 @@ from.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -113,25 +114,35 @@ class GatewayNode(MobileNode):
 
     # -- socket -> node ------------------------------------------------
 
-    def handle_device_frame(self, data: dict, bus: MessageBus) -> None:
-        """Process one decoded JSON frame from the device."""
+    def handle_device_frame(self, data: dict, bus: MessageBus) -> bool:
+        """Process one decoded JSON frame from the device.
+
+        Returns ``False`` when the frame is dropped as malformed: a
+        reading or a move whose numbers are missing, not JSON numbers or
+        not finite, or a reading with a negative ``noise_std``.
+        """
         kind = data.get("type")
         if kind == "reading":
+            value = _finite(data.get("value"))
+            noise_std = _finite(data.get("noise_std", 0.0))
+            if value is None or noise_std is None or noise_std < 0.0:
+                return False
             self.latest = DeviceReading(
-                value=float(data["value"]),
-                noise_std=float(data.get("noise_std", 0.0)),
-                at=self.now_fn(),
+                value=value, noise_std=noise_std, at=self.now_fn()
             )
             self.readings_received += 1
             if self.mode == "poll" and self.pending_command is not None:
                 command, self.pending_command = self.pending_command, None
                 self._reply(command, self.latest, bus)
         elif kind == "move":
-            self.state.x = float(data["x"])
-            self.state.y = float(data["y"])
+            x, y = _finite(data.get("x")), _finite(data.get("y"))
+            if x is None or y is None:
+                return False
+            self.state.x, self.state.y = x, y
         elif kind == "refuse" and self.pending_command is not None:
             command, self.pending_command = self.pending_command, None
             self._refuse(command, bus)
+        return True
 
     # -- broker -> node (the round driver's hook) ----------------------
 
@@ -207,9 +218,33 @@ class GatewayNode(MobileNode):
 
 
 def parse_device_frame(raw: bytes | str) -> dict | None:
-    """Decode one device text frame; ``None`` when it isn't clean JSON."""
+    """Decode one device text frame; ``None`` when it isn't clean JSON.
+
+    ``ValueError`` covers bad JSON, bad UTF-8 and integer literals past
+    the interpreter's digit limit; ``RecursionError`` covers nesting too
+    deep to decode.
+    """
     try:
         data = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError):
+    except (ValueError, RecursionError):
         return None
     return data if isinstance(data, dict) else None
+
+
+# Exact types: ``bool`` subclasses ``int``, and a JSON number is only
+# ever decoded as one of these two.
+_NUMBER_TYPES = (int, float)
+
+
+def _finite(value: object) -> float | None:
+    """``value`` as a float if it is a finite JSON number, else ``None``.
+
+    ``json.loads`` accepts ``NaN`` and ``Infinity``; neither is a reading.
+    """
+    if type(value) not in _NUMBER_TYPES:
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal past float range
+        return None
+    return number if math.isfinite(number) else None

@@ -642,38 +642,3 @@ class MessageBus:
         self.stats.messages += 1
         self.stats.bytes += message.size_bytes
         self.stats.transmit_energy_mj += link.transfer_energy_mj(message)
-
-    # -- convenience --------------------------------------------------
-
-    def request_reply(
-        self,
-        request: Message,
-        reply_kind: MessageKind,
-        reply_payload: dict,
-        reply_values: int = 1,
-    ) -> Message | None:
-        """Send a request and immediately deliver the canned reply.
-
-        Utility for synchronous command/telemetry exchanges where the
-        responder's behaviour is computed by the caller (the broker
-        commands a node whose reading the simulation already knows).
-        Both legs are metered.  A request lost in the channel suppresses
-        the reply leg entirely (the responder never heard the question),
-        and a lost reply returns ``None`` too — the caller sees exactly
-        what it would have received.  Only valid on the synchronous
-        zero-latency path: with scheduled delivery there is no
-        "immediately", so callers must use plain sends and react to the
-        arrival events instead.
-        """
-        if self.deferred:
-            raise RuntimeError(
-                "request_reply is a synchronous convenience; with "
-                'latency_mode="link" use send() and handle the reply '
-                "arrival event"
-            )
-        if not self.send(request):
-            return None
-        reply = request.reply(reply_kind, reply_payload, reply_values)
-        if not self.send(reply):
-            return None
-        return reply

@@ -1,4 +1,4 @@
-"""City-scale rounds: sharded zone solves over a shared-memory basis.
+"""City-scale rounds: sharded zone solves over a forked basis.
 
 :class:`MegaSimulation` drives the struct-of-arrays population
 (:mod:`repro.sim.population`) through full sensing rounds at 100k+
@@ -13,9 +13,9 @@ process scale:
 - **solve** (parallel, pure): each delivered zone frame becomes a pure
   payload (cells, values, stds) solved by OMP against the zone-shaped
   DCT basis.  Serial mode solves in-process against the memoised
-  registry array; sharded mode fans payloads out to worker processes
-  that attach the *same bytes* from a ``multiprocessing.shared_memory``
-  segment (:mod:`repro.core.shardmem`) — which is why the two modes are
+  registry array; sharded mode fans payloads out to forked worker
+  processes that read the *same bytes*, the parent's basis handed over
+  at fork and shared copy-on-write — which is why the two modes are
   bit-identical (Hypothesis-pinned in ``tests/sim/test_mega.py``);
 - **finalize** (serial, parent): merge zone estimates into the global
   field, serve stale estimates for zones whose frame was lost or shed
@@ -41,13 +41,6 @@ from ..analysis import contracts
 from ..core.omp import omp
 from ..core.registry import shared_dct2_basis
 from ..core.robust import robust_reconstruct
-from ..core.shardmem import (
-    SharedArraySpec,
-    attach_shared_array,
-    export_shared_array,
-    release_shared_arrays,
-    verify_spec,
-)
 from ..middleware.config import GLS_STD_FLOOR
 from ..network.bus import MessageBus
 from ..network.frames import decode_zone_report, encode_zone_report
@@ -99,9 +92,8 @@ class MegaRoundRecord:
 
 # -- pure solve kernel (runs in parent or worker, identically) ----------
 
-# Worker-process module global: the attached shared basis.  Populated by
-# the pool initializer; the fork start method means workers inherit the
-# parent's modules but attach their own shm mapping.
+# Worker-process module globals: the parent's basis and a gather
+# workspace.  Populated by the pool initializer.
 _WORKER_BASIS: np.ndarray | None = None
 _WORKER_SCRATCH: np.ndarray | None = None
 
@@ -181,22 +173,30 @@ def _solve_zone(
 
 
 def _shard_worker_init(
-    spec: SharedArraySpec, sanitize: bool, reports: int
+    basis: np.ndarray, sanitize: bool, reports: int
 ) -> None:
-    """Pool initializer: attach the shared basis segment once."""
+    """Pool initializer: keep the inherited basis and a workspace."""
     global _WORKER_BASIS, _WORKER_SCRATCH
     if sanitize and not contracts.enabled():
         contracts.enable()
-    _WORKER_BASIS = attach_shared_array(spec)
-    _WORKER_SCRATCH = _zone_scratch(reports, _WORKER_BASIS.shape[1])
+    _WORKER_BASIS = basis
+    _WORKER_SCRATCH = _zone_scratch(reports, basis.shape[1])
 
 
 def _solve_zone_worker(
     payload: tuple[int, np.ndarray, np.ndarray, np.ndarray, int],
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """Worker-side entry: solve against the process-attached basis."""
+    """Worker-side entry: solve against the inherited basis.
+
+    Under the sanitizer the worker re-checksums its guard table after
+    the solve.  It inherited the parent's table at fork, so a worker
+    that wrote to its copy-on-write basis fails this task, and
+    ``pool.map`` re-raises the violation in the parent.
+    """
     assert _WORKER_BASIS is not None, "worker initializer did not run"
-    return _solve_zone(payload, _WORKER_BASIS, _WORKER_SCRATCH)
+    solved = _solve_zone(payload, _WORKER_BASIS, _WORKER_SCRATCH)
+    contracts.verify_shared_arrays(context="mega shard worker")
+    return solved
 
 
 class MegaSimulation:
@@ -231,18 +231,16 @@ class MegaSimulation:
             config.reports_per_zone, self.basis.shape[1]
         )
         self._pool: ProcessPoolExecutor | None = None
-        self._basis_spec: SharedArraySpec | None = None
         if config.sharded:
-            self._basis_spec = export_shared_array(
-                f"zone-basis-{pcfg.zone_width}x{pcfg.zone_height}",
-                np.asarray(self.basis),
-            )
             self._pool = ProcessPoolExecutor(
                 max_workers=config.workers,
+                # Fork hands initargs to each child in memory, so every
+                # worker reads the parent's basis pages copy-on-write.
+                # Under spawn they would be pickled once per worker.
                 mp_context=get_context("fork"),
                 initializer=_shard_worker_init,
                 initargs=(
-                    self._basis_spec,
+                    self.basis,
                     contracts.enabled(),
                     config.reports_per_zone,
                 ),
@@ -319,13 +317,8 @@ class MegaSimulation:
                 _solve_zone(p, self.basis, self._scratch) for p in payloads
             ]
         results = list(self._pool.map(_solve_zone_worker, payloads))
-        if contracts.enabled():
-            # Cross-process extension of the shared-array checksum
-            # invariant: nothing in the fan-out may have mutated the
-            # basis, in this process or in any worker's mapping.
-            contracts.verify_shared_arrays(context="mega shard fan-out")
-            assert self._basis_spec is not None
-            verify_spec(self._basis_spec, context="mega shard fan-out")
+        # Each worker checked its own copy; this checks the parent's.
+        contracts.verify_shared_arrays(context="mega shard fan-out")
         return results
 
     def _finalize(self, frames: list, solved) -> MegaRoundRecord:
@@ -368,17 +361,10 @@ class MegaSimulation:
     # -- lifecycle -----------------------------------------------------
 
     def shutdown(self) -> None:
-        """Tear down the worker pool and unlink shared-memory segments.
-
-        Idempotent, and safe after worker crashes: the parent owns the
-        segments, so they are unlinked even when the pool is broken.
-        """
+        """Tear down the worker pool (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        if self._basis_spec is not None:
-            release_shared_arrays([self._basis_spec.name])
-            self._basis_spec = None
 
     def __enter__(self) -> "MegaSimulation":
         return self

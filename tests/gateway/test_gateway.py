@@ -357,3 +357,104 @@ class TestReadLoop:
         assert gw.frames_in == session.frames_in == accepted
         assert gw.frames_rate_limited == self.FRAMES - accepted
         assert session.frames_limited == self.FRAMES - accepted
+
+
+def _pump_frames(texts: list[str]):
+    """Admit one stream-mode device at cell (1, 1) and feed it ``texts``
+    as masked text frames, without sockets."""
+    gw = IngestionGateway(
+        GatewayConfig(zone_width=W, zone_height=H, period_s=PERIOD_S, seed=7)
+    )
+    rng = random.Random(3)
+    stream = b"".join(
+        protocol.ws_encode(text, mask=True, rng=rng) for text in texts
+    )
+    request = protocol.HttpRequest(
+        "GET", "/sensor/connect", "/sensor/connect",
+        query={"x": "1", "y": "1", "id": "t"},
+    )
+
+    async def scenario():
+        session = gw._admit_session(request, _Sink(gw), "temperature", "stream")
+        reader = asyncio.StreamReader()
+        reader.feed_data(stream)
+        reader.feed_eof()
+        await gw._pump_device(session, reader)
+        return session
+
+    try:
+        session = gw.clock.run_until_complete(scenario())
+    finally:
+        gw.clock.close()
+    return gw, session.node
+
+
+class TestHostileDeviceFrames:
+    """A frame with a bad number is dropped and counted, never applied."""
+
+    def test_non_finite_move_keeps_membership_refreshable(self):
+        gw, node = _pump_frames(['{"type":"move","x":NaN,"y":0}'])
+        assert (node.state.x, node.state.y) == (1.0, 1.0)
+        assert gw.stats()["frames_malformed"] == 1
+        # The round driver re-maps positions first thing every round.
+        gw.nanocloud.refresh_membership()
+        assert gw.nanocloud.broker.members[node.node_id] == 1 * H + 1
+
+    def test_non_finite_reading_never_becomes_latest(self):
+        gw, node = _pump_frames(
+            [
+                '{"type":"reading","value":NaN}',
+                '{"type":"reading","value":1.0,"noise_std":Infinity}',
+                '{"type":"reading","value":1.0,"noise_std":-0.5}',
+            ]
+        )
+        assert node.latest is None
+        assert node.readings_received == 0
+        assert gw.stats()["frames_malformed"] == 3
+
+    def test_bad_reading_fields_do_not_end_the_session(self):
+        gw, node = _pump_frames(
+            [
+                '{"type":"reading","value":"abc"}',
+                '{"type":"reading"}',
+                "[1, 2]",
+                # Past json's recursion and integer-digit limits: these
+                # raise RecursionError and a plain ValueError.
+                "[" * 5000 + "]" * 5000,
+                '{"type":"reading","value":' + "1" * 5000 + "}",
+                '{"type":"reading","value":21.5,"noise_std":0.4}',
+            ]
+        )
+        assert node.readings_received == 1
+        assert (node.latest.value, node.latest.noise_std) == (21.5, 0.4)
+        assert gw.stats()["frames_malformed"] == 5
+
+
+class TestConnectPosition:
+    @pytest.mark.parametrize("query", ["x=abc&y=1", "x=nan&y=1", "x=1&y=inf"])
+    def test_bad_position_refused_before_upgrade(self, gateway, query):
+        async def scenario():
+            await gateway.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", gateway.port
+            )
+            writer.write(
+                (
+                    f"GET /sensor/connect?{query} HTTP/1.1\r\n"
+                    "Host: t\r\nUpgrade: websocket\r\n"
+                    "Connection: Upgrade\r\n"
+                    "Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n"
+                    "Sec-WebSocket-Version: 13\r\n\r\n"
+                ).encode("latin-1")
+            )
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+            await gateway.stop()
+            return raw
+
+        raw = gateway.clock.run_until_complete(scenario())
+        head, body = raw.split(b"\r\n\r\n", 1)
+        assert int(head.split()[1]) == 400
+        assert json.loads(body) == {"error": "bad position"}
+        assert gateway.devices_joined == 0

@@ -142,26 +142,6 @@ class TestPubSub:
         assert bus.stats.messages == 2  # one per receiver
 
 
-class TestRequestReply:
-    def test_round_trip(self):
-        bus = MessageBus()
-        bus.register("broker")
-        bus.register("node")
-        request = Message(
-            kind=MessageKind.SENSE_COMMAND,
-            source="broker",
-            destination="node",
-            payload={"sensor": "temperature"},
-        )
-        reply = bus.request_reply(
-            request, MessageKind.SENSE_REPORT, {"value": 21.5}
-        )
-        assert reply.destination == "broker"
-        assert bus.endpoint("broker").pending() == 1
-        assert bus.endpoint("node").pending() == 1
-        assert bus.stats.messages == 2
-
-
 class TestTrafficStatsLatency:
     def test_mean_latency_empty(self):
         bus = MessageBus()
@@ -283,19 +263,6 @@ class TestDeferredDelivery:
         clock.run_until(10.0)
         assert seen == [message]
         assert bus.endpoint("b").pending() == 0
-
-    def test_request_reply_refused_in_deferred_mode(self):
-        bus, _ = self._clocked_bus()
-        bus.register("a")
-        bus.register("b")
-        request = Message(
-            kind=MessageKind.SENSE_COMMAND,
-            source="a",
-            destination="b",
-            payload={},
-        )
-        with pytest.raises(RuntimeError, match="synchronous"):
-            bus.request_reply(request, MessageKind.SENSE_REPORT, {})
 
     def test_publish_schedules_one_delivery_per_subscriber(self):
         bus, clock = self._clocked_bus()

@@ -272,44 +272,6 @@ class TestBusIntegration:
         with pytest.raises(KeyError):
             bus.send(_msg("a", "ghost"))
 
-    def test_request_reply_suppressed_when_request_lost(self):
-        bus = _bus_with(Partition({"a"}, {"b"}))
-        request = Message(
-            kind=MessageKind.SENSE_COMMAND, source="a", destination="b"
-        )
-        reply = bus.request_reply(
-            request, MessageKind.SENSE_REPORT, {"value": 1.0}
-        )
-        assert reply is None
-        # Only the request leg was (attempted and) metered; no phantom
-        # reply ever crossed the bus.
-        assert bus.stats.messages == 1
-        assert bus.endpoint("a").pending() == 0
-        assert bus.endpoint("b").pending() == 0
-
-    def test_request_reply_returns_none_when_reply_lost(self):
-        class _DropReports:
-            """Directional fault: only report-kind messages are eaten."""
-
-            name = "drop-reports"
-
-            def evaluate(self, message, now):
-                return message.kind is MessageKind.SENSE_REPORT, 0.0
-
-            def reset(self):
-                return None
-
-        bus = _bus_with(_DropReports())
-        request = Message(
-            kind=MessageKind.SENSE_COMMAND, source="a", destination="b"
-        )
-        reply = bus.request_reply(
-            request, MessageKind.SENSE_REPORT, {"value": 2.0}
-        )
-        assert reply is None
-        assert bus.endpoint("b").pending() == 1  # the request arrived
-        assert bus.endpoint("a").pending() == 0  # the reply was eaten
-
     def test_publish_counts_only_delivered(self):
         bus = _bus_with(Partition({"pub"}, {"s1"}))
         bus.register("pub")

@@ -3,8 +3,8 @@
 The load-bearing pin is :class:`TestSerialShardedIdentity`: the
 multiprocess fan-out must produce byte-for-byte the same estimates and
 trust state as the in-process solve, because collect (all RNG) stays
-serial, the solve kernel is pure, and the workers attach the exact
-basis bytes the parent exported.  The remaining tests exercise the
+serial, the solve kernel is pure, and the forked workers read the
+exact basis bytes the parent holds.  The remaining tests exercise the
 overload (PR 6) and Byzantine (PR 4) layers on top of the array core.
 """
 
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import contracts
 from repro.core.registry import shared_dct2_basis
-from repro.core.shardmem import exported_segment_names
 from repro.sensors.faults import SensorFaultInjector, StuckAt
 from repro.sim import mega
 from repro.sim.mega import MegaConfig, MegaSimulation
@@ -311,23 +310,21 @@ class TestShardedSanitizer:
         finally:
             contracts.enable(was_enabled)
 
-    def test_shutdown_unlinks_basis_segment(self):
-        sim = MegaSimulation(
-            MegaConfig(
-                population=_pop(4),
-                reports_per_zone=32,
-                sparsity=8,
-                sharded=True,
-                workers=2,
-            )
-        )
-        spec = sim._basis_spec
-        assert spec is not None
-        assert spec.name in exported_segment_names()
-        sim.run_round()
-        sim.shutdown()
-        assert spec.name not in exported_segment_names()
-        sim.shutdown()  # idempotent
+    def test_worker_solve_catches_mutated_basis(self, monkeypatch):
+        monkeypatch.setattr(contracts, "_ENABLED", True)
+        monkeypatch.setattr(contracts, "_GUARDED", {})
+        monkeypatch.setattr(mega, "_WORKER_BASIS", None)
+        monkeypatch.setattr(mega, "_WORKER_SCRATCH", None)
+        payload, basis = _golden_payload("clean")
+        owner = np.array(basis)
+        mega._shard_worker_init(contracts.guard_shared_array(owner), True, 96)
+        mega._solve_zone_worker(payload)  # untouched basis: no complaint
+        # Write through the pre-freeze owner, as a worker writing to its
+        # copy-on-write pages would.
+        owner.flags.writeable = True
+        owner[0, 0] += 1.0
+        with pytest.raises(contracts.ContractViolation, match="mutated"):
+            mega._solve_zone_worker(payload)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
