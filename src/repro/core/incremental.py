@@ -95,6 +95,9 @@ class IncrementalQR:
         dependent on the current factor.  Once that happens the instance
         flips to a dense ``lstsq`` fallback (minimum-norm solution, the
         same behaviour the seed's from-scratch refit had).
+
+    :meth:`drop_last` takes the newest column back, so a caller can
+    look at the direction a column adds before deciding to keep it.
     """
 
     def __init__(self, m: int, capacity: int, rtol: float = 1e-10) -> None:
@@ -109,7 +112,13 @@ class IncrementalQR:
         self._r = np.zeros((capacity, capacity))
         self._cols = np.zeros((m, capacity))
         self._k = 0
-        self.degenerate = False
+        # Columns factored into Q; behind ``_k`` once one was dependent.
+        self._rank = 0
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether an admitted column was dependent (solves use lstsq)."""
+        return self._rank < self._k
 
     def add_column(self, col: np.ndarray) -> np.ndarray | None:
         """Admit one new column of the sensing matrix.
@@ -137,14 +146,24 @@ class IncrementalQR:
             r2 = q.T @ v
             v -= q @ r2
             norm = math.sqrt(v.dot(v))
-            if norm <= self._rtol * max(col_norm, 1e-300):
-                self.degenerate = True
-            else:
+            if norm > self._rtol * max(col_norm, 1e-300):
                 self._r[:k, k] = r1 + r2
                 self._r[k, k] = norm
                 self._q[:, k] = v / norm
+                self._rank = k + 1
         self._k = k + 1
         return None if self.degenerate else self._q[:, k]
+
+    def drop_last(self) -> None:
+        """Take back the newest column, as if it had never been added.
+
+        Dropping the column that made the factor degenerate restores the
+        triangular solve: Q and R up to it were never touched.
+        """
+        if self._k == 0:
+            raise ValueError("no column to drop")
+        self._k -= 1
+        self._rank = min(self._rank, self._k)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """Least-squares coefficients for the currently admitted columns."""

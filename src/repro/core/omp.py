@@ -75,6 +75,7 @@ def _pursue(
     batch_size: int = 1,
     max_iterations: int | None = None,
     min_score: float = 0.0,
+    stop_at_noise: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """The greedy loop OMP and CHS share: correlate, select, admit,
     project — over the ``(M, N)`` sampled ``rows``, up to ``capacity``
@@ -86,6 +87,14 @@ def _pursue(
     ``max_iterations`` passes run, and a best score of ``min_score`` or
     less ends the loop — eq. 13's OMP stops once nothing correlates
     with the residual; Fig. 6's step 3(c) always picks (``-inf``).
+
+    ``stop_at_noise`` (OMP's, never CHS's) is a risk-inflation stop
+    (Foster & George 1994): an atom enters only if it lowers the
+    whitened RSS by at least ``2 ln N``.  That drop is ``(q . r_w)^2``
+    for the unit direction ``q`` the atom adds — the projection the
+    loop makes anyway — so the stop costs no refit.  A dependent atom
+    adds no direction and buys no drop.  Either way the atom is refused
+    (its column taken back out of the factor) and the loop ends.
 
     Returns the support in selection order, the N-length coefficient
     vector (its least-squares fit, zero elsewhere), the final
@@ -107,6 +116,8 @@ def _pursue(
     history: list[float] = []
     if max_iterations is None:
         max_iterations = capacity
+    penalty = 2.0 * math.log(n)
+    stopped = False
 
     while len(support) < capacity and len(history) < max_iterations:
         alpha_r = rows.T @ residual if analyze is None else analyze(residual)
@@ -122,14 +133,22 @@ def _pursue(
         # Nothing left, nothing finite, or nothing worth admitting.
         if not picked or not scores[picked[0]] > min_score:
             break
-        support.extend(picked)
-        in_support[picked] = True
+        before = len(support)
         for j in picked:
             direction = factor.add_column(whitener.whiten(rows[:, j]))
-            if direction is not None:
+            step = None if direction is None else direction @ residual_fit
+            if stop_at_noise and (step is None or step * step < penalty):
+                factor.drop_last()
+                stopped = True
+                break
+            support.append(j)
+            in_support[j] = True
+            if step is not None:
                 # The new residual is the old one with its component
                 # along the direction the atom added removed — no refit.
-                residual_fit -= (direction @ residual_fit) * direction
+                residual_fit -= step * direction
+        if len(support) == before:
+            break  # the noise stop refused the pass's first atom
         if factor.degenerate:
             # A dependent atom got in: from here on, the reference's
             # minimum-norm refit.
@@ -137,7 +156,7 @@ def _pursue(
             residual_fit = x_fit - admitted @ factor.solve(x_fit)
         residual = whitener.unwhiten(residual_fit)
         history.append(math.sqrt(residual.dot(residual)))
-        if history[-1] <= target:
+        if history[-1] <= target or stopped:
             break
 
     alpha_sub = factor.solve(x_fit)
@@ -158,6 +177,7 @@ def omp(
     *,
     tol: float = 1e-9,
     covariance: np.ndarray | None = None,
+    stop_at_noise: bool = False,
 ) -> OMPResult:
     """Recover a sparse coefficient vector from measurements ``x_s``.
 
@@ -170,7 +190,9 @@ def omp(
     x_s:
         Measurement vector of length M.
     sparsity:
-        Target sparsity K (maximum number of non-zero coefficients).
+        Sparsity cap K (maximum number of non-zero coefficients).
+        Eq. 13 bounds the support; without ``stop_at_noise`` the loop
+        fills it.
     tol:
         Stop early once the residual norm falls below ``tol * ||x_s||``.
     covariance:
@@ -179,6 +201,13 @@ def omp(
         ``M x M`` is formed) or a full matrix.  When given, the refit
         is GLS (eq. 12) instead of OLS (eq. 11), matching step 3(e)(ii)
         of Fig. 6.
+    stop_at_noise:
+        Admit an atom only while it lowers the whitened residual sum of
+        squares by at least ``2 ln N`` — the risk-inflation penalty for
+        picking one of N candidates at unit noise (Foster & George
+        1994).  The penalty is in whitened units, so this needs a
+        ``covariance``; it is fixed by N rather than a parameter, since
+        with an honest noise model there is nothing left to tune.
 
     Returns
     -------
@@ -195,6 +224,10 @@ def omp(
         raise ValueError(
             f"sparsity must be in 1..min(M, N)={min(m, n)}, got {sparsity}"
         )
+    if stop_at_noise and covariance is None:
+        raise ValueError(
+            "stop_at_noise needs a covariance: 2 ln N is in whitened units"
+        )
 
     # Column norms for a scale-invariant correlation test; guard zeros.
     # einsum sums the squares without the (M, N) temporaries of
@@ -203,7 +236,8 @@ def omp(
     col_norms = np.sqrt(np.einsum("ij,ij->j", phi_tilde, phi_tilde))
     safe_norms = np.where(col_norms > 0, col_norms, 1.0)
     support, coefficients, residual, history = _pursue(
-        phi_tilde, x_s, sparsity, tol, covariance, safe_norms
+        phi_tilde, x_s, sparsity, tol, covariance, safe_norms,
+        stop_at_noise=stop_at_noise,
     )
     return OMPResult(
         coefficients=coefficients,

@@ -325,24 +325,28 @@ class ZoneRoundDriver:
         gen = self._generation
         self.state = RoundState.COMMANDING
         self._collections = []
-        for idx, nc in enumerate(self.lc.nanoclouds):
-            broker = nc.prepare_round(now)
-            try:
-                plan = broker.plan_round(
-                    measurements=self._nc_budget(broker, idx, directives),
-                    sparsity_cap=directives.sparsity_cap,
+        try:
+            for idx, nc in enumerate(self.lc.nanoclouds):
+                broker = nc.prepare_round(now)
+                try:
+                    plan = broker.plan_round(
+                        measurements=self._nc_budget(broker, idx, directives),
+                        sparsity_cap=directives.sparsity_cap,
+                    )
+                except RuntimeError:
+                    self._collections.append(None)
+                    continue
+                collector = _Collector(
+                    broker, plan, self.bus, nc.nodes, self.env, now,
+                    on_settled=self._maybe_complete,
+                    on_late=self._count_late,
                 )
-            except RuntimeError:
-                self._collections.append(None)
-                continue
-            collector = _Collector(
-                broker, plan, self.bus, nc.nodes, self.env, now,
-                on_settled=self._maybe_complete,
-                on_late=self._count_late,
-            )
-            self._collections.append(collector)
-            collector.attach()
-            collector.run()
+                self._collections.append(collector)
+                collector.attach()
+                collector.run()
+        except Exception:
+            self._abandon()
+            raise
         self.state = RoundState.COLLECTING
         self._maybe_complete()
         if self.state is RoundState.COLLECTING:
@@ -353,6 +357,20 @@ class ZoneRoundDriver:
 
     def _count_late(self) -> None:
         self.late_reports += 1
+
+    def _abandon(self) -> None:
+        """Count the round failed and drop it, so the next firing starts
+        clean: a phase raised (the caller re-raises, the error is not
+        swallowed) or a broker collected nothing.  The generation bump
+        voids its pending deadline and closing its collectors voids its
+        late reports and retry timers.
+        """
+        self._generation += 1
+        self.rounds_failed += 1
+        self.state = RoundState.IDLE
+        for col in self._collections:
+            if col is not None:
+                col.closed = True
 
     def _maybe_complete(self) -> None:
         if self.state is RoundState.COLLECTING and all(
@@ -376,27 +394,30 @@ class ZoneRoundDriver:
         for col in self._collections:
             if col is not None:
                 col.closed = True  # late reports and timers now miss
-        pairs = []
-        for col in self._collections:
-            try:
-                pending = col.close() if col is not None else None
-            except RuntimeError:  # nothing collected
-                pending = None
-            if col is None or pending is None:
-                self.rounds_failed += 1
-                self.state = RoundState.IDLE
-                return
-            pairs.append((col.broker, pending))
-        partial = any(col.partial for col in self._collections if col)
-        solved = [broker.solve_round(pending) for broker, pending in pairs]
-        result = self.lc.finish_round(pairs, solved, self._started_at)
-        # The estimate exists only now: on a WallClock the solve took
-        # real time since `now` was read (a SimClock does not advance
-        # inside an event, so there the two are the same instant).
-        completed_at = float(self.clock.now)
-        if self.cloud_address is not None:
-            self.lc.report_upward(self.cloud_address, result, now)
-        self._finish(result, completed_at, partial)
+        try:
+            pairs = []
+            for col in self._collections:
+                try:
+                    pending = col.close() if col is not None else None
+                except RuntimeError:  # nothing collected
+                    pending = None
+                if col is None or pending is None:
+                    self._abandon()
+                    return
+                pairs.append((col.broker, pending))
+            partial = any(col.partial for col in self._collections if col)
+            solved = [broker.solve_round(pending) for broker, pending in pairs]
+            result = self.lc.finish_round(pairs, solved, self._started_at)
+            # The estimate exists only now: on a WallClock the solve took
+            # real time since `now` was read (a SimClock does not advance
+            # inside an event, so there the two are the same instant).
+            completed_at = float(self.clock.now)
+            if self.cloud_address is not None:
+                self.lc.report_upward(self.cloud_address, result, now)
+            self._finish(result, completed_at, partial)
+        except Exception:
+            self._abandon()
+            raise
 
     def _finish(
         self, result: LocalCloudResult, now: float, partial: bool

@@ -83,8 +83,10 @@ class SimClock:
 
         The callback fires first at ``start`` (default: one period from
         now) and re-arms itself after each firing while ``until`` (if
-        given) has not passed.  Returns a :class:`PeriodicHandle` that
-        :meth:`cancel` accepts to stop the chain.
+        given) has not passed — also after a firing that raised, whose
+        exception then propagates out of :meth:`run_until`.  Returns a
+        :class:`PeriodicHandle` that :meth:`cancel` accepts to stop the
+        chain.
         """
         if period <= 0:
             raise ValueError("period must be positive")
@@ -94,10 +96,16 @@ class SimClock:
         def fire(now: float) -> None:
             if handle.cancelled:
                 return
-            callback(now)
-            next_time = now + period
-            if not handle.cancelled and (until is None or next_time <= until):
-                handle.current = self.schedule(next_time, fire)
+            # Re-arm even when the callback raises: one bad firing must
+            # not end the chain.  The exception still propagates.
+            try:
+                callback(now)
+            finally:
+                next_time = now + period
+                if not handle.cancelled and (
+                    until is None or next_time <= until
+                ):
+                    handle.current = self.schedule(next_time, fire)
 
         if until is None or first <= until:
             handle.current = self.schedule(first, fire)

@@ -54,7 +54,12 @@ _UPLINK = "mega-uplink"
 
 @dataclass(frozen=True)
 class MegaConfig:
-    """One city-scale experiment: population plus solve policy."""
+    """One city-scale experiment: population plus solve policy.
+
+    ``sparsity`` is a cap, not a target: every zone fit stops at the
+    noise floor (:func:`repro.core.omp.omp`'s ``stop_at_noise``) and
+    admits at most this many atoms.
+    """
 
     population: PopulationConfig
     reports_per_zone: int = 128
@@ -115,9 +120,18 @@ def _solve_zone(
     (trim mode, the PR-4 Byzantine layer): gross outliers are expelled
     against a concentration-fit reference *before* the final fit, so a
     stuck or adversarial sensor cannot drag the estimate it is judged
-    by.  On clean rounds trim rejects ~0.1 % of rows (Gaussian tails
+    by.  On clean rounds trim rejects ~0.01 % of rows (Gaussian tails
     past the 3.5-sigma cut); a zone that loses none gets the naive OMP
-    fit back untouched.  Returns ``(zone_id, zone_field, rejected)``
+    fit back untouched.
+
+    Every fit stops at the noise floor (``stop_at_noise``; at a
+    per-sample SNR below one, filling all K atoms fits noise).  Trim's
+    equal-weight concentration fits (``cov=None``) whiten by one scalar,
+    the zone's median claimed variance: every row keeps equal weight,
+    so an understated claim still buys no leverage, and the stop gets
+    its noise scale.
+
+    Returns ``(zone_id, zone_field, rejected)``
     where ``rejected`` is the per-report verdict mask for trust
     accounting.
 
@@ -145,6 +159,8 @@ def _solve_zone(
     if scratch is None:
         scratch = _zone_scratch(m, basis.shape[1])
     rows = np.take(basis, cells, axis=0, out=scratch[0, :m])
+    variances = stds**2
+    equal_weight = np.median(variances)
 
     def synthesise(atoms, result):
         support = result.support
@@ -158,14 +174,20 @@ def _solve_zone(
             rows, idx, axis=0, out=scratch[1, : len(idx)], mode="clip"
         )
         k = min(sparsity, phi_rows.shape[0], phi_rows.shape[1])
-        result = omp(phi_rows, vals, k, covariance=cov)
+        result = omp(
+            phi_rows,
+            vals,
+            k,
+            covariance=equal_weight if cov is None else cov,
+            stop_at_noise=True,
+        )
         return result, synthesise(rows, result)
 
     robust = robust_reconstruct(
         fit,
         values,
         np.arange(values.size),
-        covariance=stds**2,
+        covariance=variances,
         noise_stds=stds,
         mode="trim",
     )

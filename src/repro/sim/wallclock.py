@@ -115,7 +115,9 @@ class WallClock:
         .schedule_periodic`: first firing at ``start`` (default one
         period from now), re-arming after each firing while ``until``
         has not passed.  Re-arming is anchored to the *fired* time, so a
-        loop stalled past one slot does not burst to catch up.
+        loop stalled past one slot does not burst to catch up.  A firing
+        that raises is re-armed too; its exception goes to the loop's
+        exception handler.
         """
         if period <= 0:
             raise ValueError("period must be positive")
@@ -125,10 +127,16 @@ class WallClock:
         def fire(now: float) -> None:
             if handle.cancelled:
                 return
-            callback(now)
-            next_time = now + period
-            if not handle.cancelled and (until is None or next_time <= until):
-                handle.current = self.schedule(next_time, fire)
+            # Re-arm even when the callback raises: one bad firing must
+            # not end the chain.  The exception still propagates.
+            try:
+                callback(now)
+            finally:
+                next_time = now + period
+                if not handle.cancelled and (
+                    until is None or next_time <= until
+                ):
+                    handle.current = self.schedule(next_time, fire)
 
         if until is None or first <= until:
             handle.current = self.schedule(first, fire)

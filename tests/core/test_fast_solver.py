@@ -12,7 +12,7 @@ and compares.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.basis import dct_basis
@@ -329,6 +329,93 @@ class TestFastOMPEquivalence:
             )
 
 
+class TestNoiseStop:
+    """``stop_at_noise`` against an oracle built from the seed loop: the
+    support ``omp_reference`` picks at the cap, cut before the first
+    atom whose GLS refit lowers the whitened RSS by less than 2 ln N."""
+
+    @staticmethod
+    def _oracle(rows, x_s, cap, variance):
+        n = rows.shape[1]
+        scale = np.broadcast_to(1.0 / np.sqrt(variance), x_s.shape)
+        y = x_s * scale
+        ref = omp_reference(rows, x_s, cap, covariance=variance)
+        prefix, alpha, rss = [], np.zeros(0), float(y @ y)
+        drops = []
+        for j in ref.support.tolist():
+            atoms = rows[:, prefix + [j]] * scale[:, None]
+            fit, *_ = np.linalg.lstsq(atoms, y, rcond=None)
+            left = y - atoms @ fit
+            drops.append(rss - float(left @ left))
+            if drops[-1] < 2 * np.log(n):
+                break
+            prefix, alpha, rss = prefix + [j], fit, float(left @ left)
+        coefficients = np.zeros(n)
+        coefficients[prefix] = alpha
+        return ref, prefix, coefficients, drops
+
+    @pytest.mark.parametrize("kind", ["vector", "scalar"])
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_stop_is_the_reference_support_cut_at_the_penalty(
+        self, kind, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(24, 96))
+        m = int(rng.integers(max(8, n // 4), max(10, n // 2)))
+        k = int(rng.integers(1, max(2, m // 4)))
+        phi, x, _, locations = _problem(n, m, k, seed)
+        stds = rng.uniform(0.05, 0.6, size=m)
+        x_s = x[locations] + stds * rng.standard_normal(m)
+        variance = stds**2 if kind == "vector" else float(np.median(stds**2))
+        rows = phi[locations, :]
+        cap = min(k + 4, m - 1)
+        _, prefix, coefficients, drops = self._oracle(
+            rows, x_s, cap, variance
+        )
+        # A drop within rounding of the penalty has no defined side.
+        assume(all(abs(d - 2 * np.log(n)) > 1e-6 for d in drops))
+        fast = omp(rows, x_s, cap, covariance=variance, stop_at_noise=True)
+        assert fast.support.tolist() == prefix
+        assert np.allclose(fast.coefficients, coefficients, atol=1e-10)
+        assert fast.iterations == len(fast.residual_history) == len(prefix)
+
+    def test_dependent_atom_ends_the_pursuit(self):
+        # The duplicated-column dictionary above: under GLS the seed
+        # loop admits the twin, which lowers the RSS by nothing.
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            m = 12
+            columns = rng.standard_normal((m, 4))
+            dictionary = np.column_stack([columns, columns[:, 1]])
+            x_s = rng.standard_normal(m)
+            variance = _covariance("vector", m, rng)
+            ref, prefix, coefficients, _ = self._oracle(
+                dictionary, x_s, 5, variance
+            )
+            assert 4 in ref.support.tolist() and 4 not in prefix
+            fast = omp(
+                dictionary, x_s, 5, covariance=variance, stop_at_noise=True
+            )
+            assert fast.support.tolist() == prefix
+            assert np.allclose(fast.coefficients, coefficients, atol=1e-10)
+
+    def test_pure_noise_admits_nothing(self):
+        rng = np.random.default_rng(3)
+        phi = dct_basis(64)
+        x_s = 0.2 * rng.standard_normal(32)
+        fast = omp(
+            phi[:32, :], x_s, 8, covariance=0.04, stop_at_noise=True
+        )
+        assert fast.support.size == 0
+        assert not fast.coefficients.any()
+
+    def test_needs_a_covariance(self):
+        phi, _, x_s, locations = _problem(32, 12, 3, 0)
+        with pytest.raises(ValueError, match="covariance"):
+            omp(phi[locations, :], x_s, 3, stop_at_noise=True)
+
+
 def _covariance(kind, m, rng):
     """None, a variance vector, or a correlated (non-diagonal) matrix."""
     if kind == "none":
@@ -471,6 +558,26 @@ class TestIncrementalQR:
         stacked = np.column_stack([a, a[:, 0] + a[:, 1]])
         direct, *_ = np.linalg.lstsq(stacked, y, rcond=None)
         assert np.allclose(stacked @ inc.solve(y), stacked @ direct, atol=1e-8)
+
+    def test_dropping_the_dependent_column_restores_the_factor(self):
+        rng = np.random.default_rng(1)
+        m = 10
+        a = rng.standard_normal((m, 3))
+        inc = IncrementalQR(m, capacity=3)
+        inc.add_column(a[:, 0])
+        inc.add_column(a[:, 1])
+        assert inc.add_column(a[:, 0] - a[:, 1]) is None
+        inc.drop_last()
+        assert not inc.degenerate
+        y = rng.standard_normal(m)
+        direct, *_ = np.linalg.lstsq(a[:, :2], y, rcond=None)
+        assert np.allclose(inc.solve(y), direct, atol=1e-10)
+        # The freed slot takes a fresh column.
+        assert inc.add_column(a[:, 2]) is not None
+        direct, *_ = np.linalg.lstsq(a, y, rcond=None)
+        assert np.allclose(inc.solve(y), direct, atol=1e-10)
+        with pytest.raises(ValueError):
+            IncrementalQR(m, capacity=1).drop_last()
 
 
 class TestNearestInterpolate:

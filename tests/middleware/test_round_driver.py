@@ -9,6 +9,7 @@ refusal-driven candidate rotation.
 import pytest
 
 from repro.fields.generators import smooth_field
+from repro.middleware.broker import Broker
 from repro.middleware.config import BrokerConfig, CompressionPolicy
 from repro.middleware.localcloud import LocalCloud
 from repro.middleware.rounds import RoundState, ZoneRoundDriver, ZoneSchedule
@@ -286,6 +287,50 @@ class TestPartialRounds:
         clock.run_until(60.0)
         assert driver.rounds_completed >= 3
         assert driver.rounds_skipped == 0
+
+
+class TestRaisingRound:
+    """A phase that raises fails its round, not every later one."""
+
+    @pytest.mark.parametrize(
+        "phase, latency_mode",
+        [
+            ("plan_round", "link"),
+            ("solve_round", "link"),
+            ("solve_round", "zero"),
+        ],
+    )
+    def test_one_raise_in_ten_rounds_fails_only_that_round(
+        self, monkeypatch, phase, latency_mode
+    ):
+        clock, bus, lc = _deployment(latency_mode=latency_mode)
+        real = getattr(Broker, phase)
+        calls = []
+
+        def planted(broker, *args, **kwargs):
+            calls.append(phase)
+            if len(calls) == 4:
+                raise ValueError("planted")
+            return real(broker, *args, **kwargs)
+
+        monkeypatch.setattr(Broker, phase, planted)
+        outcomes = []
+        driver = ZoneRoundDriver(
+            0, lc, _env(), clock, period_s=30.0, on_complete=outcomes.append
+        )
+        driver.start(until=300.0)
+        # SimClock lets the error out of run_until; running on resumes.
+        with pytest.raises(ValueError, match="planted"):
+            clock.run_until(320.0)
+        clock.run_until(320.0)
+        assert len(calls) == 10
+        assert len(outcomes) == 9
+        assert driver.rounds_completed == 9
+        assert driver.rounds_failed == 1
+        assert driver.rounds_skipped == 0
+        assert [o.started_at for o in outcomes] == [
+            30.0 * i for i in range(1, 11) if i != 4
+        ]
 
 
 class TestLinkModeHonoursConfig:

@@ -32,7 +32,7 @@ from repro.sim.population import PopulationConfig
 
 CITY_GOLDEN = {
     "quarantined": 12,
-    "sha256": "9e44e3809a5e721e32c640c0e7aa5f102c880c24600de14483331eea0f8c51cd",
+    "sha256": "9c5277a9d4de872d05a9fbd2773122eed9f87f5b6bb17037f390249e9d220614",
 }
 BROKER_GOLDEN = {
     "released": 7,

@@ -83,6 +83,21 @@ class TestPeriodic:
         with pytest.raises(ValueError):
             SimClock().schedule_periodic(0.0, lambda t: None)
 
+    def test_raising_firing_propagates_and_the_chain_goes_on(self):
+        clock = SimClock()
+        hits = []
+
+        def fire(now):
+            hits.append(now)
+            if now == 4.0:
+                raise RuntimeError("planted")
+
+        clock.schedule_periodic(2.0, fire, until=10.0)
+        with pytest.raises(RuntimeError, match="planted"):
+            clock.run_until(10.0)
+        clock.run_until(10.0)
+        assert hits == [2.0, 4.0, 6.0, 8.0, 10.0]
+
 
 class TestCancellation:
     def test_cancel_pending_periodic_before_first_fire(self):

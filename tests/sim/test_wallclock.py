@@ -96,6 +96,23 @@ class TestPeriodic:
         with pytest.raises(ValueError):
             clock.schedule_periodic(0.0, lambda now: None)
 
+    def test_a_raising_firing_does_not_end_the_chain(self, clock):
+        errors = []
+        clock.loop.set_exception_handler(
+            lambda loop, context: errors.append(context["exception"])
+        )
+        fired = []
+
+        def fire(now):
+            fired.append(now)
+            if len(fired) == 2:
+                raise RuntimeError("planted")
+
+        clock.schedule_periodic(0.05, fire)
+        clock.run_for(0.5)
+        assert [str(e) for e in errors] == ["planted"]
+        assert len(fired) >= 5
+
 
 class TestZoneRoundDriverOnWallClock:
     """The realtime acceptance pin: the driver runs unmodified."""
