@@ -42,11 +42,10 @@ class SenseDroid:
     transport:
         Message transport the deployment rides — any
         :class:`repro.network.transport.Transport` backend (the
-        in-process :class:`~repro.network.transport.SimTransport`, the
+        in-process :class:`~repro.network.bus.MessageBus` or the
         socket-facing
-        :class:`~repro.network.asyncio_transport.AsyncioTransport`, or a
-        plain :class:`~repro.network.bus.MessageBus`).  ``None`` builds
-        a private synchronous bus, the seed behaviour.
+        :class:`~repro.network.asyncio_transport.AsyncioTransport`).
+        ``None`` builds a private synchronous bus, the seed behaviour.
     """
 
     def __init__(

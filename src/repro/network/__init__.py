@@ -40,15 +40,13 @@ from .topology import (
     proximity_topology,
     star_topology,
 )
-
-from .transport import SimTransport, Transport
+from .transport import Transport
 
 __all__ = [
     "Endpoint",
     "MessageBus",
     "TrafficStats",
     "Transport",
-    "SimTransport",
     "AsyncioTransport",
     "TransportClient",
     "LOOPBACK",

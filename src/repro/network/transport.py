@@ -10,12 +10,10 @@ scheduled.  :class:`Transport` names that surface as a
 :class:`typing.Protocol` so "backend" is a constructor argument, not an
 architecture:
 
-- :class:`SimTransport` is the in-process simulation backend — the
-  pre-refactor :class:`repro.network.bus.MessageBus`, re-expressed under
-  the interface and held bit-identical to the frozen copy in
-  :mod:`repro.network.reference` by a Hypothesis pin (fault injection,
-  backpressure, ``latency_mode`` and TrafficStats accounting all
-  preserved).
+- :class:`repro.network.bus.MessageBus` is the in-process simulation
+  backend (fault injection, backpressure, ``latency_mode`` and
+  TrafficStats accounting), pinned by the golden digests in
+  ``tests/network/test_bus_golden.py``.
 - :class:`repro.network.asyncio_transport.AsyncioTransport` carries the
   same Endpoint/topic API over real sockets, with deliveries scheduled
   on a :class:`repro.sim.wallclock.WallClock` and remote peers speaking
@@ -34,11 +32,11 @@ from __future__ import annotations
 
 from typing import Callable, Protocol, runtime_checkable
 
-from .bus import Endpoint, MessageBus, TrafficStats
+from .bus import Endpoint, TrafficStats
 from .links import LinkModel
 from .message import Message
 
-__all__ = ["Transport", "SimTransport"]
+__all__ = ["Transport"]
 
 
 @runtime_checkable
@@ -97,19 +95,3 @@ class Transport(Protocol):
     # -- observability -------------------------------------------------
 
     def stats_snapshot(self) -> dict[str, object]: ...
-
-
-class SimTransport(MessageBus):
-    """The in-process simulation backend of the :class:`Transport` seam.
-
-    This *is* the message bus — same class body, same RNG draws, same
-    fault injection, bounded-inbox backpressure and TrafficStats
-    accounting — re-expressed under the transport interface.  The
-    Hypothesis pin in ``tests/network/test_transport_identity.py`` runs
-    identical seeded deployments on this backend and on the frozen
-    pre-refactor copy (:mod:`repro.network.reference.bus`) and requires
-    bit-identical estimates and ``losses_by_reason``; the subclass
-    deliberately adds nothing, so the pin can never drift.
-    """
-
-    __slots__ = ()

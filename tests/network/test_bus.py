@@ -7,6 +7,7 @@ import pytest
 from repro.network.bus import MessageBus, TrafficStats
 from repro.network.links import BLUETOOTH, WIFI
 from repro.network.message import Message, MessageKind
+from repro.network.transport import Transport
 
 
 def _msg(src, dst, values=1):
@@ -348,3 +349,24 @@ class TestStatsSnapshot:
         reference = bus.stats.snapshot()
         for key, value in reference.items():
             assert snapshot[key] == value
+
+
+class TestTransportProtocol:
+    def test_satisfies_transport_protocol(self):
+        assert isinstance(MessageBus(), Transport)
+
+    def test_send_and_stats_round_trip(self):
+        transport = MessageBus()
+        transport.register("a", WIFI)
+        transport.register("b", WIFI)
+        message = Message(
+            kind=MessageKind.SENSE_COMMAND,
+            source="a",
+            destination="b",
+            payload={"grid_index": 5},
+        )
+        assert transport.send(message)
+        assert transport.endpoint("b").pending() == 1
+        snapshot = transport.stats_snapshot()
+        assert snapshot["messages"] == 1
+        assert snapshot["endpoints"] == 2
