@@ -2,10 +2,10 @@
 
 Three measurements of the PR-7 core:
 
-- **MEGA-TICK**: one mobility tick, vectorized array engine vs the
-  preserved object-per-node path, at a 2048-node deployment.  The two
-  engines are bit-identical (Hypothesis-pinned in
-  ``tests/sim/test_population.py``), so the timing gap is pure
+- **MEGA-TICK**: one mobility tick, vectorized array core vs the
+  object-per-node path (``tests/sim/object_population.py``), at a
+  2048-node deployment.  The two are bit-identical (Hypothesis-pinned
+  in ``tests/sim/test_population.py``), so the timing gap is pure
   per-node Python overhead.
 - **MEGA-SCALE**: full collect/solve/finalize rounds at constant node
   density (~1.5 nodes/cell, 32x32-cell zones, 128 reports/zone) from
@@ -43,6 +43,7 @@ from repro.sensors.faults import (
 from repro.sim import mega
 from repro.sim.mega import MegaConfig, MegaSimulation
 from repro.sim.population import NodePopulation, PopulationConfig
+from tests.sim.object_population import ObjectPopulation
 
 from _util import (
     CLEAN_FITS_BUDGET,
@@ -96,8 +97,8 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def _population(engine: str) -> NodePopulation:
-    return NodePopulation(
+def _population(cls: type[NodePopulation]) -> NodePopulation:
+    return cls(
         PopulationConfig(
             n_nodes=TICK_NODES,
             width=64,
@@ -106,7 +107,6 @@ def _population(engine: str) -> NodePopulation:
             zones_y=2,
             mobility="gauss_markov",
             seed=99,
-            engine=engine,
         )
     )
 
@@ -131,8 +131,8 @@ def _mega_config(
 
 
 def test_mega_tick_vector_vs_object(benchmark):
-    vector = _population("vector")
-    objects = _population("object")
+    vector = _population(NodePopulation)
+    objects = _population(ObjectPopulation)
     repeats = 5
 
     vector_s = _best_of(vector.tick, repeats)

@@ -11,14 +11,14 @@ advances everything with the vectorized mobility steps of
 Determinism contract
 --------------------
 The array core is not a different simulation, it is the *same*
-simulation evaluated in bulk.  ``engine="object"`` preserves the
-object-per-node path (real ``NodeState`` objects stepped one at a time
-through the scalar mobility models, scalar noise draws); ``engine="vector"``
-is the array path.  Both consume identical RNG streams — chunked draws
-(``standard_normal((k, 2))``, ``random((k, 4))``) advance a Generator
-exactly like the equivalent scalar sequence — so the two engines are
-bit-identical, which ``tests/sim/test_population.py`` pins with
-Hypothesis the same way ``repro.core.reference`` pins the solvers.
+simulation evaluated in bulk.  Chunked draws (``standard_normal((k,
+2))``, ``random((k, 4))``) advance a Generator exactly like the
+equivalent scalar sequence, so stepping real ``NodeState`` objects one
+at a time through the scalar mobility models, with scalar noise draws,
+gives the same arrays bit for bit.  That object-per-node path lives
+beside its tests (``tests/sim/object_population.py``), where
+``tests/sim/test_population.py`` pins the two with Hypothesis the same
+way ``repro.core.reference`` pins the solvers.
 
 Streams are split with ``SeedSequence.spawn`` (via
 :func:`repro.core.registry.spawn_shard_seeds`): one child for
@@ -30,7 +30,7 @@ stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +38,6 @@ from ..core.registry import spawn_shard_seeds
 from ..middleware.trust import TrustManager
 from ..mobility.models import (
     MODE_NAMES,
-    GaussMarkov,
-    RandomWaypoint,
-    StaticPlacement,
     gauss_markov_step_arrays,
     mode_codes_from_speed,
     random_waypoint_new_legs,
@@ -48,7 +45,6 @@ from ..mobility.models import (
     static_step_arrays,
 )
 from ..network.frames import ZoneReportFrame
-from ..sensors.base import NodeState
 from ..sensors.noise import (
     STANDARD_TIERS,
     QualityTier,
@@ -59,7 +55,6 @@ from ..sensors.noise import (
 __all__ = ["PopulationConfig", "NodePopulation"]
 
 _MOBILITIES = ("static", "random_waypoint", "gauss_markov")
-_ENGINES = ("vector", "object")
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,6 @@ class PopulationConfig:
     base_noise_std: float = 0.5
     tiers: tuple[QualityTier, ...] = STANDARD_TIERS
     seed: int = 0
-    engine: str = "vector"
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -103,10 +97,6 @@ class PopulationConfig:
             raise ValueError(
                 f"unknown mobility {self.mobility!r}; expected one of "
                 f"{_MOBILITIES}"
-            )
-        if self.engine not in _ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of {_ENGINES}"
             )
         if self.dt <= 0:
             raise ValueError("dt must be positive")
@@ -129,14 +119,6 @@ def _grid_cells(coords: np.ndarray, extent: int) -> np.ndarray:
     return np.clip(np.rint(coords).astype(np.int64), 0, extent - 1)
 
 
-@dataclass
-class _ObjectMirror:
-    """The preserved object-per-node path (``engine="object"``)."""
-
-    states: list[NodeState] = dataclass_field(default_factory=list)
-    model: object = None
-
-
 class NodePopulation:
     """All node state as contiguous arrays, advanced in bulk.
 
@@ -151,6 +133,10 @@ class NodePopulation:
     ``pause_left``) and the ``(2, n)`` leg direction cache ``leg_dir``
     (cos/sin of ``heading``) as arrays instead of dynamic attributes.
     """
+
+    #: One noise chunk per zone frame; a scalar-draw override is the
+    #: object-per-node oracle.
+    _readings = staticmethod(batched_readings)
 
     def __init__(self, config: PopulationConfig) -> None:
         self.config = config
@@ -207,57 +193,6 @@ class NodePopulation:
         self.mode[:] = mode_codes_from_speed(self.speed)
         self._zone_id: np.ndarray | None = None
 
-        self._mirror: _ObjectMirror | None = None
-        if config.engine == "object":
-            self._mirror = self._build_mirror()
-
-    # -- construction helpers ------------------------------------------
-
-    def _build_mirror(self) -> _ObjectMirror:
-        cfg = self.config
-        model: StaticPlacement | RandomWaypoint | GaussMarkov
-        if cfg.mobility == "static":
-            model = StaticPlacement(cfg.width, cfg.height)
-        elif cfg.mobility == "random_waypoint":
-            model = RandomWaypoint(
-                cfg.width,
-                cfg.height,
-                speed_range=cfg.speed_range,
-                pause_range=cfg.pause_range,
-            )
-            model._rng = self._mob_rng  # share the population stream
-        else:
-            model = GaussMarkov(
-                cfg.width,
-                cfg.height,
-                mean_speed=cfg.mean_speed,
-                alpha=cfg.alpha,
-                speed_std=cfg.speed_std,
-                heading_std=cfg.heading_std,
-            )
-            model._rng = self._mob_rng
-        states = []
-        for i in range(cfg.n_nodes):
-            state = NodeState(
-                x=float(self.x[i]),
-                y=float(self.y[i]),
-                speed=float(self.speed[i]),
-                heading=float(self.heading[i]),
-                mode=MODE_NAMES[int(self.mode[i])],
-            )
-            if cfg.mobility == "random_waypoint":
-                # Mirror the pre-drawn initial leg so the lazy _new_leg
-                # branch never fires and the streams stay aligned.
-                state._rwp_target = (  # type: ignore[attr-defined]
-                    float(self.target_x[i]),
-                    float(self.target_y[i]),
-                )
-                state._rwp_pause = float(self.pause_next[i])  # type: ignore[attr-defined]
-                state._rwp_speed = float(self.leg_speed[i])  # type: ignore[attr-defined]
-                state._rwp_pause_left = 0.0  # type: ignore[attr-defined]
-            states.append(state)
-        return _ObjectMirror(states=states, model=model)
-
     @property
     def zone_id(self) -> np.ndarray:
         """Per-node zone ids, computed on first read after a tick."""
@@ -304,13 +239,6 @@ class NodePopulation:
 
     def tick(self) -> None:
         """Advance every node by ``config.dt``; :attr:`zone_id` goes stale."""
-        if self._mirror is not None:
-            self._tick_object()
-        else:
-            self._tick_vector()
-        self._zone_id = None
-
-    def _tick_vector(self) -> None:
         cfg = self.config
         if cfg.mobility == "static":
             static_step_arrays(self.speed, self.mode)
@@ -351,18 +279,7 @@ class NodePopulation:
                 speed_range=cfg.speed_range,
                 pause_range=cfg.pause_range,
             )
-
-    def _tick_object(self) -> None:
-        assert self._mirror is not None
-        cfg = self.config
-        model = self._mirror.model
-        for i, state in enumerate(self._mirror.states):
-            model.step(state, cfg.dt)  # type: ignore[attr-defined]
-            self.x[i] = state.x
-            self.y[i] = state.y
-            self.speed[i] = state.speed
-            self.heading[i] = state.heading
-            self.mode[i] = MODE_NAMES.index(state.mode)
+        self._zone_id = None
 
     # -- sensing -------------------------------------------------------
 
@@ -385,8 +302,8 @@ class NodePopulation:
         :class:`repro.sensors.faults.SensorFaultInjector` corrupts the
         afflicted subset *after* honest noise, exactly like
         ``MobileNode.read_sensor`` — per-model streams make the call
-        order across nodes irrelevant, but both engines apply it in the
-        same (selection) order anyway.
+        order across nodes irrelevant, but it is applied in selection
+        order anyway.
         """
         truth = np.asarray(truth, dtype=float)
         if truth.shape != (self.config.width, self.config.height):
@@ -407,14 +324,7 @@ class NodePopulation:
             gi, gj = self.grid_indices(picked)
             truth_vals = truth[gi, gj]
             stds = self.noise_std[picked].copy()
-            if self._mirror is not None:
-                values = np.empty(m)
-                for k in range(m):
-                    values[k] = (
-                        truth_vals[k] + stds[k] * zrng.standard_normal()
-                    )
-            else:
-                values = batched_readings(truth_vals, stds, zrng)
+            values = self._readings(truth_vals, stds, zrng)
             if fault_injector is not None:
                 for k in range(m):
                     name = self.node_name(int(picked[k]))

@@ -1,11 +1,11 @@
-"""Struct-of-arrays population: vector engine pinned to the object path.
+"""Struct-of-arrays population: the array core pinned to the object path.
 
 The array core is only allowed to exist because it is *provably* the
-same simulation: ``engine="vector"`` must match ``engine="object"``
-(real NodeState objects stepped through the scalar mobility models)
-bit-for-bit — positions, velocities, modes, zone ids and every sensed
-value — the same oracle pattern ``repro.core.reference`` provides for the
-solvers.
+same simulation: :class:`NodePopulation` must match
+:class:`ObjectPopulation` (real NodeState objects stepped through the
+scalar mobility models) bit-for-bit — positions, velocities, modes,
+zone ids and every sensed value — the same oracle pattern
+``repro.core.reference`` provides for the solvers.
 """
 
 import hashlib
@@ -21,6 +21,8 @@ from repro.sim import population as population_module
 from repro.sensors.faults import CalibrationBias, SensorFaultInjector, StuckAt
 from repro.sim.population import NodePopulation, PopulationConfig
 
+from tests.sim.object_population import ObjectPopulation
+
 
 def _pair(seed: int, mobility: str, **overrides):
     base = dict(
@@ -33,9 +35,8 @@ def _pair(seed: int, mobility: str, **overrides):
         seed=seed,
     )
     base.update(overrides)
-    vector = NodePopulation(PopulationConfig(engine="vector", **base))
-    objects = NodePopulation(PopulationConfig(engine="object", **base))
-    return vector, objects
+    config = PopulationConfig(**base)
+    return NodePopulation(config), ObjectPopulation(config)
 
 
 def _assert_identical(vector: NodePopulation, objects: NodePopulation) -> None:
@@ -320,7 +321,5 @@ class TestPopulationBehaviour:
             PopulationConfig(n_nodes=10, width=10, height=10, zones_x=3)
         with pytest.raises(ValueError):
             PopulationConfig(n_nodes=10, width=8, height=8, mobility="nope")
-        with pytest.raises(ValueError):
-            PopulationConfig(n_nodes=10, width=8, height=8, engine="gpu")
         with pytest.raises(ValueError):
             PopulationConfig(n_nodes=0, width=8, height=8)
