@@ -41,8 +41,9 @@ hygiene:
 	@echo "hygiene: no bytecode artefacts tracked"
 
 # The numbers the ROADMAP's simplicity targets track: lines of Python
-# per src/repro package, BrokerConfig's field count, reprolint's live
-# rules, and the allow[...] pragma lines outside the linter itself.
+# per src/repro package, the field counts of the three config
+# dataclasses, reprolint's live rules, and the allow[...] pragma lines
+# outside the linter itself.
 loc:
 	@for pkg in src/repro/[!_]*/; do \
 		printf '%-26s %6d\n' "$$pkg" \
@@ -52,8 +53,12 @@ loc:
 		"$$(find src/repro -name '*.py' -exec cat {} + | wc -l)"
 	@PYTHONPATH=src $(PYTHON) -c "import dataclasses; \
 		from repro.middleware.config import BrokerConfig; \
+		from repro.sim.mega import MegaConfig; \
+		from repro.sim.population import PopulationConfig; \
 		from repro.analysis import RULES; \
 		print('BrokerConfig fields       %6d' % len(dataclasses.fields(BrokerConfig))); \
+		print('MegaConfig fields         %6d' % len(dataclasses.fields(MegaConfig))); \
+		print('PopulationConfig fields   %6d' % len(dataclasses.fields(PopulationConfig))); \
 		print('reprolint live rules      %6d' % len(RULES))"
 	@printf '%-26s %6d\n' "allow[...] pragma lines" \
 		"$$(grep -rn 'reprolint: allow' src/repro --include='*.py' \

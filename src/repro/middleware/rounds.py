@@ -414,10 +414,12 @@ class ZoneRoundDriver:
             completed_at = float(self.clock.now)
             if self.cloud_address is not None:
                 self.lc.report_upward(self.cloud_address, result, now)
-            self._finish(result, completed_at, partial)
         except Exception:
             self._abandon()
             raise
+        # Outside the try: the round is complete, so a raising
+        # on_complete propagates without counting it failed as well.
+        self._finish(result, completed_at, partial)
 
     def _finish(
         self, result: LocalCloudResult, now: float, partial: bool

@@ -15,6 +15,7 @@ import pytest
 
 from repro.gateway import protocol, server
 from repro.gateway.loadgen import LoadGenerator
+from repro.middleware import broker as broker_module
 from repro.gateway.server import (
     GatewayConfig,
     IngestionGateway,
@@ -213,6 +214,64 @@ class TestLoadGenerator:
         assert stats["round_latency_p50_s"] > 0.0
         assert stats["round_latency_p99_s"] >= stats["round_latency_p50_s"]
         assert stats["transport"]["messages"] > 0
+
+
+class TestRoundLiveness:
+    def test_a_raising_solve_fails_one_round_and_rounds_go_on(
+        self, monkeypatch
+    ):
+        # One planted raise in the solve of round 4 of 10: the gateway
+        # keeps publishing the other nine, and /stats counts the tenth.
+        period = 0.05
+        gw = IngestionGateway(
+            GatewayConfig(
+                zone_width=W, zone_height=H, period_s=period, seed=7,
+                infrastructure_every=1,
+            )
+        )
+        errors = []
+        gw.clock.loop.set_exception_handler(
+            lambda loop, context: errors.append(context.get("exception"))
+        )
+        real = broker_module.solve_pending
+        calls = []
+
+        def planted(pending):
+            calls.append(pending)
+            if len(calls) == 4:
+                raise ValueError("planted")
+            return real(pending)
+
+        monkeypatch.setattr(broker_module, "solve_pending", planted)
+
+        async def scenario():
+            await gw.start()
+            seen = []
+            while True:
+                done = len(calls) >= 10
+                status, latest = await _http_get(gw.port, "/zones/latest")
+                assert status == 200
+                if latest["round"] is not None:
+                    seen.append(latest["round"])
+                if done:
+                    break
+                await asyncio.sleep(period / 2)
+            gw.driver.stop()
+            status, stats = await _http_get(gw.port, "/stats")
+            await gw.stop()
+            return seen, stats
+
+        try:
+            seen, stats = gw.clock.run_until_complete(scenario())
+        finally:
+            gw.clock.close()
+        assert [str(e) for e in errors] == ["planted"]
+        assert stats["rounds_failed"] == 1
+        assert stats["rounds_completed"] >= 9
+        # /zones/latest kept advancing past the failed fourth solve: the
+        # tenth solve published round index 9.
+        assert seen == sorted(seen)
+        assert seen[-1] >= 9
 
 
 class _FrameClock(WallClock):

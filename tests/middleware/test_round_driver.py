@@ -332,6 +332,26 @@ class TestRaisingRound:
             30.0 * i for i in range(1, 11) if i != 4
         ]
 
+    def test_raising_on_complete_counts_its_round_once(self):
+        clock, bus, lc = _deployment()
+        outcomes = []
+
+        def on_complete(outcome):
+            outcomes.append(outcome)
+            if len(outcomes) == 4:
+                raise ValueError("planted")
+
+        driver = ZoneRoundDriver(
+            0, lc, _env(), clock, period_s=30.0, on_complete=on_complete
+        )
+        driver.start(until=300.0)
+        with pytest.raises(ValueError, match="planted"):
+            clock.run_until(320.0)
+        clock.run_until(320.0)
+        assert len(outcomes) == 10
+        assert driver.rounds_completed == 10
+        assert driver.rounds_failed == 0
+
 
 class TestLinkModeHonoursConfig:
     """Collector settings hold on a latency-faithful bus too."""

@@ -40,7 +40,7 @@ class ObjectPopulation(NodePopulation):
 
     def __init__(self, config: PopulationConfig) -> None:
         super().__init__(config)
-        cfg = config
+        cfg = self.config
         model: StaticPlacement | RandomWaypoint | GaussMarkov
         if cfg.mobility == "static":
             model = StaticPlacement(cfg.width, cfg.height)
