@@ -11,12 +11,13 @@ advances everything with the vectorized mobility steps of
 Determinism contract
 --------------------
 The array core is not a different simulation, it is the *same*
-simulation evaluated in bulk.  Chunked draws (``standard_normal((k,
-2))``, ``random((k, 4))``) advance a Generator exactly like the
-equivalent scalar sequence, so stepping real ``NodeState`` objects one
-at a time through the scalar mobility models, with scalar noise draws,
-gives the same arrays bit for bit.  That object-per-node path lives
-beside its tests (``tests/sim/object_population.py``), where
+simulation evaluated in bulk.  Chunked draws
+(``standard_normal((k, 2))``, ``random((k, 4))``) advance a Generator
+exactly like the equivalent scalar sequence, so stepping real
+``NodeState`` objects one at a time through the scalar mobility
+models, with scalar noise draws, gives the same arrays bit for bit.
+That object-per-node path lives beside its tests
+(``tests/sim/object_population.py``), where
 ``tests/sim/test_population.py`` pins the two with Hypothesis the same
 way ``repro.core.reference`` pins the solvers.
 
