@@ -4,9 +4,9 @@ Text output is one finding per line (``path:line:col: RPRnnn[name]
 message``); ``--format json`` emits a machine-readable report for CI,
 and ``--format github`` emits workflow-command annotations so findings
 attach to the PR diff.  One pass parses each file once and runs every
-rule, the cross-file ones (RPR012 duplicate seeds, RPR013 pub/sub flow)
-included.  The exit status is 0 when no unsuppressed findings remain, 1
-otherwise, and 2 on usage errors.
+rule, the cross-file one (RPR012 duplicate seeds) included.  The exit
+status is 0 when no unsuppressed findings remain, 1 otherwise, and 2 on
+usage errors.
 """
 
 from __future__ import annotations

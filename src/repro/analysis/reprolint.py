@@ -27,20 +27,16 @@ obvious from a summary:
   to a same-module function or same-class ``self.`` method that reaches
   either.  Reach stops at the module boundary.  A pragma on the sink
   line, or on a helper's ``def`` line, cuts the chain.
-- RPR013 matches a topic by constant name after import-alias expansion,
-  so package re-exports count; it runs only when
-  ``repro/network/topics.py`` itself is linted, and a topic used on
-  neither side is merely reserved.
 
-RPR003, RPR007 and RPR011 are retired (:data:`RETIRED_RULES`); their
-ids stay reserved and are never reused.
+RPR003, RPR004, RPR007, RPR011 and RPR013 are retired
+(:data:`RETIRED_RULES`); their ids stay reserved and are never reused.
 
 One pass
 --------
-Every file is parsed once and yields its findings plus *facts*:
-literal-seed sites and topic publish/subscribe sites.  One fold over the
-facts of every linted file produces the RPR012 duplicate-seed and RPR013
-findings (:func:`lint_source` folds over its one file).
+Every file is parsed once and yields its findings plus *facts*: its
+literal-seed sites.  One fold over the facts of every linted file
+produces the RPR012 duplicate-seed findings (:func:`lint_source` folds
+over its one file).
 
 Suppression
 -----------
@@ -88,11 +84,6 @@ RULES: dict[str, tuple[str, str]] = {
         "wall-clock read in simulation code; use the SimClock (pragma "
         "the legitimate perf-timing sites)",
     ),
-    "RPR004": (
-        "raw-topic",
-        "raw string-literal topic at a publish/subscribe call site; use "
-        "the shared constants from repro.network.topics",
-    ),
     "RPR005": (
         "float-eq",
         "exact float ==/!= comparison; use a tolerance, or pragma an "
@@ -127,12 +118,6 @@ RULES: dict[str, tuple[str, str]] = {
         "object crossing an executor boundary; derive independent "
         "child streams via SeedSequence.spawn",
     ),
-    "RPR013": (
-        "pubsub-flow",
-        "topic constant published with no subscriber anywhere in the "
-        "linted files (or subscribed with no publisher); the pub/sub "
-        "contract needs both ends",
-    ),
 }
 
 #: Retired rule id -> the name it had.  Ids are reserved forever: a
@@ -142,9 +127,13 @@ RETIRED_RULES: dict[str, str] = {
     # dispatched Broker.solve_round; the pool is gone and the solve is
     # a function of a frozen record, so neither has anything to find.
     "RPR003": "solve-purity",
+    # RPR004/RPR013 kept bus topics as shared constants with both ends
+    # present; the bus is point-to-point now and has no topics.
+    "RPR004": "raw-topic",
     # Gated the TrafficStats.latency_s alias, removed in PR 8.
     "RPR007": "deprecated-latency-s",
     "RPR011": "transitive-impurity",
+    "RPR013": "pubsub-flow",
 }
 
 #: Parse failures are reported under a pseudo-rule that cannot be
@@ -223,10 +212,6 @@ _WALL_CLOCK_CALLS = frozenset(
     }
 )
 
-# publish(topic, message) / subscribe(address, topic) /
-# unsubscribe(address, topic): positional index of the topic argument.
-_TOPIC_ARG_INDEX = {"publish": 0, "subscribe": 1, "unsubscribe": 1}
-
 _MUTABLE_DEFAULT_CALLS = frozenset({"list", "dict", "set", "bytearray"})
 _MUTABLE_LITERALS = (
     ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp
@@ -290,9 +275,6 @@ _EXECUTOR_CONSTRUCTORS = frozenset(
     {"ProcessPoolExecutor", "ThreadPoolExecutor", "Pool", "Process"}
 )
 
-# RPR013: the module whose TOPIC_* constants are the pub/sub contract.
-_TOPICS_MODULE_SUFFIX = "repro/network/topics.py"
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -351,11 +333,9 @@ def _pragmas(source: str, tree: ast.Module) -> dict[int, set[str]]:
     return effective
 
 
-#: What one file tells the cross-file fold: (kind, key, site) — a
-#: literal seed feeding a stream ("seed"), a topic constant at a
-#: "publish"/"subscribe" site, or a topic the topics module defines
-#: ("topic", no site).
-_Fact: TypeAlias = "tuple[str, object, Finding | None]"
+#: What one file tells the cross-file fold: a literal seed feeding a
+#: stream, and the site that constructs the stream.
+_Fact: TypeAlias = "tuple[object, Finding]"
 
 
 @dataclass(eq=False)
@@ -528,7 +508,7 @@ class _Checker(ast.NodeVisitor):
         # local name -> dotted module path it is bound to, e.g.
         # {"np": "numpy", "_random": "random", "perf_counter":
         #  "time.perf_counter", "datetime": "datetime.datetime"}.
-        # Relative imports keep their leading dots ("..network.topics").
+        # Relative imports keep their leading dots ("..core.registry").
         self.aliases: dict[str, str] = {}
         self._worker_depth = 0
         self._crossings: set[tuple[int, int]] = set()
@@ -558,10 +538,6 @@ class _Checker(ast.NodeVisitor):
         if self._selected(rule):
             self.findings.append(self._site(rule, node, message))
 
-    def _fact(self, kind: str, key: object, rule: str, node: ast.AST) -> None:
-        if self._selected(rule):
-            self.facts.append((kind, key, self._site(rule, node)))
-
     def _resolve(self, node: ast.AST) -> str | None:
         """Resolve a Name/Attribute chain to a dotted path through the
         module's import aliases; None when the root is not an import."""
@@ -582,10 +558,6 @@ class _Checker(ast.NodeVisitor):
         self.visit(tree)
         if self.realtime and self._selected("RPR010"):
             self._check_async_blocking(tree)
-        if self._selected("RPR013") and Path(self.path).as_posix().endswith(
-            _TOPICS_MODULE_SUFFIX
-        ):
-            self._record_topic_definitions(tree)
 
     # -- imports -------------------------------------------------------
 
@@ -777,20 +749,6 @@ class _Checker(ast.NodeVisitor):
                         "to_thread and pragma the sanctioned offload site",
                     )
 
-    # -- RPR013: the topics the topics module defines -------------------
-
-    def _record_topic_definitions(self, tree: ast.Module) -> None:
-        for stmt in tree.body:
-            if isinstance(stmt, ast.Assign) and isinstance(
-                stmt.value, ast.Constant
-            ):
-                self.facts.extend(
-                    ("topic", target.id, None)
-                    for target in stmt.targets
-                    if isinstance(target, ast.Name)
-                    and target.id.startswith("TOPIC_")
-                )
-
     # -- assignment statements (RPR008 inbox writes) --------------------
 
     def visit_Assign(self, node: ast.Assign) -> None:
@@ -854,7 +812,7 @@ class _Checker(ast.NodeVisitor):
                 "bounded-queue accounting cannot be bypassed",
             )
 
-    # -- RPR001 / RPR002 / RPR004 / RPR006 / RPR009 / RPR012: calls -----
+    # -- RPR001 / RPR002 / RPR006 / RPR009 / RPR012: calls --------------
 
     def visit_Call(self, node: ast.Call) -> None:
         resolved = self._resolve(node.func)
@@ -863,7 +821,6 @@ class _Checker(ast.NodeVisitor):
             self._check_wall_clock_call(node, resolved)
             if resolved in _STREAM_CONSTRUCTORS:
                 self._record_seed(node)
-        self._check_topic_call(node)
         self._check_inbox_call(node)
         self.generic_visit(node)
 
@@ -873,8 +830,8 @@ class _Checker(ast.NodeVisitor):
             if seed is None and keyword.arg in _SEED_KEYWORDS:
                 seed = keyword.value
         value = None if seed is None else _literal_seed(seed)
-        if value is not None:
-            self._fact("seed", value, "RPR012", node)
+        if value is not None and self._selected("RPR012"):
+            self.facts.append((value, self._site("RPR012", node)))
 
     def _check_rng_call(self, node: ast.Call, resolved: str) -> None:
         module, _, fn = resolved.rpartition(".")
@@ -918,33 +875,6 @@ class _Checker(ast.NodeVisitor):
                 "must use the SimClock (perf-timing sites carry "
                 "`# reprolint: allow[wall-clock]`)",
             )
-
-    def _check_topic_call(self, node: ast.Call) -> None:
-        if not isinstance(node.func, ast.Attribute):
-            return
-        method = node.func.attr
-        index = _TOPIC_ARG_INDEX.get(method)
-        if index is None:
-            return
-        topic: ast.expr | None = None
-        if len(node.args) > index:
-            topic = node.args[index]
-        else:
-            for keyword in node.keywords:
-                if keyword.arg == "topic":
-                    topic = keyword.value
-        if isinstance(topic, ast.Constant) and isinstance(topic.value, str):
-            self._emit(
-                "RPR004",
-                topic,
-                f"raw topic string {topic.value!r} at a "
-                f"{method}() call site; use the shared constants "
-                "in repro.network.topics",
-            )
-        # RPR013 fact: an imported constant, keyed by its own name.
-        resolved = None if topic is None else self._resolve(topic)
-        if resolved is not None and method != "unsubscribe":
-            self._fact(method, resolved.rpartition(".")[2], "RPR013", node)
 
     # -- RPR005: float equality ----------------------------------------
 
@@ -1007,16 +937,12 @@ def _lint_one(
 
 def _fold(facts: list[_Fact]) -> list[Finding]:
     """The cross-file findings over every linted file's facts: RPR012
-    duplicate literal seeds and RPR013 one-sided topics."""
-    sites: dict[tuple[str, object], list[Finding]] = {}
-    topics: set[object] = set()
-    for kind, key, site in facts:
-        if site is None:
-            topics.add(key)
-        else:
-            sites.setdefault((kind, key), []).append(site)
+    duplicate literal seeds."""
+    sites: dict[object, list[Finding]] = {}
+    for value, site in facts:
+        sites.setdefault(value, []).append(site)
     findings: list[Finding] = []
-    for (kind, value), group in sites.items():
+    for value, group in sites.items():
         group.sort(key=lambda f: (f.path, f.line, f.col))
         first = f"{Path(group[0].path).name}:{group[0].line}"
         findings.extend(
@@ -1028,31 +954,7 @@ def _fold(facts: list[_Fact]) -> list[Finding]:
                 "SeedSequence.spawn (repro.core.registry."
                 "spawn_shard_seeds)",
             )
-            for site in (group[1:] if kind == "seed" else ())
-        )
-    for topic in topics:
-        pubs = sites.get(("publish", topic), [])
-        subs = sites.get(("subscribe", topic), [])
-        if pubs and not subs:
-            message = (
-                "is published here but nothing in the linted files ever "
-                "subscribes to it; a contract with no second party is a "
-                "typo'd constant or dead traffic — add the subscriber"
-            )
-        elif subs and not pubs:
-            message = (
-                "is subscribed to here but nothing in the linted files "
-                "ever publishes it; the handler can never fire — add the "
-                "publisher"
-            )
-        else:
-            continue
-        findings.append(
-            replace(
-                (pubs or subs)[0],
-                message=f"topic {topic} {message}, or pragma a documented "
-                "external contract",
-            )
+            for site in group[1:]
         )
     return findings
 

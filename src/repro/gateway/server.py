@@ -469,6 +469,7 @@ class IngestionGateway:
             "frames_malformed": self.frames_malformed,
             "rounds_completed": self.driver.rounds_completed,
             "rounds_failed": self.driver.rounds_failed,
+            "rounds_idle": self.driver.rounds_idle,
             "rounds_skipped": self.driver.rounds_skipped,
             "rounds_stale_served": self.driver.rounds_stale_served,
             "round_latency_p50_s": _percentile(latencies, 0.50),

@@ -21,7 +21,6 @@ from ..fields.field import SpatialField
 from ..network.bus import MessageBus
 from ..network.links import LinkModel, WIFI
 from ..network.message import Message, MessageKind
-from ..network.topics import TOPIC_ZONE_ESTIMATES
 from ..sensors.base import Environment
 from .broker import Broker, ZoneEstimate, _PendingRound
 from .config import BrokerConfig
@@ -227,31 +226,9 @@ class LocalCloud:
         field = SpatialField(
             grid=zone_grid, name=f"zone@{self.lc_id}"
         )
-        result = LocalCloudResult(
+        return LocalCloudResult(
             field=field, nc_estimates=estimates, timestamp=timestamp
         )
-        # Observability downlink: anyone subscribed to the shared zone-
-        # estimates topic (dashboards, monitors, tests) hears a summary
-        # of every finished round.  The subscribers live out-of-tree,
-        # hence the pubsub-flow pragma; the subscribers() guard already
-        # makes the no-subscriber case free.
-        if self.bus.subscribers(TOPIC_ZONE_ESTIMATES):
-            self.bus.publish(  # reprolint: allow[pubsub-flow]
-                TOPIC_ZONE_ESTIMATES,
-                Message(
-                    kind=MessageKind.DISSEMINATE,
-                    source=self.head_address,
-                    destination=self.head_address,
-                    payload={
-                        "lc": self.lc_id,
-                        "measurements": result.total_measurements,
-                        "coefficients": result.coefficients_reported,
-                    },
-                    payload_values=3,
-                    timestamp=timestamp,
-                ),
-            )
-        return result
 
     def run_round(
         self,

@@ -168,6 +168,8 @@ class ZoneRoundDriver:
         self.rounds_completed = 0
         self.rounds_skipped = 0
         self.rounds_failed = 0
+        # Firings where no NanoCloud had anyone to command.
+        self.rounds_idle = 0
         self.late_reports = 0
         # Overload accounting: busy firings that were rescheduled by
         # admission control, and round slots served from the last good
@@ -347,6 +349,11 @@ class ZoneRoundDriver:
         except Exception:
             self._abandon()
             raise
+        if all(col is None for col in self._collections):
+            # Nothing went out, so nothing failed.
+            self.rounds_idle += 1
+            self.state = RoundState.IDLE
+            return
         self.state = RoundState.COLLECTING
         self._maybe_complete()
         if self.state is RoundState.COLLECTING:

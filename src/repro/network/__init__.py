@@ -25,13 +25,6 @@ from .frames import (
     encode_zone_report,
 )
 from .selector import NetworkSelector, SelectionPolicy, SelectionResult
-from .topics import (
-    ALL_TOPICS,
-    TOPIC_ALERTS,
-    TOPIC_CONTEXT_DIGEST,
-    TOPIC_ROUND_COMPLETED,
-    TOPIC_ZONE_ESTIMATES,
-)
 from .topology import (
     broker_load,
     hierarchy_topology,
@@ -76,11 +69,6 @@ __all__ = [
     "SelectionResult",
     "Message",
     "MessageKind",
-    "ALL_TOPICS",
-    "TOPIC_ALERTS",
-    "TOPIC_CONTEXT_DIGEST",
-    "TOPIC_ROUND_COMPLETED",
-    "TOPIC_ZONE_ESTIMATES",
     "broker_load",
     "hierarchy_topology",
     "is_connected",

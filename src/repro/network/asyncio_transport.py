@@ -2,7 +2,7 @@
 
 :class:`AsyncioTransport` is the second implementation of the
 :class:`repro.network.transport.Transport` seam.  It subclasses
-:class:`repro.network.bus.MessageBus` — so registration, pub/sub,
+:class:`repro.network.bus.MessageBus` — so registration, unicast delivery,
 metering, fault injection and bounded-inbox backpressure are literally
 the same code paths the simulation exercises — and changes exactly one
 thing: deliveries are scheduled on a

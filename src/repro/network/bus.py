@@ -1,20 +1,22 @@
-"""In-process publish/subscribe message bus (the transport substrate).
+"""In-process point-to-point message bus (the transport substrate).
 
-SenseDroid's real deployments speak MQTT-style brokered pub/sub over
-WiFi/BT/GSM; this bus is the in-process equivalent: endpoints register
-under an address, subscribe to topics, and every delivery is metered
-through a :class:`repro.network.links.LinkModel` so experiments can count
+SenseDroid's rounds are chains of unicasts over WiFi/BT/GSM: the broker
+commands nodes, nodes report back, and each NanoCloud sends its
+AGGREGATE to the LocalCloud head.  This bus is the in-process
+equivalent: endpoints register under an address, ``send`` delivers one
+message to one address, and every delivery is metered through a
+:class:`repro.network.links.LinkModel` so experiments can count
 messages, bytes, latency and radio energy without real sockets.
 
 The bus has two delivery disciplines:
 
 - ``latency_mode="zero"`` (default): delivery is synchronous and
-  deterministic (no threads) — ``publish`` and ``send`` enqueue to the
-  destination's inbox and update the traffic accounting immediately.
-  Higher layers drain inboxes explicitly, which keeps every experiment
-  replayable.  This is the seed behaviour, bit-for-bit.
+  deterministic (no threads) — ``send`` enqueues to the destination's
+  inbox and updates the traffic accounting immediately.  Higher layers
+  drain inboxes explicitly, which keeps every experiment replayable.
+  This is the seed behaviour, bit-for-bit.
 - ``latency_mode="link"`` with an attached :class:`repro.sim.clock
-  .SimClock`: ``send``/``publish`` *schedule* delivery at ``now +
+  .SimClock`: ``send`` *schedules* delivery at ``now +
   link.transfer_latency_s(message)``.  Loss and fault injection are
   evaluated at delivery time (the channel eats the message in flight,
   not at the send call), fault-model extra latency further delays the
@@ -309,7 +311,6 @@ class MessageBus:
         self.inbox_capacity = inbox_capacity
         self.drop_policy = drop_policy
         self._endpoints: dict[str, Endpoint] = {}
-        self._subscriptions: dict[str, set[str]] = defaultdict(set)
         self.stats = TrafficStats()
         self._loss_rng = _random.Random(seed)
 
@@ -356,7 +357,7 @@ class MessageBus:
     def attach_clock(self, clock, latency_mode: str = "link") -> None:
         """Bind a sim clock and select the delivery discipline.
 
-        With ``latency_mode="link"`` every subsequent ``send``/``publish``
+        With ``latency_mode="link"`` every subsequent ``send``
         schedules its delivery at ``clock.now + transfer latency``; with
         ``"zero"`` the clock is held but delivery stays synchronous.
         """
@@ -403,10 +404,8 @@ class MessageBus:
         return endpoint
 
     def unregister(self, address: str) -> None:
-        """Drop an endpoint and all its subscriptions (node churn)."""
+        """Drop an endpoint (node churn)."""
         self._endpoints.pop(address, None)
-        for subscribers in self._subscriptions.values():
-            subscribers.discard(address)
 
     def endpoint(self, address: str) -> Endpoint:
         try:
@@ -423,49 +422,6 @@ class MessageBus:
     @property
     def addresses(self) -> list[str]:
         return sorted(self._endpoints)
-
-    # -- pub/sub ------------------------------------------------------
-
-    def subscribe(self, address: str, topic: str) -> None:
-        """Subscribe an endpoint to a topic; it must be registered."""
-        if address not in self._endpoints:
-            raise KeyError(f"cannot subscribe unregistered endpoint {address!r}")
-        if not topic:
-            raise ValueError("topic must be non-empty")
-        self._subscriptions[topic].add(address)
-
-    def unsubscribe(self, address: str, topic: str) -> None:
-        self._subscriptions[topic].discard(address)
-
-    def subscribers(self, topic: str) -> set[str]:
-        return set(self._subscriptions[topic])
-
-    def publish(self, topic: str, message: Message) -> int:
-        """Deliver ``message`` to every subscriber of ``topic``.
-
-        Returns the number of deliveries (synchronous mode) or the
-        number of scheduled transmissions (deferred mode); each one is
-        metered separately (a broadcast over unicast links costs per
-        receiver).
-        """
-        deliveries = 0
-        for address in sorted(self._subscriptions[topic]):
-            if address == message.source:
-                continue  # don't loop a publication back to its publisher
-            copy = Message(
-                kind=message.kind,
-                source=message.source,
-                destination=address,
-                payload=message.payload,
-                payload_values=message.payload_values,
-                timestamp=message.timestamp,
-            )
-            if self.deferred:
-                self._schedule_delivery(copy)
-                deliveries += 1
-            elif self._deliver(copy):
-                deliveries += 1
-        return deliveries
 
     # -- point-to-point -----------------------------------------------
 

@@ -3,9 +3,7 @@
 Every layer above the network — brokers, :class:`repro.middleware.rounds
 .ZoneRoundDriver`, LocalClouds, the hierarchy — talks to its transport
 through the same small surface: register/unregister endpoints, unicast
-``send``, topic ``publish``/``subscribe`` (constants from
-:mod:`repro.network.topics`), sanctioned re-enqueue via ``requeue``, and
-the clock attachment that switches delivery from synchronous to
+``send``, sanctioned re-enqueue via ``requeue``, and the clock attachment that switches delivery from synchronous to
 scheduled.  :class:`Transport` names that surface as a
 :class:`typing.Protocol` so "backend" is a constructor argument, not an
 architecture:
@@ -15,13 +13,13 @@ architecture:
   TrafficStats accounting), pinned by the golden digests in
   ``tests/network/test_bus_golden.py``.
 - :class:`repro.network.asyncio_transport.AsyncioTransport` carries the
-  same Endpoint/topic API over real sockets, with deliveries scheduled
+  same Endpoint API over real sockets, with deliveries scheduled
   on a :class:`repro.sim.wallclock.WallClock` and remote peers speaking
   the length-prefixed wire frames of :mod:`repro.network.frames`.
 
 The delivery-scheduling hook is ``_schedule_delivery(message)``: the
 deferred path (``deferred`` is True once a clock is attached in
-``latency_mode="link"``) routes every send/publish through it, and it
+``latency_mode="link"``) routes every send through it, and it
 schedules ``_deliver`` at ``clock.now + link latency`` via the clock's
 ``schedule_in``.  A backend changes *when and where* that callback runs
 (sim event queue, asyncio loop) — never the metering, loss or
@@ -68,16 +66,6 @@ class Transport(Protocol):
     def set_handler(
         self, address: str, handler: Callable[[Message], None] | None
     ) -> None: ...
-
-    # -- pub/sub -------------------------------------------------------
-
-    def subscribe(self, address: str, topic: str) -> None: ...
-
-    def unsubscribe(self, address: str, topic: str) -> None: ...
-
-    def subscribers(self, topic: str) -> set[str]: ...
-
-    def publish(self, topic: str, message: Message) -> int: ...
 
     # -- point-to-point ------------------------------------------------
 

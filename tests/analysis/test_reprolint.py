@@ -175,66 +175,27 @@ class TestRPR003Retired:
         assert findings == []
 
     @pytest.mark.parametrize(
-        "entry", ["RPR003", "solve-purity", "RPR011", "transitive-impurity"]
+        "entry",
+        [
+            "RPR003",
+            "solve-purity",
+            "RPR011",
+            "transitive-impurity",
+            "RPR004",
+            "raw-topic",
+            "RPR013",
+            "pubsub-flow",
+        ],
     )
     def test_retired_ids_and_names_are_not_selectable(self, entry):
         with pytest.raises(ValueError, match=entry):
             _lint("x = 1\n", select=[entry])
 
     def test_retired_ids_are_reserved(self):
-        assert set(RETIRED_RULES) == {"RPR003", "RPR007", "RPR011"}
+        assert set(RETIRED_RULES) == {
+            "RPR003", "RPR004", "RPR007", "RPR011", "RPR013"
+        }
         assert not set(RETIRED_RULES) & set(RULES)
-
-
-class TestRPR004RawTopic:
-    def test_publish_with_raw_topic_fires(self):
-        findings = _lint(
-            """
-            def f(bus, msg):
-                bus.publish("zones/estimates", msg)
-            """
-        )
-        assert _rules(findings, suppressed=False) == ["RPR004"]
-
-    def test_subscribe_second_arg_fires(self):
-        findings = _lint(
-            """
-            def f(bus):
-                bus.subscribe("lc0/head", "zones/estimates")
-            """
-        )
-        findings = [f for f in findings if not f.suppressed]
-        assert [f.rule for f in findings] == ["RPR004"]
-        assert "zones/estimates" in findings[0].message
-
-    def test_keyword_topic_fires(self):
-        findings = _lint(
-            """
-            def f(bus, msg):
-                bus.publish(topic="zones/estimates", message=msg)
-            """
-        )
-        assert _rules(findings, suppressed=False) == ["RPR004"]
-
-    def test_constant_topic_allowed(self):
-        findings = _lint(
-            """
-            from repro.network.topics import TOPIC_ZONE_ESTIMATES
-
-            def f(bus, msg):
-                bus.publish(TOPIC_ZONE_ESTIMATES, msg)
-            """
-        )
-        assert findings == []
-
-    def test_pragma_suppresses(self):
-        findings = _lint(
-            """
-            def f(bus, msg):
-                bus.publish("zones/estimates", msg)  # reprolint: allow[raw-topic]
-            """
-        )
-        assert _rules(findings, suppressed=True) == ["RPR004"]
 
 
 class TestRPR005FloatEq:
@@ -699,8 +660,8 @@ class TestTreeIsClean:
         assert set(RULES) == {
             "RPR001",
             "RPR002",
-            # RPR003 retired with the thread-pool fork it guarded.
-            "RPR004",
+            # RPR003 retired with the thread-pool fork it guarded, and
+            # RPR004 with the bus topics it guarded.
             "RPR005",
             "RPR006",
             # RPR007 retired with the latency_s alias (PR 8); the id
@@ -710,11 +671,11 @@ class TestTreeIsClean:
             # RPR011 retired with RPR003.
             "RPR010",
             "RPR012",
-            "RPR013",
+            # RPR013 retired with RPR004.
         }
 
     def test_cross_file_rules_fire_per_file(self):
-        """lint_source runs RPR010/012/013 too, folding over its one
+        """lint_source runs RPR010/012 too, folding over its one
         file: a sleep in a gateway coroutine and a literal seed used
         twice both fire without a project around them."""
         findings = _lint(
@@ -730,6 +691,6 @@ class TestTreeIsClean:
             b = np.random.default_rng(9)
             """,
             path="src/repro/gateway/pump.py",
-            select=["RPR010", "RPR012", "RPR013"],
+            select=["RPR010", "RPR012"],
         )
         assert _rules(findings, suppressed=False) == ["RPR010", "RPR012"]

@@ -1,20 +1,18 @@
-"""Tests for the cross-module rules RPR010, RPR012 and RPR013.
+"""Tests for the cross-module rules RPR010 and RPR012.
 
 Mirrors the per-rule matrix of the other reprolint rules — firing,
 suppressed, negative, and shipped-tree-zero — plus the planted-violation
-acceptance tests (one finding each) and the lint timing budget.  All
-three run in ``lint_paths``' single per-file pass: RPR010 follows calls
-within one module, RPR012/RPR013 fold the seed and topic facts every
-file records.  RPR011's planted violation (an impure call under the
+acceptance tests (one finding each) and the lint timing budget.  Both
+run in ``lint_paths``' single per-file pass: RPR010 follows calls
+within one module, RPR012 folds the seed facts every file records.  RPR011's planted violation (an impure call under the
 solve phase) is a runtime fact now: ``TestFrozenRound`` in
 tests/middleware/test_broker.py and the order-independence case in
 tests/sim/test_mega.py.
 
 Fixtures are materialised as real file trees under tmp_path because the
 rules are path-aware: realtime modules are recognised by
-``repro/gateway/`` (etc.) path shape and topic constants by the
-``repro/network/topics.py`` module that defines them — so the fixture
-tree mimics the repo layout without importing any of it.
+``repro/gateway/`` (etc.) path shape — so the fixture tree mimics the
+repo layout without importing any of it.
 """
 
 from __future__ import annotations
@@ -391,114 +389,6 @@ class TestRPR012SeedLineage:
 
 
 # ----------------------------------------------------------------------
-# RPR013 pubsub-flow
-# ----------------------------------------------------------------------
-
-_TOPICS = """
-    TOPIC_ALPHA = "fixture/alpha"
-    TOPIC_BETA = "fixture/beta"
-    TOPIC_SPARE = "fixture/spare"
-"""
-
-
-class TestRPR013PubsubFlow:
-    def test_publish_without_subscriber_fires(self, tmp_path):
-        findings = _run(
-            tmp_path,
-            {
-                "repro/network/topics.py": _TOPICS,
-                "repro/middleware/pub.py": """
-                    from repro.network.topics import TOPIC_ALPHA
-
-                    def emit(bus, msg):
-                        bus.publish(TOPIC_ALPHA, msg)
-                """,
-            },
-            select=["RPR013"],
-        )
-        active = _active(findings)
-        assert [f.rule for f in active] == ["RPR013"]
-        assert "TOPIC_ALPHA" in active[0].message
-        assert active[0].path.endswith("pub.py")
-
-    def test_subscribe_without_publisher_fires(self, tmp_path):
-        findings = _run(
-            tmp_path,
-            {
-                "repro/network/topics.py": _TOPICS,
-                "repro/middleware/sub.py": """
-                    from repro.network.topics import TOPIC_BETA
-
-                    def listen(bus, addr):
-                        bus.subscribe(addr, TOPIC_BETA)
-                """,
-            },
-            select=["RPR013"],
-        )
-        active = _active(findings)
-        assert [f.rule for f in active] == ["RPR013"]
-        assert "TOPIC_BETA" in active[0].message
-
-    def test_matched_pair_and_unused_topic_negative(self, tmp_path):
-        findings = _run(
-            tmp_path,
-            {
-                "repro/network/topics.py": _TOPICS,
-                # Publisher and subscriber in *different* files; the
-                # subscriber takes the constant through a package
-                # re-export, the publisher through a relative import.
-                # TOPIC_SPARE is used by nobody: reserving a constant
-                # is not a violation.
-                "repro/network/__init__.py": """
-                    from .topics import TOPIC_ALPHA
-                """,
-                "repro/middleware/pub.py": """
-                    from ..network.topics import TOPIC_ALPHA
-
-                    def emit(bus, msg):
-                        bus.publish(TOPIC_ALPHA, msg)
-                """,
-                "repro/middleware/sub.py": """
-                    from repro.network import TOPIC_ALPHA
-
-                    def listen(bus, addr):
-                        bus.subscribe(addr, TOPIC_ALPHA)
-                """,
-            },
-            select=["RPR013"],
-        )
-        assert findings == []
-
-    def test_pragma_suppresses(self, tmp_path):
-        findings = _run(
-            tmp_path,
-            {
-                "repro/network/topics.py": _TOPICS,
-                "repro/middleware/pub.py": """
-                    from repro.network.topics import TOPIC_ALPHA
-
-                    def emit(bus, msg):
-                        bus.publish(TOPIC_ALPHA, msg)  # reprolint: allow[pubsub-flow]
-                """,
-            },
-            select=["RPR013"],
-        )
-        assert _active(findings) == []
-        assert [f.suppressed for f in findings] == [True]
-
-    def test_shipped_tree_zero(self, shipped_lint):
-        active = shipped_lint.active("RPR013")
-        assert active == [], "\n".join(f.render() for f in active)
-        # The one documented exception, reached through a relative
-        # import: the localcloud observability downlink.
-        suppressed = [
-            f for f in shipped_lint.findings if f.rule == "RPR013"
-        ]
-        assert [Path(f.path).name for f in suppressed] == ["localcloud.py"]
-        assert "TOPIC_ZONE_ESTIMATES" in suppressed[0].message
-
-
-# ----------------------------------------------------------------------
 # The planted violations from the acceptance criteria — each must
 # produce exactly one finding against a realistic mini-tree.
 # ----------------------------------------------------------------------
@@ -537,25 +427,6 @@ class TestPlantedViolations:
             select=["RPR012"],
         )
         assert len(_active(findings)) == 1
-
-    def test_planted_subscriberless_topic(self, tmp_path):
-        findings = _run(
-            tmp_path,
-            {
-                "repro/network/topics.py": """
-                    TOPIC_ORPHAN = "fixture/orphan"
-                """,
-                "repro/middleware/pub.py": """
-                    from repro.network.topics import TOPIC_ORPHAN
-
-                    def emit(bus, msg):
-                        bus.publish(TOPIC_ORPHAN, msg)
-                """,
-            },
-            select=["RPR013"],
-        )
-        assert len(_active(findings)) == 1
-
 
 # ----------------------------------------------------------------------
 # Whole-tree gates

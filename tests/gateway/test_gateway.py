@@ -273,6 +273,32 @@ class TestRoundLiveness:
         assert seen == sorted(seen)
         assert seen[-1] >= 9
 
+    def test_an_idle_gateway_counts_idle_rounds_not_failed(self):
+        # No devices and no infrastructure nodes: every firing finds
+        # nobody to command.  That is an idle round, not a fault.
+        gw = IngestionGateway(
+            GatewayConfig(
+                zone_width=W, zone_height=H, period_s=0.05, seed=7,
+                infrastructure_every=0,
+            )
+        )
+
+        async def scenario():
+            await gw.start()
+            await asyncio.sleep(0.5)
+            status, stats = await _http_get(gw.port, "/stats")
+            await gw.stop()
+            return status, stats
+
+        try:
+            status, stats = gw.clock.run_until_complete(scenario())
+        finally:
+            gw.clock.close()
+        assert status == 200
+        assert stats["rounds_failed"] == 0
+        assert stats["rounds_completed"] == 0
+        assert stats["rounds_idle"] >= 5
+
 
 class _FrameClock(WallClock):
     """1 ms of ``now`` per frame the gateway has ruled on, however often

@@ -89,48 +89,3 @@ class TestCoefficientsReported:
         assert result.coefficients_reported == 2 * support
         # The compressed upward payload is far smaller than the zone.
         assert result.coefficients_reported < 64
-
-
-class TestZoneEstimatesTopic:
-    """finish_round publishes a round summary on the shared topic."""
-
-    def _lc(self):
-        truth = smooth_field(6, 6, cutoff=0.3, amplitude=3.0, offset=20.0, rng=7)
-        env = Environment(fields={"temperature": truth})
-        bus = MessageBus()
-        lc = LocalCloud(
-            "lc", bus, 6, 6, n_nanoclouds=1, nodes_per_nc=36,
-            config=BrokerConfig(seed=7), heterogeneous=False, rng=7,
-        )
-        return env, bus, lc
-
-    def test_subscriber_hears_round_summary(self):
-        from repro.network.topics import TOPIC_ZONE_ESTIMATES
-
-        env, bus, lc = self._lc()
-        bus.register("monitor")
-        bus.subscribe("monitor", TOPIC_ZONE_ESTIMATES)
-        result = lc.run_round(env)
-        inbox = bus.endpoint("monitor").drain()
-        assert len(inbox) == 1
-        payload = inbox[0].payload
-        assert payload["lc"] == "lc"
-        assert payload["measurements"] == result.total_measurements
-        assert payload["coefficients"] == result.coefficients_reported
-
-    def test_no_subscribers_means_no_traffic(self):
-        env, bus, lc = self._lc()
-        before = bus.stats.messages
-        lc.run_round(env)
-        baseline = bus.stats.messages - before
-
-        env2, bus2, lc2 = self._lc()
-        from repro.network.topics import TOPIC_ZONE_ESTIMATES
-
-        bus2.register("monitor")
-        bus2.subscribe("monitor", TOPIC_ZONE_ESTIMATES)
-        before2 = bus2.stats.messages
-        lc2.run_round(env2)
-        with_monitor = bus2.stats.messages - before2
-        # Exactly one extra metered message, and only with a listener.
-        assert with_monitor == baseline + 1

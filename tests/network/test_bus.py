@@ -1,4 +1,4 @@
-"""Tests for the metered pub/sub message bus."""
+"""Tests for the metered point-to-point message bus."""
 
 import warnings
 
@@ -34,12 +34,13 @@ class TestRegistration:
         with pytest.raises(KeyError):
             MessageBus().endpoint("ghost")
 
-    def test_unregister_cleans_subscriptions(self):
+    def test_unregister_drops_endpoint(self):
         bus = MessageBus()
         bus.register("a")
-        bus.subscribe("a", "topic")
         bus.unregister("a")
-        assert bus.subscribers("topic") == set()
+        assert bus.addresses == []
+        with pytest.raises(KeyError):
+            bus.endpoint("a")
 
     def test_custom_link(self):
         bus = MessageBus()
@@ -93,54 +94,6 @@ class TestSend:
         bus.send(second)
         ids = [m.message_id for m in bus.endpoint("b").drain()]
         assert ids == [first.message_id, second.message_id]
-
-
-class TestPubSub:
-    def test_publish_reaches_subscribers(self):
-        bus = MessageBus()
-        for name in ("pub", "s1", "s2", "other"):
-            bus.register(name)
-        bus.subscribe("s1", "temp")
-        bus.subscribe("s2", "temp")
-        count = bus.publish("temp", _msg("pub", "temp-topic"))
-        assert count == 2
-        assert bus.endpoint("s1").pending() == 1
-        assert bus.endpoint("s2").pending() == 1
-        assert bus.endpoint("other").pending() == 0
-
-    def test_publisher_not_echoed(self):
-        bus = MessageBus()
-        bus.register("pub")
-        bus.subscribe("pub", "temp")
-        count = bus.publish("temp", _msg("pub", "temp-topic"))
-        assert count == 0
-        assert bus.endpoint("pub").pending() == 0
-
-    def test_subscribe_requires_registration(self):
-        with pytest.raises(KeyError):
-            MessageBus().subscribe("ghost", "topic")
-
-    def test_empty_topic_rejected(self):
-        bus = MessageBus()
-        bus.register("a")
-        with pytest.raises(ValueError):
-            bus.subscribe("a", "")
-
-    def test_unsubscribe(self):
-        bus = MessageBus()
-        bus.register("a")
-        bus.subscribe("a", "t")
-        bus.unsubscribe("a", "t")
-        assert bus.subscribers("t") == set()
-
-    def test_each_delivery_metered(self):
-        bus = MessageBus()
-        for name in ("pub", "s1", "s2"):
-            bus.register(name)
-        bus.subscribe("s1", "t")
-        bus.subscribe("s2", "t")
-        bus.publish("t", _msg("pub", "t"))
-        assert bus.stats.messages == 2  # one per receiver
 
 
 class TestTrafficStatsLatency:
@@ -264,20 +217,6 @@ class TestDeferredDelivery:
         clock.run_until(10.0)
         assert seen == [message]
         assert bus.endpoint("b").pending() == 0
-
-    def test_publish_schedules_one_delivery_per_subscriber(self):
-        bus, clock = self._clocked_bus()
-        for name in ("pub", "s1", "s2"):
-            bus.register(name, WIFI)
-        bus.subscribe("s1", "t")
-        bus.subscribe("s2", "t")
-        assert bus.publish("t", _msg("pub", "t")) == 2
-        assert bus.endpoint("s1").pending() == 0
-        clock.run_until(10.0)
-        assert bus.endpoint("s1").pending() == 1
-        assert bus.endpoint("s2").pending() == 1
-        assert bus.stats.messages == 2
-
 
 class TestLatencySTombstone:
     """``TrafficStats.latency_s`` is gone (deprecated PR 3, linter-gated
