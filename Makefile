@@ -22,7 +22,7 @@ lint:
 		echo "lint: ruff not installed, skipping (CI runs it)"; \
 	fi
 # reprolint: one pass, each file parsed once, every rule (the cross-file
-# RPR012/RPR013 fold the seed and topic sites each file records).
+# RPR012 folds the literal-seed sites each file records).
 	PYTHONPATH=src $(PYTHON) -m repro.analysis src/repro
 	@if $(PYTHON) -c "import mypy" >/dev/null 2>&1; then \
 		$(PYTHON) -m mypy; \
@@ -41,9 +41,9 @@ hygiene:
 	@echo "hygiene: no bytecode artefacts tracked"
 
 # The numbers the ROADMAP's simplicity targets track: lines of Python
-# per src/repro package, the field counts of the three config
-# dataclasses, reprolint's live rules, and the allow[...] pragma lines
-# outside the linter itself.
+# per src/repro package, the field counts of every config dataclass,
+# reprolint's live rules, and the allow[...] pragma lines outside the
+# linter itself.
 loc:
 	@for pkg in src/repro/[!_]*/; do \
 		printf '%-26s %6d\n' "$$pkg" \
@@ -52,14 +52,19 @@ loc:
 	@printf '%-26s %6d\n' "src/repro (total)" \
 		"$$(find src/repro -name '*.py' -exec cat {} + | wc -l)"
 	@PYTHONPATH=src $(PYTHON) -c "import dataclasses; \
-		from repro.middleware.config import BrokerConfig; \
+		from repro.middleware.config import BrokerConfig, NodeConfig, \
+			HierarchyConfig, CompressionPolicy; \
+		from repro.middleware.overload import OverloadConfig; \
+		from repro.gateway.server import GatewayConfig, ResilienceConfig; \
 		from repro.sim.mega import MegaConfig; \
 		from repro.sim.population import PopulationConfig; \
 		from repro.analysis import RULES; \
-		print('BrokerConfig fields       %6d' % len(dataclasses.fields(BrokerConfig))); \
-		print('MegaConfig fields         %6d' % len(dataclasses.fields(MegaConfig))); \
-		print('PopulationConfig fields   %6d' % len(dataclasses.fields(PopulationConfig))); \
-		print('reprolint live rules      %6d' % len(RULES))"
+		configs = (BrokerConfig, MegaConfig, PopulationConfig, \
+			GatewayConfig, ResilienceConfig, NodeConfig, OverloadConfig, \
+			HierarchyConfig, CompressionPolicy); \
+		[print('%-26s %6d' % (c.__name__ + ' fields', \
+			len(dataclasses.fields(c)))) for c in configs]; \
+		print('%-26s %6d' % ('reprolint live rules', len(RULES)))"
 	@printf '%-26s %6d\n' "allow[...] pragma lines" \
 		"$$(grep -rn 'reprolint: allow' src/repro --include='*.py' \
 			| grep -vc '^src/repro/analysis/')"

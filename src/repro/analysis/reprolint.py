@@ -103,8 +103,8 @@ RULES: dict[str, tuple[str, str]] = {
     "RPR009": (
         "worker-rng",
         "RNG constructed inside a worker-entry function; derive "
-        "per-shard streams via repro.core.registry.spawn_shard_seeds / "
-        "shard_rng in the parent and pass them in",
+        "per-shard seeds via repro.core.registry.spawn_shard_seeds in "
+        "the parent and pass them in",
     ),
     "RPR010": (
         "async-blocking",
@@ -851,9 +851,8 @@ class _Checker(ast.NodeVisitor):
                 node,
                 f"{resolved}() constructed inside a worker-entry "
                 "function; ad-hoc worker seeding correlates shard "
-                "streams — derive the stream in the parent via "
-                "repro.core.registry.spawn_shard_seeds/shard_rng and "
-                "pass it in",
+                "streams — derive the shard's seed in the parent via "
+                "repro.core.registry.spawn_shard_seeds and pass it in",
             )
         if fn == "default_rng" and not node.args and not node.keywords:
             self._emit(

@@ -73,7 +73,6 @@ from .sampling import (
 from .sparsity import (
     ErrorBudget,
     best_k_term_error,
-    effective_sparsity,
     energy_sparsity,
     error_decomposition,
     measurements_for_sparsity,
@@ -141,7 +140,6 @@ __all__ = [
     "weighted_locations",
     "ErrorBudget",
     "best_k_term_error",
-    "effective_sparsity",
     "energy_sparsity",
     "error_decomposition",
     "measurements_for_sparsity",

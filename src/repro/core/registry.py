@@ -41,7 +41,6 @@ __all__ = [
     "registry_info",
     "clear_registry",
     "spawn_shard_seeds",
-    "shard_rng",
 ]
 
 _OPERATOR_NAMES = ("dct",)
@@ -91,10 +90,10 @@ def shared_dct2_operator(width: int, height: int) -> DCT2Operator:
 # worker processes.  Deriving each shard's stream by arithmetic on the
 # root seed (seed + shard_index and friends) produces correlated or
 # colliding streams; ``np.random.SeedSequence.spawn`` is the supported
-# way to get provably independent children.  These two helpers are the
-# *only* sanctioned way to construct a Generator for shard/worker code:
+# way to get provably independent children.  ``spawn_shard_seeds`` is
+# the *only* sanctioned way to seed a Generator for shard/worker code:
 # reprolint rule RPR009 flags ``default_rng``/``Generator`` construction
-# inside worker-entry functions that bypasses them.
+# inside worker-entry functions that bypasses it.
 
 
 def spawn_shard_seeds(
@@ -115,21 +114,6 @@ def spawn_shard_seeds(
         else np.random.SeedSequence(root)
     )
     return seq.spawn(count)
-
-
-def shard_rng(
-    root: int | np.random.SeedSequence, shard_index: int, count: int
-) -> np.random.Generator:
-    """Generator for shard ``shard_index`` of ``count`` shards.
-
-    Convenience wrapper over :func:`spawn_shard_seeds` for callers that
-    need a single shard's stream without holding all the seeds.
-    """
-    if not 0 <= shard_index < count:
-        raise ValueError(
-            f"shard_index must be in 0..{count - 1}, got {shard_index}"
-        )
-    return np.random.default_rng(spawn_shard_seeds(root, count)[shard_index])
 
 
 def registry_info() -> dict[str, object]:

@@ -24,7 +24,6 @@ from .least_squares import condition_number, ols_solve
 from .sampling import subsample_rows
 
 __all__ = [
-    "effective_sparsity",
     "energy_sparsity",
     "best_k_term_error",
     "ErrorBudget",
@@ -32,21 +31,6 @@ __all__ = [
     "select_optimal_k",
     "measurements_for_sparsity",
 ]
-
-
-def effective_sparsity(alpha: np.ndarray, threshold: float = 1e-3) -> int:
-    """Count coefficients whose magnitude exceeds ``threshold * max|alpha|``.
-
-    This is the broker's cheap local-sparsity probe: "local sparsity is
-    easy to compute" (Section 3).
-    """
-    alpha = np.asarray(alpha, dtype=float).ravel()
-    if alpha.size == 0:
-        return 0
-    peak = float(np.max(np.abs(alpha)))
-    if peak == 0.0:
-        return 0
-    return int(np.count_nonzero(np.abs(alpha) > threshold * peak))
 
 
 def energy_sparsity(alpha: np.ndarray, energy: float = 0.99) -> int:

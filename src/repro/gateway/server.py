@@ -77,6 +77,11 @@ _EVICTION_REASONS = ("idle", "reset", "shed", "expired")
 #: a property of the loop, not of a deployment, hence not a config field.
 _READ_BUDGET = 4096
 
+#: The synthetic truth field every gateway zone senses.
+_TRUTH_CUTOFF = 0.3
+_TRUTH_AMPLITUDE = 3.0
+_TRUTH_OFFSET = 20.0
+
 
 @dataclass(frozen=True)
 class ResilienceConfig:
@@ -184,13 +189,9 @@ class GatewayConfig:
     zone_height: int = 8
     sensor_name: str = "temperature"
     period_s: float = 0.5
-    max_staleness_s: float = 5.0
     #: Fixed sensors installed every N cells (0 = none): the fallback
     #: that keeps rounds solvable while few devices are connected.
     infrastructure_every: int = 0
-    field_cutoff: float = 0.3
-    field_amplitude: float = 3.0
-    field_offset: float = 20.0
     seed: int = 0
     broker: BrokerConfig | None = None
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
@@ -253,9 +254,9 @@ class IngestionGateway:
         truth = smooth_field(
             cfg.zone_width,
             cfg.zone_height,
-            cutoff=cfg.field_cutoff,
-            amplitude=cfg.field_amplitude,
-            offset=cfg.field_offset,
+            cutoff=_TRUTH_CUTOFF,
+            amplitude=_TRUTH_AMPLITUDE,
+            offset=_TRUTH_OFFSET,
             rng=cfg.seed,
         )
         self.env = Environment(fields={cfg.sensor_name: truth})
@@ -622,7 +623,6 @@ class IngestionGateway:
             send_json=_NO_UPLINK,
             now_fn=lambda: self.clock.now,
             mode=mode,
-            max_staleness_s=self.config.max_staleness_s,
             state=NodeState(x=x, y=y),
         )
         session = _DeviceSession(

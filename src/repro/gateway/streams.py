@@ -31,6 +31,11 @@ __all__ = ["DeviceReading", "GatewayNode", "STREAM_MODES"]
 #: device reports — full round-trip latency, honest but slower.
 STREAM_MODES = ("stream", "poll")
 
+#: Stream mode: a cached reading older than this is refused
+#: (``ok=False``) so the broker rotates to a live candidate rather than
+#: solving on dead data.
+MAX_STALENESS_S = 5.0
+
 
 @dataclass
 class DeviceReading:
@@ -55,10 +60,6 @@ class GatewayNode(MobileNode):
         The gateway's clock (``WallClock.now``) for staleness checks.
     mode:
         One of :data:`STREAM_MODES`.
-    max_staleness_s:
-        Stream mode: a cached reading older than this is refused
-        (``ok=False``) so the broker rotates to a live candidate rather
-        than solving on dead data.
     """
 
     def __init__(
@@ -69,7 +70,6 @@ class GatewayNode(MobileNode):
         send_json: Callable[[dict], None],
         now_fn: Callable[[], float],
         mode: str = "stream",
-        max_staleness_s: float = 5.0,
         state: NodeState | None = None,
     ) -> None:
         if mode not in STREAM_MODES:
@@ -79,7 +79,6 @@ class GatewayNode(MobileNode):
         self.send_json = send_json
         self.now_fn = now_fn
         self.mode = mode
-        self.max_staleness_s = max_staleness_s
         self.latest: DeviceReading | None = None
         self.pending_command: Message | None = None
         self.readings_received = 0
@@ -170,7 +169,7 @@ class GatewayNode(MobileNode):
         reading = self.latest
         if (
             reading is None
-            or self.now_fn() - reading.at > self.max_staleness_s
+            or self.now_fn() - reading.at > MAX_STALENESS_S
         ):
             return self._refuse(command, bus)
         return self._reply(command, reading, bus)

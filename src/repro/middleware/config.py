@@ -183,8 +183,6 @@ class NodeConfig:
     context_window: int = 256
     context_rate_hz: float = 32.0
     temporal_duty_cycle: float = 0.125  # ~32 of 256 samples
-    temporal_solver: str = "omp"
-    share_contexts: bool = True
 
     def __post_init__(self) -> None:
         if self.context_window < 8:

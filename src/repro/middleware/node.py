@@ -239,7 +239,6 @@ class MobileNode:
                 window,
                 cfg.context_rate_hz,
                 m=m,
-                solver=cfg.temporal_solver,
                 rng=self._rng.integers(2**31),
             )
             # CPU: the sparse reconstruction plus classification.
@@ -261,7 +260,7 @@ class MobileNode:
             flops = 10.0 * n * np.log2(n)  # DCT features + thresholds
         self.ledger.post("sensing", m * accel_cost)
         self.ledger.post("cpu", self.cpu.energy_mj(flops))
-        if self.config.share_contexts and self.policy.share_contexts:
+        if self.policy.share_contexts:
             self.shared_contexts.append(
                 SharedContext(
                     kind="activity",

@@ -25,8 +25,9 @@ process scale:
   PR-4 Byzantine idiom).
 
 Workers never construct their own RNG (solves are pure); reprolint rule
-RPR009 enforces that any worker that *does* need randomness derives it
-via :func:`repro.core.registry.shard_rng`.
+RPR009 enforces that any worker that *does* need randomness builds it
+from a seed the parent derived via
+:func:`repro.core.registry.spawn_shard_seeds`.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ class MegaConfig:
     workers: int = 2
     inbox_capacity: int | None = None
     drop_policy: str = "drop-newest"
-    loss_rate: float = 0.0
 
     def __post_init__(self) -> None:
         if self.reports_per_zone < 1:
@@ -240,7 +240,6 @@ class MegaSimulation:
         self._solved_once: set[int] = set()
         self.sensor_fault_injector = sensor_fault_injector
         self.bus = MessageBus(
-            loss_rate=config.loss_rate,
             seed=pcfg.seed,
             fault_injector=network_fault_injector,
             inbox_capacity=config.inbox_capacity,

@@ -48,7 +48,6 @@ from ..mobility.models import (
 from ..network.frames import ZoneReportFrame
 from ..sensors.noise import (
     STANDARD_TIERS,
-    QualityTier,
     batched_readings,
     tier_noise_multipliers,
 )
@@ -56,6 +55,14 @@ from ..sensors.noise import (
 __all__ = ["PopulationConfig", "NodePopulation"]
 
 _MOBILITIES = ("static", "random_waypoint", "gauss_markov")
+
+#: Gauss-Markov parameters every population moves with.
+GM_MEAN_SPEED = 4.0
+GM_ALPHA = 0.85
+GM_SPEED_STD = 1.0
+GM_HEADING_STD = 0.3
+#: Per-reading noise before each node's handset-tier multiplier.
+BASE_NOISE_STD = 0.5
 
 
 @dataclass(frozen=True)
@@ -69,17 +76,9 @@ class PopulationConfig:
     zones_y: int = 1
     mobility: str = "gauss_markov"
     dt: float = 1.0
-    # Gauss-Markov parameters.
-    mean_speed: float = 4.0
-    alpha: float = 0.85
-    speed_std: float = 1.0
-    heading_std: float = 0.3
     # Random-waypoint parameters.
     speed_range: tuple[float, float] = (0.5, 2.0)
     pause_range: tuple[float, float] = (0.0, 5.0)
-    # Sensing parameters.
-    base_noise_std: float = 0.5
-    tiers: tuple[QualityTier, ...] = STANDARD_TIERS
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -157,8 +156,8 @@ class NodePopulation:
         self.heading = 0.0 + (2.0 * np.pi - 0.0) * draws[:, 2]
         self.speed = np.zeros(n)
         self.mode = np.zeros(n, dtype=np.int8)
-        self.noise_std = config.base_noise_std * tier_noise_multipliers(
-            n, config.tiers, np.random.default_rng(tier_ss)
+        self.noise_std = BASE_NOISE_STD * tier_noise_multipliers(
+            n, STANDARD_TIERS, np.random.default_rng(tier_ss)
         )
         self.trust_ledger = TrustManager(n, quarantine_below=0.25)
         # The ledger's own columns (an index ledger never reallocates).
@@ -166,7 +165,7 @@ class NodePopulation:
         self.quarantined = self.trust_ledger.in_quarantine
 
         if config.mobility == "gauss_markov":
-            self.speed[:] = config.mean_speed
+            self.speed[:] = GM_MEAN_SPEED
         elif config.mobility == "random_waypoint":
             self.leg_speed = np.zeros(n)
             self.target_x = np.zeros(n)
@@ -255,10 +254,10 @@ class NodePopulation:
                 dt=cfg.dt,
                 width=float(cfg.width),
                 height=float(cfg.height),
-                mean_speed=cfg.mean_speed,
-                alpha=cfg.alpha,
-                speed_std=cfg.speed_std,
-                heading_std=cfg.heading_std,
+                mean_speed=GM_MEAN_SPEED,
+                alpha=GM_ALPHA,
+                speed_std=GM_SPEED_STD,
+                heading_std=GM_HEADING_STD,
             )
         else:
             random_waypoint_step_arrays(

@@ -7,9 +7,11 @@ case, exercised through ``lint_source`` so the fixtures stay inline.
 from __future__ import annotations
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.reprolint import (
     PARSE_ERROR_RULE,
     RETIRED_RULES,
@@ -655,6 +657,21 @@ class TestTreeIsClean:
         active = shipped_lint.active()
         assert shipped_lint.scanned > 50
         assert active == [], "\n".join(f.render() for f in active)
+
+    def test_product_code_carries_no_pragma(self):
+        """Outside the linter itself, every invariant holds by
+        construction: no line of ``src/repro`` opts out of a rule."""
+        root = Path(repro.__file__).parent
+        pragmas = [
+            f"{path.relative_to(root)}:{lineno}"
+            for path in sorted(root.rglob("*.py"))
+            if path.relative_to(root).parts[0] != "analysis"
+            for lineno, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), start=1
+            )
+            if "reprolint: allow[" in line
+        ]
+        assert pragmas == []
 
     def test_rule_catalogue_is_stable(self):
         assert set(RULES) == {

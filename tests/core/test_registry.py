@@ -1,13 +1,13 @@
 """Per-shard seed streams from the basis registry.
 
-Pins the :func:`repro.core.registry.spawn_shard_seeds` / ``shard_rng``
-stream hygiene that reprolint rule RPR009 exists to enforce.
+Pins the :func:`repro.core.registry.spawn_shard_seeds` stream hygiene
+that reprolint rule RPR009 exists to enforce.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.registry import shard_rng, spawn_shard_seeds
+from repro.core.registry import spawn_shard_seeds
 
 
 class TestShardSeedHelpers:
@@ -31,17 +31,6 @@ class TestShardSeedHelpers:
                 seq_a.generate_state(4), seq_b.generate_state(4)
             )
 
-    def test_shard_rng_matches_spawned_stream(self):
-        direct = np.random.default_rng(spawn_shard_seeds(5, 4)[2])
-        shard = shard_rng(5, 2, 4)
-        assert np.array_equal(
-            direct.standard_normal(16), shard.standard_normal(16)
-        )
-
-    def test_shard_rng_validates_index(self):
-        with pytest.raises(ValueError):
-            shard_rng(5, 4, 4)
-        with pytest.raises(ValueError):
-            shard_rng(5, -1, 4)
+    def test_spawn_shard_seeds_validates_count(self):
         with pytest.raises(ValueError):
             spawn_shard_seeds(5, -1)

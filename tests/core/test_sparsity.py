@@ -9,29 +9,11 @@ from repro.core.basis import dct_basis
 from repro.core.sampling import random_locations
 from repro.core.sparsity import (
     best_k_term_error,
-    effective_sparsity,
     energy_sparsity,
     error_decomposition,
     measurements_for_sparsity,
     select_optimal_k,
 )
-
-
-class TestEffectiveSparsity:
-    def test_counts_large_coefficients(self):
-        alpha = np.array([10.0, 0.0, 5.0, 1e-6, 0.0])
-        assert effective_sparsity(alpha) == 2
-
-    def test_zero_vector(self):
-        assert effective_sparsity(np.zeros(8)) == 0
-
-    def test_empty(self):
-        assert effective_sparsity(np.array([])) == 0
-
-    def test_threshold_is_relative(self):
-        alpha = np.array([1000.0, 1.0])
-        assert effective_sparsity(alpha, threshold=1e-2) == 1
-        assert effective_sparsity(alpha, threshold=1e-4) == 2
 
 
 class TestEnergySparsity:

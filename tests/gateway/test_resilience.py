@@ -26,6 +26,7 @@ from repro.gateway.server import (
     ResilienceConfig,
 )
 from repro.middleware.config import BrokerConfig
+from repro.middleware.overload import OverloadConfig
 
 W = H = 4
 PERIOD_S = 0.25
@@ -453,6 +454,54 @@ class TestAdmission:
             joined = await third.connect()
             assert joined["type"] == "joined"
             await third.close()
+            await asyncio.sleep(0.05)
+            await gw.stop()
+
+        gw.clock.run_until_complete(scenario())
+        gw.clock.close()
+
+    def test_overload_level_sheds_new_devices(self):
+        gw = make_gateway(
+            ResilienceConfig(shed_at_level=1),
+            broker=BrokerConfig(
+                overload=OverloadConfig(ladder_enabled=True)
+            ),
+        )
+        ladder = gw.nanocloud.broker.overload.ladder
+
+        async def scenario():
+            await gw.start()
+            gw.driver.stop()  # no round moves the ladder under the test
+            port = gw.port
+            ladder.level = 1
+            status, body = await _http_get(port, "/sensor/connect")
+            assert status == 503
+            assert body["retry"] is True
+            status, health = await _http_get(port, "/healthz")
+            assert health["shedding"] is True
+            assert health["shed_reason"] == "overload"
+            refused = _Device(port, "/sensor/connect?x=0&y=0&id=a")
+            refused.reader, refused.writer = await asyncio.open_connection(
+                "127.0.0.1", port
+            )
+            await protocol.ws_client_handshake(
+                refused.reader, refused.writer, refused.path, rng=refused.rng
+            )
+            code, reason = await refused.read_close()
+            assert code == protocol.CLOSE_TRY_AGAIN_LATER
+            assert reason == "overload"
+            assert not gw.sessions
+            refused.writer.close()
+
+            # Back at level 0 the same device is admitted.
+            ladder.level = 0
+            status, health = await _http_get(port, "/healthz")
+            assert health["shed_reason"] is None
+            admitted = _Device(port, "/sensor/connect?x=0&y=0&id=a", seed=12)
+            joined = await admitted.connect()
+            assert joined["type"] == "joined"
+            assert len(gw.sessions) == 1
+            await admitted.close()
             await asyncio.sleep(0.05)
             await gw.stop()
 

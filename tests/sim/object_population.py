@@ -21,7 +21,14 @@ from repro.mobility.models import (
     StaticPlacement,
 )
 from repro.sensors.base import NodeState
-from repro.sim.population import NodePopulation, PopulationConfig
+from repro.sim.population import (
+    GM_ALPHA,
+    GM_HEADING_STD,
+    GM_MEAN_SPEED,
+    GM_SPEED_STD,
+    NodePopulation,
+    PopulationConfig,
+)
 
 __all__ = ["ObjectPopulation"]
 
@@ -56,10 +63,10 @@ class ObjectPopulation(NodePopulation):
             model = GaussMarkov(
                 cfg.width,
                 cfg.height,
-                mean_speed=cfg.mean_speed,
-                alpha=cfg.alpha,
-                speed_std=cfg.speed_std,
-                heading_std=cfg.heading_std,
+                mean_speed=GM_MEAN_SPEED,
+                alpha=GM_ALPHA,
+                speed_std=GM_SPEED_STD,
+                heading_std=GM_HEADING_STD,
             )
             model._rng = self._mob_rng
         self.model = model
