@@ -6,7 +6,8 @@ Two complementary layers:
   (``python -m repro.analysis``) machine-checking the determinism,
   async and inbox invariants every result in this repo stands on.
   One pass parses each file once; the cross-file rule (duplicate
-  seeds) folds the facts every file records.  See ``docs/invariants.md`` for the catalogue.
+  seeds) folds the facts every file records.  See
+  ``docs/invariants.md`` for the catalogue.
 - :mod:`repro.analysis.contracts` — an opt-in runtime sanitizer
   (``REPRO_SANITIZE=1``) adding NaN/Inf and shape contracts at solver
   boundaries, a mutation guard on the shared basis registry, and

@@ -3,10 +3,10 @@
 Every layer above the network — brokers, :class:`repro.middleware.rounds
 .ZoneRoundDriver`, LocalClouds, the hierarchy — talks to its transport
 through the same small surface: register/unregister endpoints, unicast
-``send``, sanctioned re-enqueue via ``requeue``, and the clock attachment that switches delivery from synchronous to
-scheduled.  :class:`Transport` names that surface as a
-:class:`typing.Protocol` so "backend" is a constructor argument, not an
-architecture:
+``send``, sanctioned re-enqueue via ``requeue``, and the clock
+attachment that switches delivery from synchronous to scheduled.
+:class:`Transport` names that surface as a :class:`typing.Protocol` so
+"backend" is a constructor argument, not an architecture:
 
 - :class:`repro.network.bus.MessageBus` is the in-process simulation
   backend (fault injection, backpressure, ``latency_mode`` and

@@ -4,8 +4,9 @@ Mirrors the per-rule matrix of the other reprolint rules — firing,
 suppressed, negative, and shipped-tree-zero — plus the planted-violation
 acceptance tests (one finding each) and the lint timing budget.  Both
 run in ``lint_paths``' single per-file pass: RPR010 follows calls
-within one module, RPR012 folds the seed facts every file records.  RPR011's planted violation (an impure call under the
-solve phase) is a runtime fact now: ``TestFrozenRound`` in
+within one module, RPR012 folds the seed facts every file records.
+RPR011's planted violation (an impure call under the solve phase) is a
+runtime fact now: ``TestFrozenRound`` in
 tests/middleware/test_broker.py and the order-independence case in
 tests/sim/test_mega.py.
 
