@@ -8,6 +8,7 @@ exact basis bytes the parent holds.  The remaining tests exercise the
 overload (PR 6) and Byzantine (PR 4) layers on top of the array core.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -304,6 +305,26 @@ CITY_SHAPES = {
 }
 
 
+def _city_sim(shape: str, seed: int) -> MegaSimulation:
+    dims = CITY_SHAPES[shape]
+    return MegaSimulation(
+        MegaConfig(
+            population=PopulationConfig(
+                n_nodes=dims["nodes"],
+                width=dims["edge"],
+                height=dims["edge"],
+                zones_x=dims["zones"],
+                zones_y=dims["zones"],
+                mobility="random_waypoint",
+                seed=seed,
+            ),
+            reports_per_zone=dims["reports"],
+            sparsity=dims["sparsity"],
+            ticks_per_round=dims["ticks"],
+        )
+    )
+
+
 class TestCityAccuracy:
     @pytest.mark.parametrize("seed", [7, 11])
     @pytest.mark.parametrize("shape", sorted(CITY_SHAPES))
@@ -311,26 +332,34 @@ class TestCityAccuracy:
         # At a per-sample SNR below one, a solve that fills all K atoms
         # fits noise and lands ~2x the zero field's RMS.  Stopping at
         # the noise floor brings it level; beating it needs a prior.
-        dims = CITY_SHAPES[shape]
-        sim = MegaSimulation(
-            MegaConfig(
-                population=PopulationConfig(
-                    n_nodes=dims["nodes"],
-                    width=dims["edge"],
-                    height=dims["edge"],
-                    zones_x=dims["zones"],
-                    zones_y=dims["zones"],
-                    mobility="random_waypoint",
-                    seed=seed,
-                ),
-                reports_per_zone=dims["reports"],
-                sparsity=dims["sparsity"],
-                ticks_per_round=dims["ticks"],
-            )
-        )
+        sim = _city_sim(shape, seed)
         zero_rms = float(np.sqrt(np.mean(sim.truth**2)))
         rmse = np.median([sim.run_round().rmse for _ in range(12)])
         assert rmse <= 1.1 * zero_rms
+
+
+# sha256 over six rounds at seed 7 of each pinned city shape: every
+# MegaRoundRecord's repr, then the final estimate, trust column and
+# quarantine mask.  TestZoneGolden pins one 16x16 zone; these pin the
+# benchmark's own shapes end to end (same numpy-build caveat).
+CITY_GOLDEN = {
+    "city_solve": "0ee707af92ac204d4c32d7f01262bcc0476dbcccfd2b1dec8fa007637d1a77cc",
+    "city_mobility": "a2451dce35f254cc7731c0e2451453f5f3f54c360cf53550567fd3aa19ac89be",
+}
+
+
+class TestCityGolden:
+    @pytest.mark.parametrize("shape", sorted(CITY_GOLDEN))
+    def test_six_rounds_match_committed_digest(self, shape):
+        sim = _city_sim(shape, 7)
+        digest = hashlib.sha256()
+        for _ in range(6):
+            record = sim.run_round()
+            digest.update(repr(dataclasses.astuple(record)).encode())
+        digest.update(sim.estimate.tobytes())
+        digest.update(sim.population.trust.tobytes())
+        digest.update(sim.population.quarantined.tobytes())
+        assert digest.hexdigest() == CITY_GOLDEN[shape]
 
 
 class TestShardedSanitizer:
