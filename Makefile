@@ -133,13 +133,18 @@ bench-layers-smoke:
 
 # Alternating base/head pairs of one layered-benchmark workload — the
 # protocol for claiming a gain: `make bench-pair BASE=HEAD~1
-# WORKLOAD=city_mobility PAIRS=10`.  BASE is checked out into a
-# temporary git worktree; the working tree is the other side.
+# WORKLOAD=city_mobility PAIRS=10`, then the same at an unused seed
+# (`SEED=23`).  SEED (default 7) and SECONDS (per run; default
+# BENCHMARK.json's run_seconds) are passed on only when set.  BASE is
+# checked out into a temporary git worktree; the working tree is the
+# other side.
 BASE ?= HEAD
 WORKLOAD ?= city_mobility
 PAIRS ?= 5
 bench-pair:
-	$(PYTHON) benchmarks/pair.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
+	$(PYTHON) benchmarks/pair.py --base $(BASE) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) $(if $(SEED),--seed $(SEED)) \
+		$(if $(SECONDS),--seconds $(SECONDS))
 
 # Serve a live ingestion gateway on localhost:8765 (Ctrl-C to stop).
 gateway:

@@ -16,6 +16,13 @@ end-to-end timing:
   loop: an orthonormal factor of the selected columns, the residual
   updated by projection, the coefficients solved once; the reference
   refits from scratch (and re-whitens) every iteration.
+- **PERF-ZONE**: one city zone fit's pieces at the ``city_solve``
+  shape (a 32x32 zone, N = 1024, ``stop_at_noise=True``, 128 reports
+  from a seeded ``MegaSimulation`` round): the GLS fit over every
+  report with its variance vector, an equal-weight fit over the 64
+  reports nearest the value median (a trim C-step's half sample), and
+  one ``IncrementalQR.solve`` at the k = 1 a city fit mostly holds.
+  These are fixed-cost-bound calls, timed per call in microseconds.
 - **PERF-ROUND**: one full ``sense_field`` round over a 2048-node
   deployment (4 zones of 64x64 cells, 512 phones each) — the
   end-to-end number a deployment feels.  (Its reference-engine arm
@@ -40,13 +47,16 @@ import numpy as np
 
 from repro.core.basis import dct_basis
 from repro.core.chs import chs
+from repro.core.incremental import IncrementalQR
 from repro.core.omp import omp
 from repro.core.operators import DCTOperator
 from repro.core.reference import chs_reference, omp_reference
 from repro.fields.generators import urban_temperature_field
 from repro.middleware.api import SenseDroid
-from repro.middleware.config import HierarchyConfig
+from repro.middleware.config import GLS_STD_FLOOR, HierarchyConfig
 from repro.sensors.base import Environment
+from repro.sim.mega import MegaConfig, MegaSimulation
+from repro.sim.population import PopulationConfig
 
 from _util import merge_bench_json, record_series
 
@@ -221,6 +231,107 @@ def test_perf_omp_solver(benchmark):
     phi_rows = phi[locations, :]
     benchmark.pedantic(
         lambda: omp(phi_rows, x_s, sparsity=k), rounds=3, iterations=1
+    )
+
+
+def _per_call_us(fn, calls: int, repeats: int = 5) -> float:
+    """Best-of-``repeats`` mean microseconds per call over ``calls``."""
+    best = np.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.perf_counter() - start) / calls)
+    return best * 1e6
+
+
+def _city_zones():
+    """The nine delivered zones of one ``city_solve``-shape round at
+    seed 7: each zone's basis rows, readings and GLS-floored variances."""
+    sim = MegaSimulation(
+        MegaConfig(
+            population=PopulationConfig(
+                n_nodes=10_000, width=96, height=96, zones_x=3, zones_y=3,
+                mobility="random_waypoint", seed=7,
+            ),
+            reports_per_zone=128,
+            sparsity=16,
+        )
+    )
+    zones = []
+    for frame in sim.population.sense_round(
+        sim.truth, round_index=0, reports_per_zone=128
+    ):
+        cells = sim.population.cells_in_zone(frame.node_ids)
+        stds = np.maximum(np.asarray(frame.noise_stds), GLS_STD_FLOOR)
+        zones.append((sim.basis[cells], np.asarray(frame.values), stds**2))
+    return zones
+
+
+def _zone_fits(rows_all, values, variances):
+    """The two fit shapes a zone's robust solve is made of: GLS over
+    every report, and a trim C-step's equal-weight half sample (the
+    reports nearest the value median, at the zone's median claimed
+    variance, as ``repro.sim.mega``'s trim fits run)."""
+    m = values.size
+    half = np.sort(
+        np.argsort(np.abs(values - np.median(values)), kind="stable")[: m // 2]
+    )
+    return {
+        "gls": (rows_all, values, variances),
+        "equal": (
+            rows_all[half], values[half], float(np.median(variances))
+        ),
+    }
+
+
+def test_perf_city_zone_fit(benchmark):
+    zones = _city_zones()
+    m, n = zones[0][0].shape
+    assert (len(zones), m, n) == (9, 128, 1024)
+    calls = 5 if SMOKE else 100
+    table, runs = [], []
+    for name in ("gls", "equal"):
+        atoms, us = [], []
+        for zone in zones:
+            phi_rows, x_s, cov = _zone_fits(*zone)[name]
+
+            def fit():
+                return omp(
+                    phi_rows, x_s, 16, covariance=cov, stop_at_noise=True
+                )
+
+            atoms.append(fit().support.size)
+            us.append(_per_call_us(fit, calls))
+        rows_m = phi_rows.shape[0]
+        table.append([f"omp {name}", rows_m, n, np.mean(atoms), np.mean(us)])
+        runs.append({"call": f"omp_{name}", "m": int(rows_m), "n": n,
+                     "atoms_mean": float(np.mean(atoms)),
+                     "us_mean": float(np.mean(us))})
+    rows_all, values, variances = zones[0]
+    factor = IncrementalQR(m, capacity=16)
+    factor.add_column(rows_all[:, 0] / np.sqrt(variances))
+    us = _per_call_us(lambda: factor.solve(values), 10 * calls)
+    table.append(["IncrementalQR.solve", m, n, 1, us])
+    runs.append({"call": "qr_solve", "m": m, "n": n, "atoms_mean": 1.0,
+                 "us_mean": us})
+
+    record_series(
+        "PERF-ZONE",
+        "city zone fit pieces, N=1024, stop_at_noise "
+        "(mean over 9 zones, us per call)",
+        ["call", "m", "n", "atoms", "us"],
+        table,
+        notes="city_solve shape, seed 7, round 0; gls = variance vector "
+        "over every report, equal = scalar median variance over the 64 "
+        "reports nearest the value median; solve at k = 1"
+        + ("; SMOKE call counts" if SMOKE else ""),
+    )
+    _merge_bench_json("zone", {"runs": runs})
+    phi_rows, x_s, cov = _zone_fits(*zones[0])["gls"]
+    benchmark.pedantic(
+        lambda: omp(phi_rows, x_s, 16, covariance=cov, stop_at_noise=True),
+        rounds=3, iterations=1,
     )
 
 

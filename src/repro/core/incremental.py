@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dtrtrs
 
 __all__ = ["IncrementalQR", "first_max_index", "top_k_indices"]
 
@@ -136,20 +137,26 @@ class IncrementalQR:
         k = self._k
         self._cols[:, k] = v
         if not self.degenerate:
-            q = self._q[:, :k]
             # sqrt(v.dot(v)) is np.linalg.norm(v) without the dispatch.
-            col_norm = math.sqrt(v.dot(v))
-            r1 = q.T @ v
-            v -= q @ r1
-            # One reorthogonalisation pass ("twice is enough") keeps Q
-            # orthonormal to machine precision even for long supports.
-            r2 = q.T @ v
-            v -= q @ r2
-            norm = math.sqrt(v.dot(v))
-            if norm > self._rtol * max(col_norm, 1e-300):
+            col_norm = norm = math.sqrt(v.dot(v))
+            if k:
+                # An empty factor has nothing to project out: the four
+                # matmuls below would subtract exact zeros.
+                q = self._q[:, :k]
+                r1 = q.T @ v
+                v -= q @ r1
+                # One reorthogonalisation pass ("twice is enough") keeps
+                # Q orthonormal to machine precision even for long
+                # supports.
+                r2 = q.T @ v
+                v -= q @ r2
+                norm = math.sqrt(v.dot(v))
+                # Unread unless the column is kept: R[:k, :k] excludes
+                # it, and the next admission overwrites it.
                 self._r[:k, k] = r1 + r2
+            if norm > self._rtol * max(col_norm, 1e-300):
                 self._r[k, k] = norm
-                self._q[:, k] = v / norm
+                np.divide(v, norm, out=self._q[:, k])
                 self._rank = k + 1
         self._k = k + 1
         return None if self.degenerate else self._q[:, k]
@@ -177,4 +184,13 @@ class IncrementalQR:
             alpha, *_ = np.linalg.lstsq(self._cols[:, :k], y, rcond=None)
             return alpha
         z = self._q[:, :k].T @ y
-        return solve_triangular(self._r[:k, :k], z)
+        # What scipy.linalg.solve_triangular runs for a C-ordered upper
+        # factor (the transposed lower system), minus ~15 us of argument
+        # checks per call.  R is finite by construction (a non-finite
+        # column fails the rtol test), so only z needs the check.
+        if not np.isfinite(z).all():
+            raise ValueError("array must not contain infs or NaNs")
+        alpha, info = dtrtrs(self._r[:k, :k].T, z, lower=1, trans=1)
+        if info > 0:
+            raise LinAlgError(f"singular factor at diagonal {info - 1}")
+        return alpha

@@ -112,7 +112,7 @@ def _pursue(
     # vector, minus its Python dispatch (~50 such norms per fit).
     target = tol * max(math.sqrt(x_s.dot(x_s)), 1e-300)
     support: list[int] = []
-    in_support = np.zeros(n, dtype=bool)
+    scores = np.empty(n)
     history: list[float] = []
     if max_iterations is None:
         max_iterations = capacity
@@ -120,11 +120,17 @@ def _pursue(
     stopped = False
 
     while len(support) < capacity and len(history) < max_iterations:
-        alpha_r = rows.T @ residual if analyze is None else analyze(residual)
+        # The scores are built in the one N-length buffer, in place.
+        alpha_r = (
+            np.matmul(rows.T, residual, out=scores)
+            if analyze is None
+            else analyze(residual)
+        )
         # Largest normalised magnitude first; ties break toward the
         # lower index — the low-frequency prior for physical fields.
-        scores = np.abs(alpha_r) / norms
-        scores[in_support] = -np.inf  # never reselect
+        np.abs(alpha_r, out=scores)
+        scores /= norms
+        scores[support] = -np.inf  # never reselect
         if batch_size == 1:
             picked = [first_max_index(scores)]
         else:
@@ -142,7 +148,6 @@ def _pursue(
                 stopped = True
                 break
             support.append(j)
-            in_support[j] = True
             if step is not None:
                 # The new residual is the old one with its component
                 # along the direction the atom added removed — no refit.

@@ -167,12 +167,16 @@ def _solve_zone(
         return atoms[:, support] @ result.coefficients[support]
 
     def fit(vals, idx, cov):
-        # idx is a subset of the report numbers passed below, so it is
-        # in range; the bounds-checking default copies through a
-        # temporary the size of ``out``.
-        phi_rows = np.take(
-            rows, idx, axis=0, out=scratch[1, : len(idx)], mode="clip"
-        )
+        # idx is an ascending subset of the report numbers passed below:
+        # all m of them is ``rows`` itself, read in place.  A subset is
+        # in range, so mode="clip" skips the bounds-checking default's
+        # copy through a temporary the size of ``out``.
+        if len(idx) == m:
+            phi_rows = rows
+        else:
+            phi_rows = np.take(
+                rows, idx, axis=0, out=scratch[1, : len(idx)], mode="clip"
+            )
         k = min(sparsity, phi_rows.shape[0], phi_rows.shape[1])
         result = omp(
             phi_rows,

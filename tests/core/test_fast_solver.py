@@ -10,10 +10,13 @@ instances through ``chs``/``omp`` and ``chs_reference``/``omp_reference``
 and compares.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, solve_triangular
 
 from repro.core.basis import dct_basis
 from repro.core.chs import (
@@ -544,6 +547,64 @@ class TestIncrementalQR:
             inc.add_column(a[:, j])
             direct, *_ = np.linalg.lstsq(a[:, : j + 1], y, rcond=None)
             assert np.allclose(inc.solve(y), direct, atol=1e-8)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_solve_is_bit_equal_to_solve_triangular(self, seed, scale):
+        # solve() calls LAPACK dtrtrs directly; it must return what
+        # scipy's solve_triangular returns on the same factor, bit for
+        # bit, at every k up to the full (contiguous) capacity.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 40))
+        capacity = int(rng.integers(1, m + 1))
+        a = scale * rng.standard_normal((m, capacity))
+        y = rng.standard_normal(m)
+        inc = IncrementalQR(m, capacity=capacity)
+        for k in range(1, capacity + 1):
+            inc.add_column(a[:, k - 1])
+            expected = solve_triangular(inc._r[:k, :k], inc._q[:, :k].T @ y)
+            assert inc.solve(y).tobytes() == expected.tobytes()
+
+    def test_solve_raises_on_a_singular_factor(self):
+        inc = IncrementalQR(3, capacity=2)
+        inc.add_column(np.array([1.0, 0.0, 0.0]))
+        inc._r[0, 0] = 0.0
+        with pytest.raises(LinAlgError):
+            inc.solve(np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_solve_refuses_a_non_finite_rhs(self, bad):
+        # As solve_triangular did: an error, not NaN coefficients.
+        inc = IncrementalQR(3, capacity=2)
+        inc.add_column(np.array([1.0, 2.0, 0.0]))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            inc.solve(np.array([1.0, bad, 0.0]))
+
+    @given(
+        col=st.lists(
+            st.sampled_from([0.0, -0.0, 1e-300, -2.5, 3.0, 1e150]),
+            min_size=1, max_size=12,
+        ).map(np.array)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_first_column_skips_only_exact_zero_work(self, col):
+        # The empty factor skips its projections; the general path run
+        # on an empty Q must give the same direction and R, bit for bit.
+        v = col.copy()
+        q = np.zeros((col.size, 0))
+        for _ in range(2):
+            v -= q @ (q.T @ v)
+        norm = math.sqrt(v.dot(v))
+        inc = IncrementalQR(col.size, capacity=2)
+        direction = inc.add_column(col)
+        if norm > inc._rtol * max(math.sqrt(col.dot(col)), 1e-300):
+            assert direction.tobytes() == (v / norm).tobytes()
+            assert inc._r[0, 0] == norm
+        else:
+            assert direction is None and inc.degenerate
 
     def test_degenerate_column_falls_back(self):
         rng = np.random.default_rng(0)

@@ -7,9 +7,17 @@ refusal-driven candidate rotation.
 """
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.fields.generators import smooth_field
-from repro.middleware.broker import Broker
+from repro.middleware.broker import Broker, _Collector
 from repro.middleware.config import BrokerConfig, CompressionPolicy
 from repro.middleware.localcloud import LocalCloud
 from repro.middleware.rounds import RoundState, ZoneRoundDriver, ZoneSchedule
@@ -351,6 +359,130 @@ class TestRaisingRound:
         assert len(outcomes) == 10
         assert driver.rounds_completed == 10
         assert driver.rounds_failed == 0
+
+
+class _Planted(Exception):
+    """The raise a :class:`DriverMachine` plants in one round phase."""
+
+
+class DriverMachine(RuleBasedStateMachine):
+    """One driver on a link-latency bus, advanced in random steps, with
+    one-shot raises planted in plan, collect, solve and finish and
+    out-of-band firings that land on a busy round.  After every step no
+    round is half-built, no collector of a round at rest is open, and
+    every firing is counted exactly once."""
+
+    # Round phase -> the (class, method) a planted raise replaces: plan
+    # and collect raise inside the firing, solve and finish inside the
+    # report or deadline event that closes the collection.
+    PHASES = {
+        "plan": (Broker, "plan_round"),
+        "collect": (_Collector, "run"),
+        "solve": (Broker, "solve_round"),
+        "finish": (LocalCloud, "finish_round"),
+    }
+
+    def __init__(self):
+        super().__init__()
+        self.clock, _, lc = _deployment()
+        self.driver = ZoneRoundDriver(
+            0, lc, _env(), self.clock, period_s=10.0,
+            on_complete=lambda outcome: None,
+        )
+        self.firings = 0
+        self.armed = None
+        self.raised_at_generation = None
+        self._originals = []
+        for phase, (owner, name) in self.PHASES.items():
+            real = getattr(owner, name)
+            self._originals.append((owner, name, real))
+            setattr(owner, name, self._planted(phase, real))
+        begin = self.driver._begin_round
+
+        def counted(now):
+            self.firings += 1
+            begin(now)
+
+        # Bound before start(), so the periodic chain fires through it.
+        self.driver._begin_round = counted
+        self.driver.start()
+
+    def _planted(self, phase, real):
+        def planted(*args, **kwargs):
+            if self.armed == phase:
+                self.armed = None
+                self.raised_at_generation = self.driver._generation
+                raise _Planted(phase)
+            return real(*args, **kwargs)
+
+        return planted
+
+    def teardown(self):
+        for owner, name, real in self._originals:
+            setattr(owner, name, real)
+
+    @rule(phase=st.sampled_from(sorted(PHASES)))
+    def arm(self, phase):
+        self.armed = phase
+
+    def _run(self, advance):
+        """Call ``advance`` until it returns, checking each planted raise
+        it lets out (SimClock re-raises, and running on resumes)."""
+        while True:
+            failed = self.driver.rounds_failed
+            try:
+                return advance()
+            except _Planted:
+                # The raise failed its round and nothing else: the
+                # generation moved past it (voiding its deadline), the
+                # driver is idle and the failure was counted once.
+                assert self.driver.state is RoundState.IDLE
+                assert self.driver._generation > self.raised_at_generation
+                assert self.driver.rounds_failed == failed + 1
+
+    @rule(dt=st.floats(min_value=1e-3, max_value=25.0))
+    def advance(self, dt):
+        end = self.clock.now + dt
+        self._run(lambda: self.clock.run_until(end))
+
+    @rule()
+    def step(self):
+        # One event: a firing, a report or a deadline — so the machine
+        # also rests mid-round, where a busy firing can land.
+        self._run(self.clock.step)
+
+    @precondition(lambda self: self.driver.state is RoundState.COLLECTING)
+    @rule()
+    def fire_while_busy(self):
+        self.clock.schedule_in(0.0, self.driver._begin_round)
+
+    @invariant()
+    def at_rest_between_events(self):
+        assert self.driver.state in (
+            RoundState.IDLE, RoundState.COLLECTING, RoundState.FINALIZED
+        )
+
+    @invariant()
+    def no_collector_left_open(self):
+        if self.driver.state is not RoundState.COLLECTING:
+            assert all(
+                col is None or col.closed for col in self.driver._collections
+            )
+
+    @invariant()
+    def every_firing_counted_once(self):
+        d = self.driver
+        in_flight = int(d.state is RoundState.COLLECTING)
+        assert (
+            d.rounds_completed + d.rounds_failed + d.rounds_idle
+            + d.rounds_skipped + in_flight
+        ) == self.firings
+
+
+DriverMachine.TestCase.settings = settings(
+    max_examples=30, stateful_step_count=25, deadline=None
+)
+TestDriverStateMachine = DriverMachine.TestCase
 
 
 class TestLinkModeHonoursConfig:

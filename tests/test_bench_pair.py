@@ -1,12 +1,17 @@
-"""``benchmarks/pair.py``'s per-metric verdict on synthetic run lists."""
+"""``benchmarks/pair.py``'s per-metric verdict on synthetic run lists,
+and the arguments ``make bench-pair`` hands it."""
 
 import importlib.util
+import os
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
-    "bench_pair", Path(__file__).resolve().parents[1] / "benchmarks" / "pair.py"
+    "bench_pair", ROOT / "benchmarks" / "pair.py"
 )
 pair = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pair)
@@ -62,3 +67,30 @@ class TestVerdict:
     @pytest.mark.parametrize("metric", [LOWER, HIGHER])
     def test_identical_runs_are_flat(self, metric):
         assert pair.verdict(metric, BASE, list(BASE)) == "flat"
+
+
+def _make_bench_pair_argv(*assignments: str) -> list[str]:
+    """The pair.py command line ``make -n bench-pair`` would run."""
+    env = {k: v for k, v in os.environ.items() if k not in ("SEED", "SECONDS")}
+    done = subprocess.run(
+        ["make", "-n", "bench-pair", *assignments],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+    )
+    return done.stdout.replace("\\\n", " ").split()
+
+
+@pytest.mark.skipif(shutil.which("make") is None, reason="needs make")
+class TestMakeTarget:
+    def test_forwards_seed_and_seconds(self):
+        argv = _make_bench_pair_argv(
+            "BASE=abc", "WORKLOAD=city_solve", "PAIRS=10", "SEED=23",
+            "SECONDS=10",
+        )
+        assert argv[argv.index("benchmarks/pair.py") + 1 :] == [
+            "--base", "abc", "--workload", "city_solve", "--pairs", "10",
+            "--seed", "23", "--seconds", "10",
+        ]
+
+    def test_unset_leaves_the_script_defaults(self):
+        argv = _make_bench_pair_argv()
+        assert "--seed" not in argv and "--seconds" not in argv
