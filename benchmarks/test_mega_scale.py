@@ -180,7 +180,7 @@ def test_mega_scale_serial_rounds(benchmark):
         assert record.zones_solved == zones * zones == len(solves)
         if not SMOKE:
             assert record.rmse < 1.0  # the round actually recovers truth
-        # Clean zones of this shape (128 reports, K=16 cap) cost ~7
+        # Clean zones of this shape (128 reports, K=16 cap) cost ~5.5
         # fits each: the C-steps stop when the objective does (waiting
         # for the survivor set to repeat cost 18), and with every fit
         # stopping at the noise floor fewer starts need a second step.
@@ -321,14 +321,14 @@ def test_mega_city_byzantine(benchmark):
                 runs.append(
                     {"liar": name, "fraction": fraction, "seed": seed, **run}
                 )
-    if not SMOKE:
-        # A gross liar is expelled: up to 20 % of them leave the
-        # estimate level with the zero field.  The plausible liar is
-        # an open hole (claimed std far below the honest noise buys
-        # GLS leverage past the trim) and is recorded, not gated.
-        for run in runs:
-            if run["liar"] == "gross":
-                assert run["rmse"] <= 1.25 * run["zero_rms"]
+    # A gross liar is expelled: up to 20 % of them leave the estimate
+    # level with the zero field, at smoke sizes too (the one CI check of
+    # the trim against Byzantine rows).  The plausible liar is an open
+    # hole (claimed std far below the honest noise buys GLS leverage
+    # past the trim) and is recorded, not gated.
+    for run in runs:
+        if run["liar"] == "gross":
+            assert run["rmse"] <= 1.25 * run["zero_rms"]
 
     nodes = SCALE_STEPS[0][0]
     record_series(

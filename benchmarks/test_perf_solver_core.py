@@ -19,8 +19,9 @@ end-to-end timing:
 - **PERF-ZONE**: one city zone fit's pieces at the ``city_solve``
   shape (a 32x32 zone, N = 1024, ``stop_at_noise=True``, 128 reports
   from a seeded ``MegaSimulation`` round): the GLS fit over every
-  report with its variance vector, an equal-weight fit over the 64
-  reports nearest the value median (a trim C-step's half sample), and
+  report with its variance vector, trim's equal-weight fits (at the
+  zone's mean claimed variance) over every report and over the 64
+  reports nearest the value median (a C-step's half sample), and
   one ``IncrementalQR.solve`` at the k = 1 a city fit mostly holds.
   These are fixed-cost-bound calls, timed per call in microseconds.
 - **PERF-ROUND**: one full ``sense_field`` round over a 2048-node
@@ -269,19 +270,19 @@ def _city_zones():
 
 
 def _zone_fits(rows_all, values, variances):
-    """The two fit shapes a zone's robust solve is made of: GLS over
-    every report, and a trim C-step's equal-weight half sample (the
-    reports nearest the value median, at the zone's median claimed
-    variance, as ``repro.sim.mega``'s trim fits run)."""
+    """The fit shapes a zone's robust solve is made of: GLS over every
+    report, and trim's equal-weight fits at the zone's mean claimed
+    variance (as ``repro.sim.mega``'s run) over every report and over
+    a C-step's half sample, the reports nearest the value median."""
     m = values.size
     half = np.sort(
         np.argsort(np.abs(values - np.median(values)), kind="stable")[: m // 2]
     )
+    equal_weight = float(np.mean(variances))
     return {
         "gls": (rows_all, values, variances),
-        "equal": (
-            rows_all[half], values[half], float(np.median(variances))
-        ),
+        "equal_full": (rows_all, values, equal_weight),
+        "equal": (rows_all[half], values[half], equal_weight),
     }
 
 
@@ -291,7 +292,7 @@ def test_perf_city_zone_fit(benchmark):
     assert (len(zones), m, n) == (9, 128, 1024)
     calls = 5 if SMOKE else 100
     table, runs = [], []
-    for name in ("gls", "equal"):
+    for name in ("gls", "equal_full", "equal"):
         atoms, us = [], []
         for zone in zones:
             phi_rows, x_s, cov = _zone_fits(*zone)[name]
@@ -323,8 +324,8 @@ def test_perf_city_zone_fit(benchmark):
         ["call", "m", "n", "atoms", "us"],
         table,
         notes="city_solve shape, seed 7, round 0; gls = variance vector "
-        "over every report, equal = scalar median variance over the 64 "
-        "reports nearest the value median; solve at k = 1"
+        "over every report, equal = scalar mean variance over every "
+        "report (full) or the 64 nearest the value median; solve at k = 1"
         + ("; SMOKE call counts" if SMOKE else ""),
     )
     _merge_bench_json("zone", {"runs": runs})

@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 from repro.analysis import contracts
 from repro.core.registry import shared_dct2_basis
 from repro.sensors.faults import SensorFaultInjector, StuckAt
+from repro.sensors.noise import STANDARD_TIERS, tier_noise_multipliers
 from repro.sim import mega
 from repro.sim.mega import MegaConfig, MegaSimulation
-from repro.sim.population import PopulationConfig
+from repro.sim.population import BASE_NOISE_STD, PopulationConfig
 
 
 def _pop(seed: int, **overrides) -> PopulationConfig:
@@ -252,6 +253,64 @@ class TestZoneKernel:
             assert forward[zone_id][1][:zone_id].all()
 
 
+def _tier_zone(rng: np.random.Generator, truth: np.ndarray):
+    """128 reports from one 32x32 zone under the standard handset mix."""
+    stds = BASE_NOISE_STD * tier_noise_multipliers(128, STANDARD_TIERS, rng)
+    cells = rng.choice(truth.size, size=128, replace=False)
+    return cells, truth[cells] + stds * rng.standard_normal(128), stds
+
+
+class TestEqualWeightScale:
+    def test_equal_weight_fits_admit_no_noise(self, monkeypatch):
+        # An equal-weight row carries the *mean* claimed variance; under
+        # the tier mix the median sits 2-3x below it, and fits whitened
+        # by the median clear the 2 ln N stop on noise alone (~6 atoms
+        # per full fit on these zones, ~1.7 averaged over all trim fits).
+        admitted, full = [], []
+        real = mega.omp
+
+        def spy(phi_rows, x_s, k, **kwargs):
+            result = real(phi_rows, x_s, k, **kwargs)
+            if np.ndim(kwargs["covariance"]) == 0:
+                admitted.append(result.support.size)
+                if phi_rows.shape[0] == 128:
+                    full.append(result.support.size)
+            return result
+
+        monkeypatch.setattr(mega, "omp", spy)
+        basis = np.asarray(shared_dct2_basis(32, 32))
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            cells, values, stds = _tier_zone(rng, np.zeros(1024))
+            mega._solve_zone((0, cells, values, stds, 16), basis)
+        assert len(full) == 30
+        assert np.mean(full) <= 0.5
+        assert np.mean(admitted) <= 0.5
+
+    def test_one_huge_claim_shields_no_liar(self):
+        # The mean is not robust: one row claiming std 1e3 lifts the
+        # equal-weight variance ~10^4-fold and the screening fits go
+        # flat.
+        # Trim still judges each row by its own claim and refits with
+        # the real covariance, so every gross liar is expelled and the
+        # honest rows come back.
+        basis = np.asarray(shared_dct2_basis(32, 32))
+        truth = basis[:, [0, 3, 40, 77]] @ np.array([120.0, -60.0, 45.0, 30.0])
+        truth_rms = float(np.sqrt(np.mean(truth**2)))
+        for seed in range(10):
+            rng = np.random.default_rng(100 + seed)
+            cells, values, stds = _tier_zone(rng, truth)
+            values[:12] += 20.0
+            stds[:12] = 0.01
+            stds[12] = 1e3
+            _, field, rejected = mega._solve_zone(
+                (0, cells, values, stds, 16), basis
+            )
+            assert rejected[:12].all()
+            assert int(rejected.sum()) == 12
+            assert np.sqrt(np.mean((field - truth) ** 2)) < 0.1 * truth_rms
+
+
 def _golden_payload(kind: str):
     """One 16x16 zone, 96 reports, at a pinned seed per kind."""
     basis = np.asarray(shared_dct2_basis(16, 16))
@@ -344,7 +403,7 @@ class TestCityAccuracy:
 # benchmark's own shapes end to end (same numpy-build caveat).
 CITY_GOLDEN = {
     "city_solve": "0ee707af92ac204d4c32d7f01262bcc0476dbcccfd2b1dec8fa007637d1a77cc",
-    "city_mobility": "a2451dce35f254cc7731c0e2451453f5f3f54c360cf53550567fd3aa19ac89be",
+    "city_mobility": "5f2279a6f6e649ac4acdc9f965b6c6e700003ee1a85d4ece5ffbaeea9bc462e1",
 }
 
 
