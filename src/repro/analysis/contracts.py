@@ -11,8 +11,8 @@ Enable with ``REPRO_SANITIZE=1`` in the environment (or
 - dense arrays handed out by the shared basis registry are wrapped in a
   mutation guard: the returned view is read-only *and* cannot be made
   writeable again, and :func:`verify_shared_arrays` re-checksums every
-  guarded array (the sharded city solve calls it in each forked worker
-  after every zone, and in the parent after each fan-out);
+  guarded array (a sanitizer check for tests and drive scripts; no
+  product path calls it since the forked city solve was deleted);
 - :class:`repro.middleware.rounds.ZoneRoundDriver` asserts that its
   state transitions run on the thread that owns the driver;
 - every read of a NanoCloud's cached energy subtotal

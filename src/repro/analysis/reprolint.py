@@ -18,8 +18,6 @@ obvious from a summary:
 - RPR005 exempts comparison with a literal zero (``x == 0.0``,
   ``-0.0``): zero is exactly representable, so such a test is a
   divide-by-zero guard, not a tolerance question.
-- RPR009 scopes to worker-entry functions: any whose name contains
-  ``worker``, with their nested helpers.
 - RPR010 flags, inside a realtime ``async def``, an import-resolved
   blocking sink (``time.sleep``, synchronous ``socket``/``subprocess``
   ops, builtin ``open``, ...), a non-awaited call to a solver entry
@@ -28,7 +26,7 @@ obvious from a summary:
   either.  Reach stops at the module boundary.  A pragma on the sink
   line, or on a helper's ``def`` line, cuts the chain.
 
-RPR003, RPR004, RPR007, RPR011 and RPR013 are retired
+RPR003, RPR004, RPR007, RPR009, RPR011 and RPR013 are retired
 (:data:`RETIRED_RULES`); their ids stay reserved and are never reused.
 
 One pass
@@ -100,12 +98,6 @@ RULES: dict[str, tuple[str, str]] = {
         "deliver/re-enqueue through the bounded-queue API "
         "(MessageBus.requeue) so capacity bounds cannot be bypassed",
     ),
-    "RPR009": (
-        "worker-rng",
-        "RNG constructed inside a worker-entry function; derive "
-        "per-shard seeds via repro.core.registry.spawn_shard_seeds in "
-        "the parent and pass them in",
-    ),
     "RPR010": (
         "async-blocking",
         "blocking call reachable (within its module) from a realtime-"
@@ -132,6 +124,10 @@ RETIRED_RULES: dict[str, str] = {
     "RPR004": "raw-topic",
     # Gated the TrafficStats.latency_s alias, removed in PR 8.
     "RPR007": "deprecated-latency-s",
+    # Kept RNG construction out of worker-entry functions; the city
+    # solve's process pool was the last executor worker in src/, and it
+    # is gone (two workers measured no gain over one process).
+    "RPR009": "worker-rng",
     "RPR011": "transitive-impurity",
     "RPR013": "pubsub-flow",
 }
@@ -161,7 +157,7 @@ _NP_RANDOM_ALLOWED = frozenset(
 )
 _PY_RANDOM_ALLOWED = frozenset({"Random", "SystemRandom"})
 #: RNG module -> (sanctioned constructors, short name, whose stream,
-#: the seeded replacement), for the RPR001/RPR009 messages.
+#: the seeded replacement), for the RPR001 message.
 _RNG_MODULES = {
     "numpy.random": (
         _NP_RANDOM_ALLOWED, "np.random", "NumPy's",
@@ -510,7 +506,6 @@ class _Checker(ast.NodeVisitor):
         #  "time.perf_counter", "datetime": "datetime.datetime"}.
         # Relative imports keep their leading dots ("..core.registry").
         self.aliases: dict[str, str] = {}
-        self._worker_depth = 0
         self._crossings: set[tuple[int, int]] = set()
 
     # -- helpers -------------------------------------------------------
@@ -574,7 +569,7 @@ class _Checker(ast.NodeVisitor):
             self.aliases[alias.asname or alias.name] = prefix + alias.name
         self.generic_visit(node)
 
-    # -- function definitions (RPR006 defaults, RPR009 scope, RPR012) --
+    # -- function definitions (RPR006 defaults, RPR012) ----------------
 
     def _check_defaults(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         defaults: list[ast.expr] = list(node.args.defaults) + [
@@ -597,15 +592,7 @@ class _Checker(ast.NodeVisitor):
         self, node: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> None:
         self._check_defaults(node)
-        # RPR009 scope: worker-entry functions (and their nested
-        # helpers) are the code multiprocessing dispatches into — the
-        # naming convention the middleware uses throughout.
-        in_worker = "worker" in node.name.lower()
-        if in_worker:
-            self._worker_depth += 1
         self.generic_visit(node)
-        if in_worker:
-            self._worker_depth -= 1
         if self._selected("RPR012"):
             self._check_executor_crossings(node)
 
@@ -812,7 +799,7 @@ class _Checker(ast.NodeVisitor):
                 "bounded-queue accounting cannot be bypassed",
             )
 
-    # -- RPR001 / RPR002 / RPR006 / RPR009 / RPR012: calls --------------
+    # -- RPR001 / RPR002 / RPR006 / RPR012: calls ---------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         resolved = self._resolve(node.func)
@@ -844,15 +831,6 @@ class _Checker(ast.NodeVisitor):
                 node,
                 f"{short}.{fn}() consumes {owner} hidden global RNG "
                 f"stream; draw from a seeded {seeded} instead",
-            )
-        elif self._worker_depth:
-            self._emit(
-                "RPR009",
-                node,
-                f"{resolved}() constructed inside a worker-entry "
-                "function; ad-hoc worker seeding correlates shard "
-                "streams — derive the shard's seed in the parent via "
-                "repro.core.registry.spawn_shard_seeds and pass it in",
             )
         if fn == "default_rng" and not node.args and not node.keywords:
             self._emit(

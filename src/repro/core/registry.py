@@ -13,8 +13,8 @@ re-enabled (its base is read-only), because they are *shared* and an
 in-place edit by one consumer would silently corrupt every other zone's
 solver.  Callers that genuinely need a private copy (none in this
 package do) must ``.copy()`` explicitly.  Under ``REPRO_SANITIZE=1`` the
-guard additionally checksums every shared array so the sharded city
-solve can verify nothing drifted (see :mod:`repro.analysis.contracts`).
+guard additionally checksums every shared array, so a write that got
+past the flag can be caught (see :mod:`repro.analysis.contracts`).
 
 Matrix-free operator forms (:mod:`repro.core.operators`) are memoised
 here too; they are cheap to build but sharing them keeps identity checks
@@ -86,14 +86,11 @@ def shared_dct2_operator(width: int, height: int) -> DCT2Operator:
 
 # -- per-shard RNG streams ---------------------------------------------
 #
-# Sharded simulations split one logical experiment across zones and
-# worker processes.  Deriving each shard's stream by arithmetic on the
-# root seed (seed + shard_index and friends) produces correlated or
-# colliding streams; ``np.random.SeedSequence.spawn`` is the supported
-# way to get provably independent children.  ``spawn_shard_seeds`` is
-# the *only* sanctioned way to seed a Generator for shard/worker code:
-# reprolint rule RPR009 flags ``default_rng``/``Generator`` construction
-# inside worker-entry functions that bypasses it.
+# The city population splits one logical experiment into per-zone
+# streams.  Deriving each shard's stream by arithmetic on the root seed
+# (seed + shard_index and friends) produces correlated or colliding
+# streams; ``np.random.SeedSequence.spawn`` is the supported way to get
+# provably independent children.
 
 
 def spawn_shard_seeds(
@@ -102,9 +99,8 @@ def spawn_shard_seeds(
     """Derive ``count`` independent child seeds from one root seed.
 
     The children are stable for a given root: shard ``i`` always
-    receives the same stream regardless of how many workers run or in
-    which order shards are processed — the property the serial-vs-shard
-    bit-identity pin relies on.
+    receives the same stream regardless of how many shards there are
+    around it or in which order they are processed.
     """
     if count < 0:
         raise ValueError("count must be non-negative")

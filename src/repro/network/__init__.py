@@ -1,10 +1,9 @@
 """Network substrate: messages, pluggable transports (in-process sim
-bus and real asyncio sockets), link models, topologies and service
-discovery."""
+bus and real asyncio sockets), fault injection, link models and
+network selection."""
 
 from .asyncio_transport import LOOPBACK, AsyncioTransport, TransportClient
 from .bus import Endpoint, MessageBus, TrafficStats
-from .discovery import DiscoveryRegistry, ServiceAnnouncement
 from .faults import (
     CrashSchedule,
     DegradationWindow,
@@ -25,14 +24,6 @@ from .frames import (
     encode_zone_report,
 )
 from .selector import NetworkSelector, SelectionPolicy, SelectionResult
-from .topology import (
-    broker_load,
-    hierarchy_topology,
-    is_connected,
-    mesh_topology,
-    proximity_topology,
-    star_topology,
-)
 from .transport import Transport
 
 __all__ = [
@@ -49,8 +40,6 @@ __all__ = [
     "decode_zone_report",
     "encode_wire",
     "encode_zone_report",
-    "DiscoveryRegistry",
-    "ServiceAnnouncement",
     "CrashSchedule",
     "DegradationWindow",
     "DeliveryVerdict",
@@ -69,10 +58,4 @@ __all__ = [
     "SelectionResult",
     "Message",
     "MessageKind",
-    "broker_load",
-    "hierarchy_topology",
-    "is_connected",
-    "mesh_topology",
-    "proximity_topology",
-    "star_topology",
 ]

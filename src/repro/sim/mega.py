@@ -1,44 +1,37 @@
-"""City-scale rounds: sharded zone solves over a forked basis.
+"""City-scale rounds: per-zone solves merged into one field.
 
 :class:`MegaSimulation` drives the struct-of-arrays population
 (:mod:`repro.sim.population`) through full sensing rounds at 100k+
-nodes, reusing the middleware's collect/solve/finalize phase split at
-process scale:
+nodes, reusing the middleware's collect/solve/finalize phase split in
+one process:
 
-- **collect** (serial, parent): tick mobility, draw the per-zone
-  batched sensing round, push one array-backed SENSE_REPORT frame per
-  zone through the :class:`repro.network.bus.MessageBus` — every RNG
-  draw and every piece of transport accounting happens here, in one
-  process, in deterministic zone order;
-- **solve** (parallel, pure): each delivered zone frame becomes a pure
-  payload (cells, values, stds) solved by OMP against the zone-shaped
-  DCT basis.  Serial mode solves in-process against the memoised
-  registry array; sharded mode fans payloads out to forked worker
-  processes that read the *same bytes*, the parent's basis handed over
-  at fork and shared copy-on-write — which is why the two modes are
-  bit-identical (Hypothesis-pinned in ``tests/sim/test_mega.py``);
-- **finalize** (serial, parent): merge zone estimates into the global
-  field, serve stale estimates for zones whose frame was lost or shed
-  (the PR-6 overload idiom), and feed the robust layer's per-report
-  trim verdicts into the population's trust ledger — the broker's
+- **collect**: tick mobility, draw the per-zone batched sensing round,
+  push one array-backed SENSE_REPORT frame per zone through the
+  :class:`repro.network.bus.MessageBus` — every RNG draw and every
+  piece of transport accounting happens here, in deterministic zone
+  order;
+- **solve** (pure): each delivered zone frame becomes a pure payload
+  (cells, values, stds) solved by OMP against the memoised zone-shaped
+  DCT basis from the registry, zone by zone;
+- **finalize**: merge zone estimates into the global field, serve
+  stale estimates for zones whose frame was lost or shed (the PR-6
+  overload idiom), and feed the robust layer's per-report trim verdicts
+  into the population's trust ledger — the broker's
   :class:`repro.middleware.trust.TrustManager`, indexed by node (the
   PR-4 Byzantine idiom).
 
-Workers never construct their own RNG (solves are pure); reprolint rule
-RPR009 enforces that any worker that *does* need randomness builds it
-from a seed the parent derived via
-:func:`repro.core.registry.spawn_shard_seeds`.
+Zones solve one after another in this process.  A zone takes under
+2 ms, so a process pool's dispatch and pickling cost as much as the
+work: two forked workers did not beat one process at 100k nodes and 64
+zones.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
-from ..analysis import contracts
 from ..core.omp import omp
 from ..core.registry import shared_dct2_basis
 from ..core.robust import robust_reconstruct
@@ -60,6 +53,10 @@ class MegaConfig:
     ``sparsity`` is a cap, not a target: every zone fit stops at the
     noise floor (:func:`repro.core.omp.omp`'s ``stop_at_noise``) and
     admits at most this many atoms.
+
+    ``sharded`` is kept only so that callers passing ``sharded=False``
+    still construct; the process-pool solve it selected is deleted, and
+    ``True`` is refused.
     """
 
     population: PopulationConfig
@@ -67,7 +64,6 @@ class MegaConfig:
     sparsity: int = 16
     ticks_per_round: int = 1
     sharded: bool = False
-    workers: int = 2
     inbox_capacity: int | None = None
     drop_policy: str = "drop-newest"
 
@@ -78,8 +74,11 @@ class MegaConfig:
             raise ValueError("sparsity must be positive")
         if self.ticks_per_round < 1:
             raise ValueError("ticks_per_round must be positive")
-        if self.sharded and self.workers < 1:
-            raise ValueError("sharded mode needs at least one worker")
+        if self.sharded:
+            raise ValueError(
+                "the sharded process-pool solve is deleted; every round "
+                "solves in-process (sharded must be False)"
+            )
 
 
 @dataclass
@@ -95,12 +94,7 @@ class MegaRoundRecord:
     quarantined_nodes: int
 
 
-# -- pure solve kernel (runs in parent or worker, identically) ----------
-
-# Worker-process module globals: the parent's basis and a gather
-# workspace.  Populated by the pool initializer.
-_WORKER_BASIS: np.ndarray | None = None
-_WORKER_SCRATCH: np.ndarray | None = None
+# -- pure solve kernel ---------------------------------------------------
 
 
 def _zone_scratch(reports: int, cells: int) -> np.ndarray:
@@ -145,9 +139,9 @@ def _solve_zone(
     page-faulted and unmapped on every zone, they cost up to a quarter
     of the solve and swing with the host.
 
-    Pure: no RNG (trim's multi-start screening is deterministic), no
-    shared mutable state that a result depends on — the property that
-    lets the sharded path claim bit-identity with the serial one.
+    Pure: no RNG (trim's multi-start screening is deterministic) and no
+    shared mutable state that a result depends on, so zone order cannot
+    change a result.
     """
     zone_id, cells, values, stds, sparsity = payload
     cells = np.asarray(cells, dtype=int)
@@ -200,33 +194,6 @@ def _solve_zone(
     return zone_id, synthesise(basis, robust.result), robust.row_rejected()
 
 
-def _shard_worker_init(
-    basis: np.ndarray, sanitize: bool, reports: int
-) -> None:
-    """Pool initializer: keep the inherited basis and a workspace."""
-    global _WORKER_BASIS, _WORKER_SCRATCH
-    if sanitize and not contracts.enabled():
-        contracts.enable()
-    _WORKER_BASIS = basis
-    _WORKER_SCRATCH = _zone_scratch(reports, basis.shape[1])
-
-
-def _solve_zone_worker(
-    payload: tuple[int, np.ndarray, np.ndarray, np.ndarray, int],
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Worker-side entry: solve against the inherited basis.
-
-    Under the sanitizer the worker re-checksums its guard table after
-    the solve.  It inherited the parent's table at fork, so a worker
-    that wrote to its copy-on-write basis fails this task, and
-    ``pool.map`` re-raises the violation in the parent.
-    """
-    assert _WORKER_BASIS is not None, "worker initializer did not run"
-    solved = _solve_zone(payload, _WORKER_BASIS, _WORKER_SCRATCH)
-    contracts.verify_shared_arrays(context="mega shard worker")
-    return solved
-
-
 class MegaSimulation:
     """Drives rounds over a :class:`NodePopulation` at city scale."""
 
@@ -257,21 +224,6 @@ class MegaSimulation:
         self._scratch = _zone_scratch(
             config.reports_per_zone, self.basis.shape[1]
         )
-        self._pool: ProcessPoolExecutor | None = None
-        if config.sharded:
-            self._pool = ProcessPoolExecutor(
-                max_workers=config.workers,
-                # Fork hands initargs to each child in memory, so every
-                # worker reads the parent's basis pages copy-on-write.
-                # Under spawn they would be pickled once per worker.
-                mp_context=get_context("fork"),
-                initializer=_shard_worker_init,
-                initargs=(
-                    self.basis,
-                    contracts.enabled(),
-                    config.reports_per_zone,
-                ),
-            )
 
     def _build_truth(self) -> np.ndarray:
         """Per-zone sparse ground truth (exactly recoverable fields).
@@ -326,7 +278,7 @@ class MegaSimulation:
     def _solve(
         self, frames: list
     ) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """Solve every delivered zone, serially or across the pool."""
+        """Solve every delivered zone in-process, in delivery order."""
         payloads = []
         for frame in frames:
             cells = self.population.cells_in_zone(frame.node_ids)
@@ -339,14 +291,7 @@ class MegaSimulation:
                     self.config.sparsity,
                 )
             )
-        if self._pool is None:
-            return [
-                _solve_zone(p, self.basis, self._scratch) for p in payloads
-            ]
-        results = list(self._pool.map(_solve_zone_worker, payloads))
-        # Each worker checked its own copy; this checks the parent's.
-        contracts.verify_shared_arrays(context="mega shard fan-out")
-        return results
+        return [_solve_zone(p, self.basis, self._scratch) for p in payloads]
 
     def _finalize(self, frames: list, solved) -> MegaRoundRecord:
         """Merge estimates, serve stale zones, update trust."""
@@ -384,17 +329,3 @@ class MegaSimulation:
         frames = self._collect()
         solved = self._solve(frames)
         return self._finalize(frames, solved)
-
-    # -- lifecycle -----------------------------------------------------
-
-    def shutdown(self) -> None:
-        """Tear down the worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def __enter__(self) -> "MegaSimulation":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()

@@ -25,8 +25,7 @@ Streams are split with ``SeedSequence.spawn`` (via
 :func:`repro.core.registry.spawn_shard_seeds`): one child for
 placement, one for tier assignment, one for mobility, and one child
 *per zone* for sensing noise — so a zone's measurement stream does not
-depend on how many nodes other zones hold, and sharded replays stay
-stable.
+depend on how many nodes other zones hold.
 """
 
 from __future__ import annotations

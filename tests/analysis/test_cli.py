@@ -95,6 +95,7 @@ class TestExitCodes:
         assert "RPR003 solve-purity: retired" in lines
         assert "RPR004 raw-topic: retired" in lines
         assert "RPR007 deprecated-latency-s: retired" in lines
+        assert "RPR009 worker-rng: retired" in lines
         assert "RPR011 transitive-impurity: retired" in lines
         assert "RPR013 pubsub-flow: retired" in lines
 

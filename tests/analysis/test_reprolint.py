@@ -187,6 +187,8 @@ class TestRPR003Retired:
             "raw-topic",
             "RPR013",
             "pubsub-flow",
+            "RPR009",
+            "worker-rng",
         ],
     )
     def test_retired_ids_and_names_are_not_selectable(self, entry):
@@ -195,7 +197,7 @@ class TestRPR003Retired:
 
     def test_retired_ids_are_reserved(self):
         assert set(RETIRED_RULES) == {
-            "RPR003", "RPR004", "RPR007", "RPR011", "RPR013"
+            "RPR003", "RPR004", "RPR007", "RPR009", "RPR011", "RPR013"
         }
         assert not set(RETIRED_RULES) & set(RULES)
 
@@ -463,101 +465,6 @@ class TestRPR008RawInbox:
         assert _rules(findings, suppressed=True) == ["RPR008"]
 
 
-class TestRPR009WorkerRng:
-    def test_default_rng_in_worker_fires(self):
-        findings = _lint(
-            """
-            import numpy as np
-
-            def _solve_zone_worker(payload, seed):
-                rng = np.random.default_rng(seed)
-                return rng.standard_normal(4)
-            """
-        )
-        assert _rules(findings, suppressed=False) == ["RPR009"]
-
-    def test_seed_sequence_in_worker_init_fires(self):
-        findings = _lint(
-            """
-            import numpy as np
-
-            def shard_worker_init(seed, index):
-                child = np.random.SeedSequence(seed).spawn(8)[index]
-                return np.random.Generator(np.random.PCG64(child))
-            """
-        )
-        # SeedSequence, Generator and PCG64 construction each fire.
-        assert _rules(findings, suppressed=False) == [
-            "RPR009",
-            "RPR009",
-            "RPR009",
-        ]
-
-    def test_stdlib_random_in_worker_fires(self):
-        findings = _lint(
-            """
-            import random
-
-            def worker_main(seed):
-                return random.Random(seed)
-            """
-        )
-        assert _rules(findings, suppressed=False) == ["RPR009"]
-
-    def test_nested_helper_inside_worker_fires(self):
-        findings = _lint(
-            """
-            import numpy as np
-
-            def run_worker(seed):
-                def draw():
-                    return np.random.default_rng(seed).random()
-                return draw()
-            """
-        )
-        assert _rules(findings, suppressed=False) == ["RPR009"]
-
-    def test_pragma_suppresses(self):
-        findings = _lint(
-            """
-            import numpy as np
-
-            def _bench_worker(seed):
-                return np.random.default_rng(seed)  # reprolint: allow[worker-rng]
-            """
-        )
-        assert _rules(findings, suppressed=True) == ["RPR009"]
-
-    def test_non_worker_function_negative(self):
-        findings = _lint(
-            """
-            import numpy as np
-
-            def build_population(seed):
-                return np.random.default_rng(seed)
-
-            def spawn_shard_seeds(root, count):
-                return np.random.SeedSequence(root).spawn(count)
-            """
-        )
-        assert findings == []
-
-    def test_worker_without_rng_negative(self):
-        findings = _lint(
-            """
-            def _solve_zone_worker(payload, basis):
-                cells, values = payload
-                return basis[cells, :] @ values
-            """
-        )
-        assert findings == []
-
-    def test_shipped_tree_has_zero_worker_rng_findings(self, shipped_lint):
-        assert shipped_lint.scanned > 50
-        active = shipped_lint.active("RPR009")
-        assert active == [], "\n".join(f.render() for f in active)
-
-
 class TestSuppressionMechanics:
     def test_star_pragma_suppresses_everything(self):
         findings = _lint(
@@ -684,7 +591,7 @@ class TestTreeIsClean:
             # RPR007 retired with the latency_s alias (PR 8); the id
             # stays reserved and must never be reused.
             "RPR008",
-            "RPR009",
+            # RPR009 retired with the city solve's process pool.
             # RPR011 retired with RPR003.
             "RPR010",
             "RPR012",

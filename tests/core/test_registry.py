@@ -1,7 +1,7 @@
 """Per-shard seed streams from the basis registry.
 
 Pins the :func:`repro.core.registry.spawn_shard_seeds` stream hygiene
-that reprolint rule RPR009 exists to enforce.
+that the city population's per-zone streams rely on.
 """
 
 import numpy as np

@@ -1,11 +1,9 @@
-"""City-scale rounds: sharded == serial, stale-serve, overload, trust.
+"""City-scale rounds: stale-serve, overload, trust, zone kernel, goldens.
 
-The load-bearing pin is :class:`TestSerialShardedIdentity`: the
-multiprocess fan-out must produce byte-for-byte the same estimates and
-trust state as the in-process solve, because collect (all RNG) stays
-serial, the solve kernel is pure, and the forked workers read the
-exact basis bytes the parent holds.  The remaining tests exercise the
-overload (PR 6) and Byzantine (PR 4) layers on top of the array core.
+The load-bearing pins are :class:`TestZoneGolden` (one zone solve) and
+:class:`TestCityGolden` (six rounds of both benchmark city shapes).
+The remaining tests exercise the overload (PR 6) and Byzantine (PR 4)
+layers on top of the array core.
 """
 
 import dataclasses
@@ -13,10 +11,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.analysis import contracts
 from repro.core.registry import shared_dct2_basis
 from repro.sensors.faults import SensorFaultInjector, StuckAt
 from repro.sensors.noise import STANDARD_TIERS, tier_noise_multipliers
@@ -37,55 +32,6 @@ def _pop(seed: int, **overrides) -> PopulationConfig:
     )
     base.update(overrides)
     return PopulationConfig(**base)
-
-
-class TestSerialShardedIdentity:
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=5, deadline=None)
-    def test_sharded_rounds_bit_identical(self, seed):
-        pop = _pop(seed)
-        serial = MegaSimulation(
-            MegaConfig(population=pop, reports_per_zone=48, sparsity=8)
-        )
-        with MegaSimulation(
-            MegaConfig(
-                population=pop,
-                reports_per_zone=48,
-                sparsity=8,
-                sharded=True,
-                workers=2,
-            )
-        ) as sharded:
-            for _ in range(3):
-                a = serial.run_round()
-                b = sharded.run_round()
-                assert np.array_equal(serial.estimate, sharded.estimate)
-                assert np.array_equal(
-                    serial.population.trust, sharded.population.trust
-                )
-                assert np.array_equal(
-                    serial.population.quarantined,
-                    sharded.population.quarantined,
-                )
-                assert a == b
-
-    def test_worker_count_does_not_change_results(self):
-        pop = _pop(77)
-        estimates = []
-        for workers in (1, 3):
-            with MegaSimulation(
-                MegaConfig(
-                    population=pop,
-                    reports_per_zone=48,
-                    sparsity=8,
-                    sharded=True,
-                    workers=workers,
-                )
-            ) as sim:
-                for _ in range(2):
-                    sim.run_round()
-                estimates.append(sim.estimate.copy())
-        assert np.array_equal(estimates[0], estimates[1])
 
 
 class TestRoundMechanics:
@@ -159,6 +105,17 @@ class TestRoundMechanics:
         # Quarantined reporters stop being sampled, so late rounds solve
         # from honest nodes only and the field estimate stays sane.
         assert records[-1].rmse < 1.0
+
+    def test_config_validation(self):
+        with pytest.raises(ValueError):
+            MegaConfig(population=_pop(1), reports_per_zone=0)
+        with pytest.raises(ValueError):
+            MegaConfig(population=_pop(1), sparsity=0)
+        # The process-pool solve is deleted; the field stays only so
+        # that ``sharded=False`` still constructs.
+        with pytest.raises(ValueError, match="sharded"):
+            MegaConfig(population=_pop(1), sharded=True)
+        assert not MegaConfig(population=_pop(1), sharded=False).sharded
 
 
 class TestZoneKernel:
@@ -333,8 +290,7 @@ def _golden_payload(kind: str):
 # mask).  Stopping the fits at the noise floor moved the field bytes
 # only: the rejected masks are the ones filling all K atoms gave.
 # The solve passes through BLAS, so
-# these pin this platform's numpy build, like every golden vector;
-# serial == sharded bit-identity is the Hypothesis property above.
+# these pin this platform's numpy build, like every golden vector.
 ZONE_GOLDEN = {
     "clean": (0, "bd122b982ad09efd7667437feff4203f56ca5f5cd426fb2dafe486170701e08f"),
     "adversarial": (10, "e42d511df45e5818dcc47bb3dbbfb73035c57a5c0762ad6b6620b7c0bc16e70e"),
@@ -419,47 +375,3 @@ class TestCityGolden:
         digest.update(sim.population.trust.tobytes())
         digest.update(sim.population.quarantined.tobytes())
         assert digest.hexdigest() == CITY_GOLDEN[shape]
-
-
-class TestShardedSanitizer:
-    def test_fanout_passes_checksum_verification(self):
-        was_enabled = contracts.enabled()
-        contracts.enable()
-        try:
-            with MegaSimulation(
-                MegaConfig(
-                    population=_pop(3),
-                    reports_per_zone=32,
-                    sparsity=8,
-                    sharded=True,
-                    workers=2,
-                )
-            ) as sim:
-                record = sim.run_round()
-                assert record.zones_solved == 4
-        finally:
-            contracts.enable(was_enabled)
-
-    def test_worker_solve_catches_mutated_basis(self, monkeypatch):
-        monkeypatch.setattr(contracts, "_ENABLED", True)
-        monkeypatch.setattr(contracts, "_GUARDED", {})
-        monkeypatch.setattr(mega, "_WORKER_BASIS", None)
-        monkeypatch.setattr(mega, "_WORKER_SCRATCH", None)
-        payload, basis = _golden_payload("clean")
-        owner = np.array(basis)
-        mega._shard_worker_init(contracts.guard_shared_array(owner), True, 96)
-        mega._solve_zone_worker(payload)  # untouched basis: no complaint
-        # Write through the pre-freeze owner, as a worker writing to its
-        # copy-on-write pages would.
-        owner.flags.writeable = True
-        owner[0, 0] += 1.0
-        with pytest.raises(contracts.ContractViolation, match="mutated"):
-            mega._solve_zone_worker(payload)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MegaConfig(population=_pop(1), reports_per_zone=0)
-        with pytest.raises(ValueError):
-            MegaConfig(population=_pop(1), sparsity=0)
-        with pytest.raises(ValueError):
-            MegaConfig(population=_pop(1), sharded=True, workers=0)
