@@ -52,7 +52,7 @@ loc:
 	@printf '%-26s %6d\n' "src/repro (total)" \
 		"$$(find src/repro -name '*.py' -exec cat {} + | wc -l)"
 	@PYTHONPATH=src $(PYTHON) -c "import dataclasses; \
-		from repro.middleware.config import BrokerConfig, NodeConfig, \
+		from repro.middleware.config import BrokerConfig, \
 			HierarchyConfig, CompressionPolicy; \
 		from repro.middleware.overload import OverloadConfig; \
 		from repro.gateway.server import GatewayConfig, ResilienceConfig; \
@@ -60,7 +60,7 @@ loc:
 		from repro.sim.population import PopulationConfig; \
 		from repro.analysis import RULES; \
 		configs = (BrokerConfig, MegaConfig, PopulationConfig, \
-			GatewayConfig, ResilienceConfig, NodeConfig, OverloadConfig, \
+			GatewayConfig, ResilienceConfig, OverloadConfig, \
 			HierarchyConfig, CompressionPolicy); \
 		[print('%-26s %6d' % (c.__name__ + ' fields', \
 			len(dataclasses.fields(c)))) for c in configs]; \

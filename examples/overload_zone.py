@@ -50,7 +50,6 @@ def main() -> None:
             breaker_enabled=True,
             ladder_enabled=True,
             queue_high=float(SERVICE),
-            recover_rounds=1,
         ),
     )
     lc = LocalCloud(

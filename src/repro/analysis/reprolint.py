@@ -106,9 +106,8 @@ RULES: dict[str, tuple[str, str]] = {
     ),
     "RPR012": (
         "seed-lineage",
-        "duplicate literal seed feeding two RNG streams, or an RNG "
-        "object crossing an executor boundary; derive independent "
-        "child streams via SeedSequence.spawn",
+        "duplicate literal seed feeding two RNG streams; derive "
+        "independent child streams via SeedSequence.spawn",
     ),
 }
 
@@ -260,16 +259,6 @@ _STREAM_CONSTRUCTORS = frozenset(
     + ["random.Random"]
 )
 _SEED_KEYWORDS = ("seed", "entropy", "x")
-
-# RPR012: attribute calls that hand work (and its arguments) across an
-# executor/worker boundary, and constructors whose args do the same.
-_EXECUTOR_SUBMIT_NAMES = frozenset(
-    "submit map starmap apply apply_async imap imap_unordered "
-    "run_in_executor".split()
-)
-_EXECUTOR_CONSTRUCTORS = frozenset(
-    {"ProcessPoolExecutor", "ThreadPoolExecutor", "Pool", "Process"}
-)
 
 
 @dataclass(frozen=True)
@@ -426,38 +415,6 @@ def _literal_seed(node: ast.expr) -> object | None:
     return None
 
 
-def _reads_any(tree: ast.AST, names: set[str]) -> str | None:
-    for inner in ast.walk(tree):
-        if (
-            isinstance(inner, ast.Name)
-            and isinstance(inner.ctx, ast.Load)
-            and inner.id in names
-        ):
-            return inner.id
-    return None
-
-
-def _tainted_argument(call: ast.Call, tainted: set[str]) -> str | None:
-    """An argument that is (or contains / closes over) a tainted name."""
-
-    def check(expr: ast.expr) -> str | None:
-        if isinstance(expr, ast.Name) and expr.id in tainted:
-            return expr.id
-        if isinstance(expr, ast.Starred):
-            return check(expr.value)
-        if isinstance(expr, (ast.Tuple, ast.List)):
-            return first(expr.elts)
-        if isinstance(expr, ast.Lambda):
-            # An inline lambda closing over the stream captures it.
-            return _reads_any(expr.body, tainted)
-        return None
-
-    def first(exprs: list[ast.expr]) -> str | None:
-        return next((h for h in map(check, exprs) if h is not None), None)
-
-    return first([*call.args, *(keyword.value for keyword in call.keywords)])
-
-
 def _unsigned(node: ast.expr) -> ast.expr:
     """``node`` with any unary ``+``/``-`` stripped."""
     while isinstance(node, ast.UnaryOp) and isinstance(
@@ -506,7 +463,6 @@ class _Checker(ast.NodeVisitor):
         #  "time.perf_counter", "datetime": "datetime.datetime"}.
         # Relative imports keep their leading dots ("..core.registry").
         self.aliases: dict[str, str] = {}
-        self._crossings: set[tuple[int, int]] = set()
 
     # -- helpers -------------------------------------------------------
 
@@ -569,7 +525,7 @@ class _Checker(ast.NodeVisitor):
             self.aliases[alias.asname or alias.name] = prefix + alias.name
         self.generic_visit(node)
 
-    # -- function definitions (RPR006 defaults, RPR012) ----------------
+    # -- function definitions (RPR006 defaults) ------------------------
 
     def _check_defaults(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         defaults: list[ast.expr] = list(node.args.defaults) + [
@@ -593,72 +549,9 @@ class _Checker(ast.NodeVisitor):
     ) -> None:
         self._check_defaults(node)
         self.generic_visit(node)
-        if self._selected("RPR012"):
-            self._check_executor_crossings(node)
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
-
-    # -- RPR012: RNG objects crossing an executor boundary --------------
-
-    def _is_stream(self, node: ast.expr | None) -> bool:
-        return (
-            isinstance(node, ast.Call)
-            and self._resolve(node.func) in _STREAM_CONSTRUCTORS
-        )
-
-    def _check_executor_crossings(
-        self, func: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> None:
-        rng_names: set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and self._is_stream(node.value):
-                targets = node.targets
-            elif isinstance(node, ast.AnnAssign) and self._is_stream(
-                node.value
-            ):
-                targets = [node.target]
-            else:
-                continue
-            rng_names.update(t.id for t in targets if isinstance(t, ast.Name))
-        if not rng_names:
-            return
-        # A nested def that reads an RNG name captures the stream; passing
-        # that function to an executor ships the stream with it.
-        tainted = set(rng_names)
-        for node in ast.walk(func):
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node is not func
-                and _reads_any(node, rng_names)
-            ):
-                tainted.add(node.name)
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = node.func
-            if not (
-                isinstance(callee, ast.Attribute)
-                and callee.attr in _EXECUTOR_SUBMIT_NAMES
-                or isinstance(callee, ast.Name)
-                and callee.id in _EXECUTOR_CONSTRUCTORS
-            ):
-                continue
-            crossing = _tainted_argument(node, tainted)
-            # An enclosing function's walk sees a nested def's sites too.
-            key = (node.lineno, node.col_offset)
-            if crossing is None or key in self._crossings:
-                continue
-            self._crossings.add(key)
-            self._emit(
-                "RPR012",
-                node,
-                f"RNG stream {crossing!r} crosses an executor boundary "
-                "here; a Generator shipped to a worker forks its stream "
-                "and silently breaks replay — spawn per-shard seeds in the "
-                "parent (repro.core.registry.spawn_shard_seeds) and build "
-                "the Generator on the worker side",
-            )
 
     # -- RPR010: blocking calls on the event loop ----------------------
 

@@ -77,6 +77,11 @@ _EVICTION_REASONS = ("idle", "reset", "shed", "expired")
 #: a property of the loop, not of a deployment, hence not a config field.
 _READ_BUDGET = 4096
 
+#: Token-bucket depth of the inbound rate limit: a session starts with,
+#: and refills up to, this many frames of burst above the sustained
+#: ``ResilienceConfig.rate_limit_hz``.
+_RATE_LIMIT_BURST = 8
+
 #: The synthetic truth field every gateway zone senses.
 _TRUTH_CUTOFF = 0.3
 _TRUTH_AMPLITUDE = 3.0
@@ -119,9 +124,10 @@ class ResilienceConfig:
         (PR 6) sits at or above this level (0 = never).  This is the
         gateway-side wiring of the overload controller: an overloaded
         zone stops *accepting* load before it starts dropping it.
-    rate_limit_hz / rate_limit_burst:
-        Per-session token bucket on inbound device frames: sustained
-        rate and burst allowance.  Frames over budget are dropped and
+    rate_limit_hz:
+        Per-session token bucket on inbound device frames: the
+        sustained rate, over a burst allowance of ``_RATE_LIMIT_BURST``
+        frames.  Frames over budget are dropped and
         counted (``frames_rate_limited``), not disconnected — shedding
         excess readings is cheaper than churning the member
         (0 Hz = unlimited).
@@ -134,7 +140,6 @@ class ResilienceConfig:
     max_sessions: int = 0
     shed_at_level: int = 0
     rate_limit_hz: float = 0.0
-    rate_limit_burst: int = 8
 
     def __post_init__(self) -> None:
         if self.ping_interval_s < 0:
@@ -151,8 +156,6 @@ class ResilienceConfig:
             )
         if self.rate_limit_hz < 0:
             raise ValueError("rate_limit_hz must be non-negative")
-        if self.rate_limit_burst < 1:
-            raise ValueError("rate_limit_burst must be >= 1")
 
     @property
     def any_enabled(self) -> bool:
@@ -215,7 +218,6 @@ class _DeviceSession:
         *,
         connected_at: float = 0.0,
         resume_token: str | None = None,
-        bucket_capacity: int = 8,
     ) -> None:
         self.node = node
         self.writer = writer
@@ -232,7 +234,7 @@ class _DeviceSession:
         #: eviction and the lifecycle sweep.
         self.closed_reason: str | None = None
         # Token bucket (inbound rate limit): starts full.
-        self.bucket = float(bucket_capacity)
+        self.bucket = float(_RATE_LIMIT_BURST)
         self.bucket_at = connected_at
         self.frames_limited = 0
         self.resumes = 0
@@ -630,7 +632,6 @@ class IngestionGateway:
             writer,
             connected_at=self.clock.now,
             resume_token=token,
-            bucket_capacity=res.rate_limit_burst,
         )
         node.attach(self._make_sender(session))
         self.sessions[node_id] = session
@@ -749,7 +750,7 @@ class IngestionGateway:
         res = self.config.resilience
         now = self.clock.now
         session.bucket = min(
-            float(res.rate_limit_burst),
+            float(_RATE_LIMIT_BURST),
             session.bucket + (now - session.bucket_at) * res.rate_limit_hz,
         )
         session.bucket_at = now

@@ -3,7 +3,7 @@
 
 from .api import SenseDroid
 from .broker import Broker, ZoneEstimate
-from .config import BrokerConfig, CompressionPolicy, HierarchyConfig, NodeConfig
+from .config import BrokerConfig, CompressionPolicy, HierarchyConfig
 from .hierarchy import GlobalEstimate, Hierarchy
 from .incentives import (
     AuctionResult,
@@ -44,7 +44,6 @@ __all__ = [
     "BrokerConfig",
     "CompressionPolicy",
     "HierarchyConfig",
-    "NodeConfig",
     "GlobalEstimate",
     "Hierarchy",
     "AuctionResult",

@@ -36,7 +36,6 @@ from ..core.registry import (
 from ..core.sampling import MeasurementPlan
 from ..core.sparsity import energy_sparsity
 from ..energy.accounting import EnergyLedger
-from ..fields.coverage import largest_gap_radius
 from ..fields.field import SpatialField
 from ..fields.priors import ZonePrior
 from ..network.bus import Endpoint, MessageBus
@@ -696,9 +695,9 @@ class Broker:
         *is* the region's historian — every round produces a field
         estimate, and once enough have accumulated their principal
         components form a basis adapted to the zone's field process.
-        Call periodically (e.g. nightly); subsequent rounds then use the
-        prior's basis and typical sparsity when ``use_prior_basis`` is
-        set.
+        Call periodically (e.g. nightly); every later round solves in
+        the prior's basis around its mean and sizes M from its typical
+        sparsity, exactly as after :meth:`set_prior`.
 
         Raises
         ------
@@ -736,7 +735,7 @@ class Broker:
     def _basis(self) -> np.ndarray | BasisOperator:
         if self._basis_cache is None:
             cfg = self.config
-            if cfg.use_prior_basis and self.prior is not None:
+            if self.prior is not None:
                 self._basis_cache = self.prior.basis
             elif cfg.basis == "dct2":
                 self._basis_cache = shared_dct2_operator(
@@ -771,32 +770,12 @@ class Broker:
             weights = self.criticality[candidates]
             if weights.sum() <= 0:
                 weights = None
-
-        def draw() -> np.ndarray:
-            if weights is None:
-                return self._rng.choice(candidates, size=m, replace=False)
-            probabilities = weights / weights.sum()
-            return self._rng.choice(
-                candidates, size=m, replace=False, p=probabilities
+        if weights is None:
+            picked = self._rng.choice(candidates, size=m, replace=False)
+        else:
+            picked = self._rng.choice(
+                candidates, size=m, replace=False, p=weights / weights.sum()
             )
-
-        picked = draw()
-        max_gap = self.config.max_coverage_gap
-        if max_gap is not None:
-            # Coverage guard: random draws occasionally cluster; keep the
-            # best of a few attempts if none meets the bound.
-            best = picked
-            best_gap = largest_gap_radius(picked, self.n, self.zone_height)
-            attempts = 0
-            while best_gap > max_gap and attempts < 8:
-                attempts += 1
-                candidate_plan = draw()
-                gap = largest_gap_radius(
-                    candidate_plan, self.n, self.zone_height
-                )
-                if gap < best_gap:
-                    best, best_gap = candidate_plan, gap
-            picked = best
         return MeasurementPlan(n=self.n, locations=np.sort(picked))
 
     def _cell_order(
@@ -808,16 +787,16 @@ class Broker:
     ) -> list[str]:
         """Order co-located candidates for commanding.
 
-        With ``fair_rotation`` (default) the fullest battery goes first,
-        spreading the sensing burden across a dense crowd — the
-        collaborative energy sharing of [24].  Without batteries (or
-        with rotation disabled) the stored order is used.  A rehab probe
-        scheduled at this cell goes first regardless (quarantined nodes
-        are otherwise absent from ``members_by_cell``), with the healthy
-        candidates behind it as replacements should the probe fail.
+        The fullest battery goes first, spreading the sensing burden
+        across a dense crowd — the collaborative energy sharing of
+        [24]; a node without a battery counts as full, and ties keep
+        node-id order.  A rehab probe scheduled at this cell goes first
+        regardless (quarantined nodes are otherwise absent from
+        ``members_by_cell``), with the healthy candidates behind it as
+        replacements should the probe fail.
         """
         candidates = members_by_cell.get(cell, [])
-        if self.config.fair_rotation and len(candidates) >= 2:
+        if len(candidates) >= 2:
 
             def charge(node_id: str) -> float:
                 node = nodes.get(node_id)
@@ -975,7 +954,7 @@ class Broker:
         values = np.asarray(collected.values, dtype=float)
         sources = list(collected.sources)
         covariance = None
-        if self.config.use_gls and any(s > 0 for s in collected.noise_stds):
+        if any(s > 0 for s in collected.noise_stds):
             # Floor the self-reported stds: a claimed-perfect (zero-std)
             # row must not get unbounded GLS weight — and with robust
             # mode on, discount each row by its least-trusted
@@ -1008,7 +987,7 @@ class Broker:
             telemetry=telemetry,
             sources=sources,
             basis=self._basis(),
-            prior=self.prior if self.config.use_prior_basis else None,
+            prior=self.prior,
             solver=self.config.solver,
             robust_mode=self.config.robust_mode,
         )

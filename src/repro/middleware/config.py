@@ -1,10 +1,21 @@
 """Configuration dataclasses for the SenseDroid middleware stack.
 
-The paper's framework is explicitly *tunable*: sparsity levels, per-zone
-compression thresholds, basis and solver choices are all knobs ("ability
-to opportunistically set different sparsity levels", "multi-resolution
-compressive thresholds", Section 1).  All knobs live here so experiments
-can sweep them declaratively.
+Two kinds of field live here.  The *paper knobs* are what Sections 3-4
+make tunable ("ability to opportunistically set different sparsity
+levels", "multi-resolution compressive thresholds", Section 1): the
+compression mode and ratio of :class:`CompressionPolicy` (the sparsity
+mode sizes M from the zone's estimated K) and the broker's ``basis``
+and ``solver``.  The experiments sweep these.  The *deployment
+settings* are what an operator of one installation chooses: the
+robust mode and its rehab cadence, redundancy suppression, retries,
+deadlines and timeouts, the overload switches, the seed, and the
+:class:`HierarchyConfig` shape.
+
+A number that no experiment or deployment varies is a module constant
+beside the code that reads it, not a field: the sparsity rule's
+OVERSAMPLING and clamps below, the overload protocol's thresholds
+(:mod:`repro.middleware.overload`), the on-node context window
+(:mod:`repro.middleware.node`).
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .overload import OverloadConfig
 
-__all__ = ["CompressionPolicy", "BrokerConfig", "NodeConfig", "HierarchyConfig"]
+__all__ = ["CompressionPolicy", "BrokerConfig", "HierarchyConfig"]
 
 #: Lower clamp on self-reported noise stds when building the GLS
 #: covariance V.  The seed clamped at 1e-9, so a "perfect" (zero-std)
@@ -22,6 +33,13 @@ __all__ = ["CompressionPolicy", "BrokerConfig", "NodeConfig", "HierarchyConfig"]
 #: 0.3-sigma phone bounded (~225x) while staying below every real
 #: sensor spec in the fleet, so existing behaviour is unchanged.
 GLS_STD_FLOOR = 0.02
+
+#: The sparsity mode's M = OVERSAMPLING * K * log N rule.
+OVERSAMPLING = 1.7
+#: Safety clamps on a compressive M: at least MIN_MEASUREMENTS (or the
+#: whole zone, if smaller), at most MAX_RATIO of the zone.
+MIN_MEASUREMENTS = 4
+MAX_RATIO = 0.8
 
 
 @dataclass(frozen=True)
@@ -37,29 +55,19 @@ class CompressionPolicy:
         ``"dense"``        — M = N (no compression; the baseline).
     ratio:
         Compression ratio for fixed-ratio mode.
-    oversampling:
-        Constant in M = oversampling * K * log N for sparsity mode.
-    min_measurements / max_ratio:
-        Safety clamps applied in every mode.
+
+    Both compressive modes clamp M to [``MIN_MEASUREMENTS``,
+    ``MAX_RATIO`` * N].
     """
 
     mode: str = "sparsity"
     ratio: float = 0.2
-    oversampling: float = 1.7
-    min_measurements: int = 4
-    max_ratio: float = 0.8
 
     def __post_init__(self) -> None:
         if self.mode not in ("fixed-ratio", "sparsity", "dense"):
             raise ValueError(f"unknown compression mode {self.mode!r}")
         if not 0 < self.ratio <= 1:
             raise ValueError("ratio must be in (0, 1]")
-        if self.oversampling <= 0:
-            raise ValueError("oversampling must be positive")
-        if self.min_measurements < 1:
-            raise ValueError("min_measurements must be >= 1")
-        if not 0 < self.max_ratio <= 1:
-            raise ValueError("max_ratio must be in (0, 1]")
 
     def measurements(self, n: int, sparsity_estimate: int | None = None) -> int:
         """Pick M for a zone of N points given an optional K estimate."""
@@ -73,19 +81,25 @@ class CompressionPolicy:
             k = max(sparsity_estimate or 1, 1)
             import numpy as np
 
-            m = int(np.ceil(self.oversampling * k * np.log(max(n, 2))))
-        ceiling = max(int(round(self.max_ratio * n)), 1)
-        return int(min(max(m, min(self.min_measurements, n)), ceiling))
+            m = int(np.ceil(OVERSAMPLING * k * np.log(max(n, 2))))
+        ceiling = max(int(round(MAX_RATIO * n)), 1)
+        return int(min(max(m, min(MIN_MEASUREMENTS, n)), ceiling))
 
 
 @dataclass(frozen=True)
 class BrokerConfig:
-    """Broker-side reconstruction and sampling configuration."""
+    """Broker-side reconstruction and sampling configuration.
+
+    The broker always weights a round by the reports' claimed noise
+    stds (GLS, eq. 12), orders co-located candidates fullest battery
+    first ([24]) and, once :meth:`~repro.middleware.broker.Broker
+    .set_prior` installs a zone prior, solves in the prior's basis and
+    centring.  None of these is a switch.
+    """
 
     solver: str = "chs"
     basis: str = "dct2"  # separable 2-D DCT over the zone grid
     policy: CompressionPolicy = field(default_factory=CompressionPolicy)
-    use_gls: bool = True  # weight heterogeneous sensors per eq. (12)
     # Byzantine/data-fault robustness (repro.core.robust): "none" keeps
     # the seed's trusting solve; "trim" iteratively rejects rows whose
     # standardised residual exceeds the robust threshold and refits to
@@ -101,20 +115,11 @@ class BrokerConfig:
     # recovered sensor can earn its way back in.
     rehab_interval: int = 4
     rehab_probes: int = 2
-    use_prior_basis: bool = False  # swap in a PCA basis learned from history
     # Aquiba-style redundancy suppression ([25]): when several nodes
     # share a grid cell, command them one at a time and stop at the
     # first answer.  Disabled, every co-located node reports and the
     # broker averages — more energy for a small noise reduction.
     suppress_redundant: bool = True
-    # Collaborative energy sharing ([24]): among co-located candidates,
-    # command the fullest battery first so the duty rotates with charge.
-    fair_rotation: bool = True
-    # Coverage guard ([28]-style quality control): if set, the broker
-    # re-draws a round's random plan (up to a few attempts) while its
-    # largest spatial gap (Chebyshev cells to the nearest sample)
-    # exceeds this bound — random draws occasionally cluster badly.
-    max_coverage_gap: float | None = None
     # Reliable command/report exchange over a lossy channel: how many
     # times to re-command a node that yielded no report before giving
     # up on it.  0 keeps the seed's fire-and-forget behaviour.  Every
@@ -164,8 +169,6 @@ class BrokerConfig:
             raise ValueError("rehab_interval must be >= 1")
         if self.rehab_probes < 0:
             raise ValueError("rehab_probes must be non-negative")
-        if self.max_coverage_gap is not None and self.max_coverage_gap < 0:
-            raise ValueError("max_coverage_gap must be non-negative")
         if self.command_retries < 0:
             raise ValueError("command_retries must be non-negative")
         if self.retry_backoff_s < 0:
@@ -174,23 +177,6 @@ class BrokerConfig:
             raise ValueError("report_deadline_s must be positive")
         if self.report_timeout_s <= 0:
             raise ValueError("report_timeout_s must be positive")
-
-
-@dataclass(frozen=True)
-class NodeConfig:
-    """Mobile-node configuration: sensing rates and context processing."""
-
-    context_window: int = 256
-    context_rate_hz: float = 32.0
-    temporal_duty_cycle: float = 0.125  # ~32 of 256 samples
-
-    def __post_init__(self) -> None:
-        if self.context_window < 8:
-            raise ValueError("context window too small")
-        if self.context_rate_hz <= 0:
-            raise ValueError("context rate must be positive")
-        if not 0 < self.temporal_duty_cycle <= 1:
-            raise ValueError("duty cycle must be in (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,22 @@ from .rounds import ZoneRoundDriver, ZoneSchedule
 __all__ = ["GlobalEstimate", "Hierarchy"]
 
 
+def _bus_seed(rng: np.random.Generator | int | None) -> int | None:
+    """Seed for a private bus's loss stream, from the fleet's seed.
+
+    A spawned child of the seed sequence, not a draw, so every draw the
+    fleet makes from ``rng`` is unchanged; ``None`` stays unseeded.
+    """
+    if rng is None:
+        return None
+    seq = (
+        rng.bit_generator.seed_seq
+        if isinstance(rng, np.random.Generator)
+        else np.random.SeedSequence(rng)
+    )
+    return int(seq.spawn(1)[0].generate_state(1)[0])
+
+
 @dataclass
 class GlobalEstimate:
     """One global round's output at the cloud tier."""
@@ -77,7 +93,8 @@ class Hierarchy:
     ) -> None:
         self.config = config or HierarchyConfig()
         self.broker_config = broker_config or BrokerConfig()
-        self.bus = bus or MessageBus()
+        # Seeded from rng, so a loss_rate set after construction replays.
+        self.bus = bus or MessageBus(seed=_bus_seed(rng))
         self.bus.register(self.CLOUD_ADDRESS, uplink)
         self.zone_grid = ZoneGrid(
             field_width,

@@ -22,10 +22,16 @@ from ..network.message import Message, MessageKind
 from ..sensors.base import Environment, NodeState, Sensor, SensorReading
 from ..sensors.noise import QualityTier
 from ..sensors.physical import accelerometer_window
-from .config import NodeConfig
 from .privacy import PrivacyAudit, PrivacyPolicy
 
 __all__ = ["MobileNode"]
+
+#: The on-node activity pipeline (Fig. 4): a window of CONTEXT_WINDOW
+#: accelerometer samples at CONTEXT_RATE_HZ (8 s), of which the
+#: compressive path reads TEMPORAL_DUTY_CYCLE (32 of 256 instants).
+CONTEXT_WINDOW = 256
+CONTEXT_RATE_HZ = 32.0
+TEMPORAL_DUTY_CYCLE = 0.125
 
 
 @dataclass
@@ -50,9 +56,9 @@ class MobileNode:
     tier:
         Handset quality tier; scales each sensor's noise and is what the
         broker's GLS covariance is built from.
-    state / policy / config:
-        Kinematic state, privacy policy and node configuration; all
-        default to sensible values.
+    state / policy:
+        Kinematic state and privacy policy; both default to sensible
+        values.
     """
 
     def __init__(
@@ -63,7 +69,6 @@ class MobileNode:
         tier: QualityTier | None = None,
         state: NodeState | None = None,
         policy: PrivacyPolicy | None = None,
-        config: NodeConfig | None = None,
         cpu: CpuModel = DEFAULT_CPU,
         battery: Battery | None = None,
         rng: np.random.Generator | int | None = None,
@@ -75,7 +80,6 @@ class MobileNode:
         self.tier = tier
         self.state = state or NodeState()
         self.policy = policy or PrivacyPolicy()
-        self.config = config or NodeConfig()
         self.cpu = cpu
         self.ledger = EnergyLedger(node_id=node_id, battery=battery)
         self.audit = PrivacyAudit()
@@ -212,21 +216,20 @@ class MobileNode:
         """Run the Fig. 4 pipeline on the node's current motion.
 
         Captures an accelerometer window for the node's ground-truth mode
-        (or uses a supplied one), samples it compressively per the node
-        config, reconstructs on-device (CPU energy accounted), and
-        classifies.
+        (or uses a supplied one of ``CONTEXT_WINDOW`` samples), samples
+        it compressively at ``TEMPORAL_DUTY_CYCLE``, reconstructs
+        on-device (CPU energy accounted), and classifies.
         """
-        cfg = self.config
-        n = cfg.context_window
+        n = CONTEXT_WINDOW
         if window is None:
             window = accelerometer_window(
-                self.state.mode, n, cfg.context_rate_hz,
+                self.state.mode, n, CONTEXT_RATE_HZ,
                 rng=self._rng.integers(2**31),
             )
         window = np.asarray(window, dtype=float).ravel()
         if window.size != n:
             raise ValueError(
-                f"window length {window.size} != configured {n}"
+                f"window length {window.size} != CONTEXT_WINDOW {n}"
             )
         accel_cost = (
             self.sensors["accelerometer"].spec.energy_per_sample_mj
@@ -234,10 +237,10 @@ class MobileNode:
             else 0.01
         )
         if compressive:
-            m = max(int(np.ceil(cfg.temporal_duty_cycle * n)), 8)
+            m = max(int(np.ceil(TEMPORAL_DUTY_CYCLE * n)), 8)
             detection = detect_is_driving(
                 window,
-                cfg.context_rate_hz,
+                CONTEXT_RATE_HZ,
                 m=m,
                 rng=self._rng.integers(2**31),
             )
@@ -249,7 +252,7 @@ class MobileNode:
             from ..context.activity import classify_window
 
             m = n
-            estimate = classify_window(window, cfg.context_rate_hz)
+            estimate = classify_window(window, CONTEXT_RATE_HZ)
             detection = DrivingDetection(
                 is_driving=estimate.mode == "driving",
                 estimate=estimate,

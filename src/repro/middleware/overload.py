@@ -59,93 +59,76 @@ LEVEL_STALE = 3  # serve the last good estimate; no sensing at all
 MAX_LEVEL = LEVEL_STALE
 
 
+#: Admission control: a firing that finds the previous round still in
+#: flight retries once, ``ADMISSION_RETRY_FRAC`` of a period later,
+#: while the consecutive busy skips number at most ``BUSY_SKIP_BUDGET``;
+#: the next one is sustained pressure and escalates the ladder instead.
+BUSY_SKIP_BUDGET = 2
+ADMISSION_RETRY_FRAC = 0.25
+#: Circuit breaker: BREAKER_FAILURES consecutive timed-out rounds trip
+#: it; of the next BREAKER_COOLDOWN_ROUNDS slots all but the last serve
+#: stale, and the last is the half-open probe round.
+BREAKER_FAILURES = 3
+BREAKER_COOLDOWN_ROUNDS = 2
+#: EWMA steps of the detector's queue-depth and latency signals.
+QUEUE_ALPHA = 0.5
+LATENCY_ALPHA = 0.5
+#: Fraction of the report deadline at which the latency EWMA counts as
+#: pressure 1.0: rounds routinely finishing near the deadline are
+#: rounds about to start missing it.
+LATENCY_HIGH_FRAC = 0.9
+#: Ladder hysteresis: one step coarser when the pressure exceeds
+#: ``ESCALATE_AT``; one step finer after ``RECOVER_ROUNDS`` consecutive
+#: observations below ``RECOVER_BELOW`` (a mid-band reading breaks the
+#: streak, so the ladder does not flap at a threshold).
+ESCALATE_AT = 1.0
+RECOVER_BELOW = 0.5
+RECOVER_ROUNDS = 2
+#: Measurement-budget multipliers at LEVEL_REDUCED_M and LEVEL_COARSE.
+REDUCED_M_SCALE = 0.5
+COARSE_M_SCALE = 0.35
+
+
 @dataclass(frozen=True)
 class OverloadConfig:
-    """Knobs for the overload-protection subsystem (all default-off).
+    """The overload-protection switches (all default-off) and the two
+    per-deployment scales.
+
+    The detector's EWMA steps and hysteresis, the breaker's trip count
+    and cooldown, the admission retry and the ladder's M multipliers
+    are the module constants above: one protocol, the same for every
+    zone.  What a deployment chooses is which defences run, how deep a
+    queue means saturation and how cheap the coarse solve must be.
 
     Attributes
     ----------
     admission_control:
-        Arm busy-skip rescheduling on the round driver: a firing that
-        finds the previous round still in flight retries once after
-        ``admission_retry_frac`` of the period (instead of waiting a
-        whole period) while the consecutive-skip count stays within
-        ``busy_skip_budget``; beyond the budget the skip is treated as
-        sustained pressure and escalates the ladder instead.
+        Arm busy-skip rescheduling on the round driver
+        (``BUSY_SKIP_BUDGET``, ``ADMISSION_RETRY_FRAC``).
     breaker_enabled:
-        Arm the solve circuit breaker: ``breaker_failures`` consecutive
+        Arm the solve circuit breaker: ``BREAKER_FAILURES`` consecutive
         timed-out rounds (closed by the report deadline rather than by
-        the last report) trip it OPEN; the zone then serves stale for
-        ``breaker_cooldown_rounds`` round slots and half-opens on a
-        probe round whose outcome closes or re-opens it.
+        the last report) trip it OPEN; the zone then serves stale and
+        half-opens on a probe round whose outcome closes or re-opens it.
     ladder_enabled:
         Arm the graceful-degradation ladder driven by the detector.
-    queue_alpha / latency_alpha:
-        EWMA steps for the two pressure signals.
     queue_high:
-        Queue depth (EWMA) that counts as pressure 1.0.
-    latency_high_frac:
-        Fraction of the report deadline at which the latency EWMA
-        counts as pressure 1.0 (rounds routinely finishing near the
-        deadline are rounds about to start missing it).
-    escalate_at / recover_below:
-        Pressure hysteresis: one ladder step down (coarser) when the
-        combined pressure exceeds ``escalate_at``; one step up (finer)
-        after ``recover_rounds`` consecutive observations below
-        ``recover_below``.
-    recover_rounds:
-        Consecutive calm observations required before recovering a
-        level — prevents flapping at the threshold.
-    reduced_m_scale / coarse_m_scale:
-        Measurement-budget multipliers at LEVEL_REDUCED_M and
-        LEVEL_COARSE.
+        Queue depth (EWMA) that counts as pressure 1.0 — the broker's
+        service capacity per round, which the deployment knows.
     coarse_sparsity_cap:
         Sparsity-estimate ceiling at LEVEL_COARSE — bounds the solve's
         iteration count, which is what makes the coarse level cheap.
     """
 
     admission_control: bool = False
-    busy_skip_budget: int = 2
-    admission_retry_frac: float = 0.25
     breaker_enabled: bool = False
-    breaker_failures: int = 3
-    breaker_cooldown_rounds: int = 2
     ladder_enabled: bool = False
-    queue_alpha: float = 0.5
-    latency_alpha: float = 0.5
     queue_high: float = 32.0
-    latency_high_frac: float = 0.9
-    escalate_at: float = 1.0
-    recover_below: float = 0.5
-    recover_rounds: int = 2
-    reduced_m_scale: float = 0.5
-    coarse_m_scale: float = 0.35
     coarse_sparsity_cap: int = 8
 
     def __post_init__(self) -> None:
-        if self.busy_skip_budget < 0:
-            raise ValueError("busy_skip_budget must be non-negative")
-        if not 0.0 < self.admission_retry_frac < 1.0:
-            raise ValueError("admission_retry_frac must be in (0, 1)")
-        if self.breaker_failures < 1:
-            raise ValueError("breaker_failures must be >= 1")
-        if self.breaker_cooldown_rounds < 1:
-            raise ValueError("breaker_cooldown_rounds must be >= 1")
-        for name in ("queue_alpha", "latency_alpha"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1]")
         if self.queue_high <= 0:
             raise ValueError("queue_high must be positive")
-        if not 0.0 < self.latency_high_frac <= 1.0:
-            raise ValueError("latency_high_frac must be in (0, 1]")
-        if not 0.0 <= self.recover_below < self.escalate_at:
-            raise ValueError("need 0 <= recover_below < escalate_at")
-        if self.recover_rounds < 1:
-            raise ValueError("recover_rounds must be >= 1")
-        if not 0.0 < self.coarse_m_scale <= self.reduced_m_scale <= 1.0:
-            raise ValueError(
-                "need 0 < coarse_m_scale <= reduced_m_scale <= 1"
-            )
         if self.coarse_sparsity_cap < 1:
             raise ValueError("coarse_sparsity_cap must be >= 1")
 
@@ -176,15 +159,13 @@ class OverloadDetector:
     observations: int = 0
 
     def observe_queue(self, depth: int) -> None:
-        a = self.config.queue_alpha
-        self.queue_ewma += a * (float(depth) - self.queue_ewma)
+        self.queue_ewma += QUEUE_ALPHA * (float(depth) - self.queue_ewma)
 
     def observe_latency(self, latency_s: float, deadline_s: float) -> None:
         if deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
-        a = self.config.latency_alpha
         normalised = latency_s / deadline_s
-        self.latency_ewma += a * (normalised - self.latency_ewma)
+        self.latency_ewma += LATENCY_ALPHA * (normalised - self.latency_ewma)
         self.observations += 1
 
     def observe_stale_serve(self) -> None:
@@ -196,14 +177,14 @@ class OverloadDetector:
         zone stale forever.  Decaying it here lets sustained calm
         unlatch the ladder.
         """
-        self.latency_ewma -= self.config.latency_alpha * self.latency_ewma
+        self.latency_ewma -= LATENCY_ALPHA * self.latency_ewma
         self.observations += 1
 
     @property
     def pressure(self) -> float:
         """Combined pressure: 1.0 = at the configured saturation point."""
         queue_pressure = self.queue_ewma / self.config.queue_high
-        latency_pressure = self.latency_ewma / self.config.latency_high_frac
+        latency_pressure = self.latency_ewma / LATENCY_HIGH_FRAC
         return max(queue_pressure, latency_pressure)
 
 
@@ -221,14 +202,12 @@ class CircuitBreaker:
 
     A "failure" is a round the report deadline had to close (the solve
     budget blown in sim time) — a deterministic signal, unlike wall
-    clock.  While OPEN, :meth:`allow_round` returns False for
-    ``cooldown_rounds`` round slots (the zone serves stale), then the
-    breaker half-opens and admits exactly one probe round; that round's
+    clock.  ``BREAKER_FAILURES`` of them in a row trip it OPEN; the
+    ``BREAKER_COOLDOWN_ROUNDS``-th slot after that half-opens it (the
+    slots before serve stale) and admits exactly one probe round, whose
     outcome either re-closes or re-opens the breaker.
     """
 
-    failure_threshold: int = 3
-    cooldown_rounds: int = 2
     state: BreakerState = BreakerState.CLOSED
     consecutive_failures: int = 0
     cooldown_left: int = 0
@@ -260,12 +239,12 @@ class CircuitBreaker:
             self._trip()
             return
         self.consecutive_failures += 1
-        if self.consecutive_failures >= self.failure_threshold:
+        if self.consecutive_failures >= BREAKER_FAILURES:
             self._trip()
 
     def _trip(self) -> None:
         self.state = BreakerState.OPEN
-        self.cooldown_left = self.cooldown_rounds
+        self.cooldown_left = BREAKER_COOLDOWN_ROUNDS
         self.consecutive_failures = 0
         self.trips += 1
 
@@ -282,14 +261,14 @@ class DegradationLadder:
 
     def update(self, pressure: float) -> int:
         """Feed one round's pressure; returns the (new) level."""
-        if pressure > self.config.escalate_at:
+        if pressure > ESCALATE_AT:
             self.calm_streak = 0
             if self.level < MAX_LEVEL:
                 self.level += 1
                 self.escalations += 1
-        elif pressure < self.config.recover_below:
+        elif pressure < RECOVER_BELOW:
             self.calm_streak += 1
-            if self.calm_streak >= self.config.recover_rounds:
+            if self.calm_streak >= RECOVER_ROUNDS:
                 self.calm_streak = 0
                 if self.level > LEVEL_FULL:
                     self.level -= 1
@@ -300,9 +279,9 @@ class DegradationLadder:
 
     def m_scale(self) -> float:
         if self.level >= LEVEL_COARSE:
-            return self.config.coarse_m_scale
+            return COARSE_M_SCALE
         if self.level >= LEVEL_REDUCED_M:
-            return self.config.reduced_m_scale
+            return REDUCED_M_SCALE
         return 1.0
 
     def sparsity_cap(self) -> int | None:
@@ -351,10 +330,7 @@ class OverloadController:
 
     def __post_init__(self) -> None:
         self.detector = OverloadDetector(config=self.config)
-        self.breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_failures,
-            cooldown_rounds=self.config.breaker_cooldown_rounds,
-        )
+        self.breaker = CircuitBreaker()
         self.ladder = DegradationLadder(config=self.config)
 
     @property
@@ -427,7 +403,7 @@ class OverloadController:
             return
         if over_budget and self.config.ladder_enabled:
             self.pressure_skips += 1
-            self.ladder.update(self.config.escalate_at * 2.0)
+            self.ladder.update(ESCALATE_AT * 2.0)
 
     def snapshot(self) -> dict[str, float | int | str]:
         """Telemetry view (dashboards, tests, the OVERLOAD bench)."""

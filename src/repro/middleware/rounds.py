@@ -36,7 +36,12 @@ from ..analysis import contracts
 from ..sensors.base import Environment
 from .broker import Broker, _Collector
 from .localcloud import LocalCloud, LocalCloudResult
-from .overload import OverloadController, RoundDirectives
+from .overload import (
+    ADMISSION_RETRY_FRAC,
+    BUSY_SKIP_BUDGET,
+    OverloadController,
+    RoundDirectives,
+)
 
 if TYPE_CHECKING:
     from ..sim.clock import PeriodicHandle, SimClock
@@ -252,11 +257,10 @@ class ZoneRoundDriver:
     def _handle_busy(self, now: float) -> None:
         """A firing found the previous round still in flight."""
         self.rounds_skipped += 1
-        cfg = self.overload.config
-        if not cfg.admission_control:
+        if not self.overload.config.admission_control:
             return
         self._busy_streak += 1
-        over_budget = self._busy_streak > cfg.busy_skip_budget
+        over_budget = self._busy_streak > BUSY_SKIP_BUDGET
         self.overload.record_busy_skip(over_budget)
         if over_budget or self._retry_pending:
             return
@@ -265,7 +269,7 @@ class ZoneRoundDriver:
         self._retry_pending = True
         self.rounds_rescheduled += 1
         self.clock.schedule_in(
-            cfg.admission_retry_frac * self.period_s, self._admission_retry
+            ADMISSION_RETRY_FRAC * self.period_s, self._admission_retry
         )
 
     def _admission_retry(self, now: float) -> None:

@@ -92,6 +92,13 @@ class TestExitCodes:
             assert rule in out
         # Retired ids stay listed, as retired, so they read as reserved.
         lines = out.splitlines()
+        # RPR012 is the duplicate-seed fold alone: no executor is left
+        # in src/ for an RNG to cross.
+        assert (
+            "RPR012 seed-lineage: duplicate literal seed feeding two RNG "
+            "streams; derive independent child streams via "
+            "SeedSequence.spawn"
+        ) in lines
         assert "RPR003 solve-purity: retired" in lines
         assert "RPR004 raw-topic: retired" in lines
         assert "RPR007 deprecated-latency-s: retired" in lines

@@ -276,57 +276,24 @@ class TestRPR012SeedLineage:
         )
         assert len(_active(findings)) == 1
 
-    def test_rng_passed_to_executor_fires(self, tmp_path):
-        findings = _run(
-            tmp_path,
-            {
-                "repro/sim/pool.py": """
-                    import numpy as np
-
-                    def fan_out(pool, work):
-                        rng = np.random.default_rng(99)
-                        return pool.submit(work, rng)
-                """,
-            },
-            select=["RPR012"],
-        )
-        active = _active(findings)
-        assert [f.rule for f in active] == ["RPR012"]
-        assert "rng" in active[0].message
-
-    def test_closure_capturing_rng_submitted_fires(self, tmp_path):
-        findings = _run(
-            tmp_path,
-            {
-                "repro/sim/pool.py": """
-                    import numpy as np
-
-                    def fan_out(pool, items):
-                        rng = np.random.default_rng(5)
-
-                        def job(item):
-                            return item + rng.normal()
-
-                        return pool.map(job, items)
-                """,
-            },
-            select=["RPR012"],
-        )
-        active = _active(findings)
-        assert [f.rule for f in active] == ["RPR012"]
-
     def test_pragma_suppresses(self, tmp_path):
         findings = _run(
             tmp_path,
             {
-                "repro/sim/pool.py": """
+                "repro/sim/a.py": """
                     import numpy as np
 
-                    def fan_out(pool, work):
-                        rng = np.random.default_rng(99)
-                        return pool.submit(work, rng)  # reprolint: allow[seed-lineage]
+                    def make():
+                        return np.random.default_rng(99)
                 """,
-                # The fold honours a pragma at the duplicate's own site.
+                # The fold honours a pragma at the duplicate's own site,
+                # across files and within one.
+                "repro/sim/b.py": """
+                    import numpy as np
+
+                    def make():
+                        return np.random.default_rng(99)  # reprolint: allow[seed-lineage]
+                """,
                 "repro/sim/seeds.py": """
                     import numpy as np
 
@@ -352,11 +319,6 @@ class TestRPR012SeedLineage:
                         derived = np.random.default_rng(seed)
                         also = np.random.default_rng(seed)
                         return first, second, derived, also
-                """,
-                # Submitting plain data to an executor is fine.
-                "repro/sim/pool.py": """
-                    def fan_out(pool, work):
-                        return pool.submit(work, 1234)
                 """,
             },
             select=["RPR012"],

@@ -424,14 +424,15 @@ class TestReadLoop:
         assert 256 < ping_at % server._READ_BUDGET < server._READ_BUDGET - 256
 
     def test_rate_limit_split_matches_per_frame_arithmetic(self):
-        res = ResilienceConfig(rate_limit_hz=100.0, rate_limit_burst=5)
+        res = ResilienceConfig(rate_limit_hz=100.0)
         gw, session, _sink, _seen, _frames = self._pump(res)
         # The per-frame loop, written out: frame i is ruled on at i ms.
-        bucket, bucket_at, accepted = float(res.rate_limit_burst), 0.0, 0
+        burst = float(server._RATE_LIMIT_BURST)
+        bucket, bucket_at, accepted = burst, 0.0, 0
         for i in range(self.FRAMES):
             now = 1e-3 * i
             bucket = min(
-                float(res.rate_limit_burst),
+                burst,
                 bucket + (now - bucket_at) * res.rate_limit_hz,
             )
             bucket_at = now

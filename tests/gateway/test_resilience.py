@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.gateway import protocol
+from repro.gateway import protocol, server
 from repro.gateway.chaos import ChaosConfig, ChaosProxy
 from repro.gateway.loadgen import LoadGenerator
 from repro.gateway.server import (
@@ -176,8 +176,6 @@ class TestResilienceConfig:
             ResilienceConfig(shed_at_level=4)
         with pytest.raises(ValueError):
             ResilienceConfig(rate_limit_hz=-2.0)
-        with pytest.raises(ValueError):
-            ResilienceConfig(rate_limit_burst=0)
 
     def test_sweep_interval_tracks_fastest_need(self):
         assert ResilienceConfig(
@@ -524,24 +522,24 @@ class TestAdmission:
 
 class TestRateLimit:
     def test_token_bucket_bounds_inbound_frames(self):
-        gw = make_gateway(
-            ResilienceConfig(rate_limit_hz=2.0, rate_limit_burst=3)
-        )
+        gw = make_gateway(ResilienceConfig(rate_limit_hz=2.0))
+        burst = server._RATE_LIMIT_BURST
 
         async def scenario():
             await gw.start()
             device = _Device(gw.port, "/sensor/connect?x=1&y=1&id=flood")
             joined = await device.connect()
             node = gw.sessions[joined["node_id"]].node
-            for i in range(12):
+            for i in range(burst + 9):
                 device.push_reading(20.0 + i)
             await device.writer.drain()
             await asyncio.sleep(0.2)
-            # Burst of 3 plus at most ~1 refilled token in 0.2 s.
-            assert node.readings_received <= 5
+            # The burst plus at most ~1 refilled token in 0.2 s.
+            assert node.readings_received <= burst + 2
             assert gw.frames_rate_limited >= 7
             assert (
-                node.readings_received + gw.frames_rate_limited == 12
+                node.readings_received + gw.frames_rate_limited
+                == burst + 9
             )
             status, stats = await _http_get(gw.port, "/stats")
             assert (

@@ -88,7 +88,7 @@ class TestRunRound:
         bus = MessageBus()
         broker = Broker(
             "b", W, H,
-            config=BrokerConfig(solver="chs", seed=3, use_gls=False),
+            config=BrokerConfig(solver="chs", seed=3),
         )
         bus.register("b")
         nodes = _deploy(bus, broker)
@@ -191,7 +191,7 @@ class TestRunRound:
     def test_gls_used_with_heterogeneous_reports(self, truth):
         env = Environment(fields={"temperature": truth})
         bus = MessageBus()
-        broker = Broker("b", W, H, config=BrokerConfig(seed=9, use_gls=True))
+        broker = Broker("b", W, H, config=BrokerConfig(seed=9))
         bus.register("b")
         nodes = _deploy(bus, broker, noise=True)
         estimate = broker.run_round(bus, nodes, env, measurements=48)
@@ -207,10 +207,7 @@ class TestPrior:
         )
         prior = build_zone_prior(trace)
         bus = MessageBus()
-        broker = Broker(
-            "b", W, H,
-            config=BrokerConfig(seed=11, use_prior_basis=True, use_gls=False),
-        )
+        broker = Broker("b", W, H, config=BrokerConfig(seed=11))
         bus.register("b")
         broker.set_prior(prior)
         nodes = _deploy(bus, broker)
@@ -275,39 +272,6 @@ class TestDisseminate:
         assert bus.endpoint("n3").pending() == 1
 
 
-class TestCoverageGuard:
-    def test_guard_reduces_largest_gap(self, env):
-        from repro.fields.coverage import largest_gap_radius
-
-        def worst_gap_over_rounds(max_gap, seed):
-            bus = MessageBus()
-            broker = Broker(
-                "b", W, H,
-                config=BrokerConfig(seed=seed, max_coverage_gap=max_gap),
-            )
-            bus.register("b")
-            nodes = _deploy(bus, broker, seed=seed)
-            gaps = []
-            for r in range(10):
-                estimate = broker.run_round(
-                    bus, nodes, env, timestamp=float(r), measurements=8
-                )
-                gaps.append(
-                    largest_gap_radius(
-                        estimate.plan.locations, broker.n, broker.zone_height
-                    )
-                )
-            return max(gaps)
-
-        unguarded = max(worst_gap_over_rounds(None, s) for s in (3, 5, 7))
-        guarded = max(worst_gap_over_rounds(3.0, s) for s in (3, 5, 7))
-        assert guarded <= unguarded
-
-    def test_invalid_gap_rejected(self):
-        with pytest.raises(ValueError):
-            BrokerConfig(max_coverage_gap=-1.0)
-
-
 class TestOnlinePriorLearning:
     def test_learns_prior_from_own_rounds(self, env, truth):
         bus = MessageBus()
@@ -325,9 +289,7 @@ class TestOnlinePriorLearning:
 
     def test_prior_improves_scarce_rounds(self, env, truth):
         bus = MessageBus()
-        broker = Broker(
-            "b", W, H, config=BrokerConfig(seed=23, use_prior_basis=True),
-        )
+        broker = Broker("b", W, H, config=BrokerConfig(seed=23))
         bus.register("b")
         nodes = _deploy(bus, broker, seed=23)
         # Phase 1: generous rounds build history.
@@ -428,11 +390,11 @@ class TestFrozenRound:
     """
 
     @staticmethod
-    def _pending(env, truth, **config):
+    def _pending(env, truth, prior=False, **config):
         bus = MessageBus()
         broker = Broker("b", W, H, config=BrokerConfig(seed=11, **config))
         bus.register("b")
-        if config.get("use_prior_basis"):
+        if prior:
             trace = evolve_field(
                 truth, ar1_evolution(rho=0.95, innovation_std=0.05),
                 steps=15, rng=10,
@@ -458,7 +420,7 @@ class TestFrozenRound:
             {"robust_mode": "none"},
             {"robust_mode": "trim"},
             {"robust_mode": "huber"},
-            {"robust_mode": "trim", "use_prior_basis": True},
+            {"robust_mode": "trim", "prior": True},
         ],
         ids=["none", "trim", "huber", "trim-prior"],
     )

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.middleware.config import (
+    MAX_RATIO,
+    MIN_MEASUREMENTS,
     BrokerConfig,
     CompressionPolicy,
     HierarchyConfig,
-    NodeConfig,
 )
 
 
@@ -19,7 +20,7 @@ class TestCompressionPolicy:
         assert policy.measurements(100) == 25
 
     def test_sparsity_mode_scales_with_k(self):
-        policy = CompressionPolicy(mode="sparsity", oversampling=1.5)
+        policy = CompressionPolicy(mode="sparsity")
         low = policy.measurements(256, sparsity_estimate=2)
         high = policy.measurements(256, sparsity_estimate=10)
         assert high > low
@@ -31,30 +32,29 @@ class TestCompressionPolicy:
         assert m_big < 2 * m_small  # log growth
 
     def test_min_measurements_clamp(self):
-        policy = CompressionPolicy(
-            mode="fixed-ratio", ratio=0.01, min_measurements=6
-        )
-        assert policy.measurements(100) == 6
+        policy = CompressionPolicy(mode="fixed-ratio", ratio=0.01)
+        assert policy.measurements(100) == MIN_MEASUREMENTS
 
     def test_max_ratio_clamp(self):
-        policy = CompressionPolicy(mode="sparsity", max_ratio=0.5)
-        assert policy.measurements(100, sparsity_estimate=90) == 50
+        policy = CompressionPolicy(mode="sparsity")
+        assert policy.measurements(100, sparsity_estimate=90) == round(
+            MAX_RATIO * 100
+        )
 
     def test_min_clamp_respects_tiny_zone(self):
-        policy = CompressionPolicy(min_measurements=8, max_ratio=1.0)
-        assert policy.measurements(4, sparsity_estimate=1) <= 4
+        # Zones smaller than the floor: M never exceeds the zone.
+        for policy in (
+            CompressionPolicy(mode="sparsity"),
+            CompressionPolicy(mode="fixed-ratio", ratio=1.0),
+        ):
+            for n in range(1, 2 * MIN_MEASUREMENTS):
+                assert 1 <= policy.measurements(n, sparsity_estimate=1) <= n
 
     def test_validation(self):
         with pytest.raises(ValueError):
             CompressionPolicy(mode="magic")
         with pytest.raises(ValueError):
             CompressionPolicy(ratio=0.0)
-        with pytest.raises(ValueError):
-            CompressionPolicy(oversampling=0.0)
-        with pytest.raises(ValueError):
-            CompressionPolicy(min_measurements=0)
-        with pytest.raises(ValueError):
-            CompressionPolicy(max_ratio=1.5)
         with pytest.raises(ValueError):
             CompressionPolicy().measurements(0)
 
@@ -82,25 +82,16 @@ class TestBrokerConfig:
             "robust_threshold",
             "trust_alpha",
             "criticality_weighting",
+            # always on, gone, or derived from an installed prior
+            "use_gls",
+            "fair_rotation",
+            "max_coverage_gap",
+            "use_prior_basis",
         ],
     )
     def test_removed_options_rejected(self, removed):
         with pytest.raises(TypeError):
             BrokerConfig(**{removed: 1})
-
-
-class TestNodeConfig:
-    def test_defaults(self):
-        config = NodeConfig()
-        assert config.context_window == 256
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NodeConfig(context_window=4)
-        with pytest.raises(ValueError):
-            NodeConfig(context_rate_hz=0.0)
-        with pytest.raises(ValueError):
-            NodeConfig(temporal_duty_cycle=0.0)
 
 
 class TestHierarchyConfig:

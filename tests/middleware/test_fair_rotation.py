@@ -47,9 +47,7 @@ def env():
 class TestFairRotation:
     def test_burden_spreads_across_copies(self, env):
         bus = MessageBus()
-        broker = Broker(
-            "b", W, H, config=BrokerConfig(seed=2, fair_rotation=True)
-        )
+        broker = Broker("b", W, H, config=BrokerConfig(seed=2))
         bus.register("b")
         nodes = _colocated_fleet(bus, broker)
         for r in range(30):
@@ -59,38 +57,24 @@ class TestFairRotation:
         assert min(sampled) > 0
         assert max(sampled) - min(sampled) <= 2
 
-    def test_without_rotation_first_copy_burns(self, env):
-        bus = MessageBus()
-        broker = Broker(
-            "b", W, H, config=BrokerConfig(seed=2, fair_rotation=False)
-        )
-        bus.register("b")
-        nodes = _colocated_fleet(bus, broker)
-        for r in range(30):
-            broker.run_round(bus, nodes, env, timestamp=float(r), measurements=N)
-        sampled = [n.sensors["temperature"].samples_taken for n in nodes.values()]
-        # The fixed ordering leaves some copies completely idle while
-        # others carry every round.
-        assert min(sampled) == 0
-        assert max(sampled) >= 25
-
     def test_rotation_extends_worst_battery(self, env):
-        def worst_level(fair):
-            bus = MessageBus()
-            broker = Broker(
-                "b", W, H, config=BrokerConfig(seed=3, fair_rotation=fair)
+        bus = MessageBus()
+        broker = Broker("b", W, H, config=BrokerConfig(seed=3))
+        bus.register("b")
+        nodes = _colocated_fleet(bus, broker, seed=3)
+        for r in range(40):
+            broker.run_round(
+                bus, nodes, env, timestamp=float(r), measurements=N
             )
-            bus.register("b")
-            nodes = _colocated_fleet(bus, broker, seed=3)
-            for r in range(40):
-                broker.run_round(
-                    bus, nodes, env, timestamp=float(r), measurements=N
-                )
-            return min(
-                n.ledger.battery.level for n in nodes.values()
-            )
-
-        assert worst_level(fair=True) > worst_level(fair=False)
+        spent: dict[int, list[float]] = {}
+        for node_id, node in nodes.items():
+            cell = int(node_id[1:].split("-")[0])
+            spent.setdefault(cell, []).append(1.0 - node.ledger.battery.level)
+        # A fixed order would drain one copy per cell by the cell's
+        # whole spend; rotation keeps every copy near a third of it.
+        for drains in spent.values():
+            assert sum(drains) > 0
+            assert max(drains) <= 0.5 * sum(drains)
 
     def test_nodes_without_batteries_still_work(self, env):
         bus = MessageBus()

@@ -12,6 +12,7 @@ from repro.middleware.hierarchy import Hierarchy
 from repro.middleware.localcloud import LocalCloud
 from repro.network.bus import MessageBus
 from repro.sensors.base import Environment
+from repro.sim.scenario import smart_building_scenario
 
 
 @pytest.fixture
@@ -133,6 +134,40 @@ class TestHierarchy:
         h = self._hierarchy()
         h.run_global_round(env)
         assert h.total_node_energy_mj() > 0
+
+
+class TestDefaultBusSeed:
+    @staticmethod
+    def _lossy_rounds(rounds=4):
+        scenario = smart_building_scenario(
+            width=16, height=8, zones_x=2, zones_y=1, nodes_per_nc=12, rng=7
+        )
+        system = scenario.system
+        bus = system.hierarchy.bus
+        bus.loss_rate = 0.1  # set after construction, on the private bus
+        books = []
+        for _ in range(rounds):
+            estimate = system.sense_field()
+            lost = {
+                address: (
+                    bus.endpoint(address).outbound_lost,
+                    bus.endpoint(address).inbound_lost,
+                )
+                for address in bus.addresses
+            }
+            books.append((bus.messages_lost, lost, estimate.field.grid.copy()))
+        return books
+
+    def test_private_bus_loss_stream_follows_rng(self):
+        first = self._lossy_rounds()
+        second = self._lossy_rounds()
+        assert first[-1][0] > 0  # the channel did lose messages
+        for (lost_a, per_a, grid_a), (lost_b, per_b, grid_b) in zip(
+            first, second
+        ):
+            assert lost_a == lost_b
+            assert per_a == per_b  # the same senders and receivers lost
+            assert np.array_equal(grid_a, grid_b)
 
 
 class TestLockstepPhaseOrder:

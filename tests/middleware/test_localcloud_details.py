@@ -40,7 +40,7 @@ class TestPriorThroughLocalCloud:
         bus = MessageBus()
         lc = LocalCloud(
             "lc", bus, 8, 8, n_nanoclouds=1, nodes_per_nc=64,
-            config=BrokerConfig(use_prior_basis=True, use_gls=True, seed=1),
+            config=BrokerConfig(seed=1),
             heterogeneous=True, rng=1,
         )
         trace = evolve_field(

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fields.generators import urban_temperature_field
-from repro.middleware.config import NodeConfig
-from repro.middleware.node import MobileNode
+from repro.middleware.node import CONTEXT_WINDOW, MobileNode
 from repro.middleware.privacy import PrivacyPolicy
 from repro.network.bus import MessageBus
 from repro.network.message import Message, MessageKind
@@ -115,15 +114,14 @@ class TestHandleCommand:
 
 class TestContextSensing:
     def test_compressive_detection_correct_and_cheaper(self):
-        config = NodeConfig(temporal_duty_cycle=0.125)
-        window = accelerometer_window("driving", 256, rng=3)
-        node_compressive = MobileNode("a", config=config, rng=4)
+        window = accelerometer_window("driving", CONTEXT_WINDOW, rng=3)
+        node_compressive = MobileNode("a", rng=4)
         node_compressive.state.mode = "driving"
         det = node_compressive.sense_activity_context(0.0, window=window)
         assert det.estimate.mode == "driving"
-        assert det.m == 32
+        assert det.m == 32  # TEMPORAL_DUTY_CYCLE of the 256 samples
 
-        node_uniform = MobileNode("b", config=config, rng=4)
+        node_uniform = MobileNode("b", rng=4)
         node_uniform.state.mode = "driving"
         node_uniform.sense_activity_context(
             0.0, window=window, compressive=False

@@ -17,11 +17,21 @@ from repro.fields.generators import smooth_field
 from repro.middleware.config import BrokerConfig, CompressionPolicy
 from repro.middleware.localcloud import LocalCloud
 from repro.middleware.overload import (
+    BREAKER_COOLDOWN_ROUNDS,
+    BREAKER_FAILURES,
+    BUSY_SKIP_BUDGET,
+    COARSE_M_SCALE,
+    LATENCY_ALPHA,
+    LATENCY_HIGH_FRAC,
     LEVEL_COARSE,
     LEVEL_FULL,
     LEVEL_REDUCED_M,
     LEVEL_STALE,
     PASSTHROUGH,
+    QUEUE_ALPHA,
+    RECOVER_BELOW,
+    RECOVER_ROUNDS,
+    REDUCED_M_SCALE,
     BreakerState,
     CircuitBreaker,
     DegradationLadder,
@@ -78,121 +88,135 @@ class TestOverloadConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            OverloadConfig(busy_skip_budget=-1)
-        with pytest.raises(ValueError):
-            OverloadConfig(admission_retry_frac=1.0)
-        with pytest.raises(ValueError):
-            OverloadConfig(breaker_failures=0)
-        with pytest.raises(ValueError):
-            OverloadConfig(queue_alpha=0.0)
-        with pytest.raises(ValueError):
-            OverloadConfig(recover_below=1.0, escalate_at=1.0)
-        with pytest.raises(ValueError):
-            OverloadConfig(coarse_m_scale=0.8, reduced_m_scale=0.5)
+            OverloadConfig(queue_high=0.0)
         with pytest.raises(ValueError):
             OverloadConfig(coarse_sparsity_cap=0)
 
 
 class TestOverloadDetector:
     def test_queue_ewma_tracks_depth(self):
-        detector = OverloadDetector(config=OverloadConfig(queue_alpha=0.5))
+        detector = OverloadDetector()
         detector.observe_queue(8)
-        assert detector.queue_ewma == pytest.approx(4.0)
+        first = QUEUE_ALPHA * 8.0
+        assert detector.queue_ewma == pytest.approx(first)
         detector.observe_queue(8)
-        assert detector.queue_ewma == pytest.approx(6.0)
+        assert detector.queue_ewma == pytest.approx(
+            first + QUEUE_ALPHA * (8.0 - first)
+        )
 
     def test_pressure_is_worse_of_both_signals(self):
-        config = OverloadConfig(
-            queue_alpha=1.0, latency_alpha=1.0,
-            queue_high=10.0, latency_high_frac=0.5,
-        )
-        detector = OverloadDetector(config=config)
-        detector.observe_queue(5)  # queue pressure 0.5
-        detector.observe_latency(9.0, 10.0)  # latency pressure 1.8
-        assert detector.pressure == pytest.approx(1.8)
+        detector = OverloadDetector(config=OverloadConfig(queue_high=10.0))
+        detector.observe_queue(2)
+        detector.observe_latency(9.0, 10.0)
+        queue_ewma = QUEUE_ALPHA * 2.0
+        latency_pressure = LATENCY_ALPHA * 0.9 / LATENCY_HIGH_FRAC
+        assert latency_pressure > queue_ewma / 10.0
+        assert detector.pressure == pytest.approx(latency_pressure)
+        # A deep queue alone is enough too.
+        detector.observe_queue(40)
+        queue_ewma += QUEUE_ALPHA * (40.0 - queue_ewma)
+        assert queue_ewma / 10.0 > latency_pressure
+        assert detector.pressure == pytest.approx(queue_ewma / 10.0)
 
     def test_latency_requires_positive_deadline(self):
         with pytest.raises(ValueError):
             OverloadDetector().observe_latency(1.0, 0.0)
 
 
+def _tripped_breaker() -> CircuitBreaker:
+    breaker = CircuitBreaker()
+    for _ in range(BREAKER_FAILURES):
+        breaker.record_failure()
+    assert breaker.state is BreakerState.OPEN
+    return breaker
+
+
+def _probing_breaker() -> CircuitBreaker:
+    breaker = _tripped_breaker()
+    for _ in range(BREAKER_COOLDOWN_ROUNDS - 1):
+        assert not breaker.allow_round()
+    assert breaker.allow_round()  # the probe
+    return breaker
+
+
 class TestCircuitBreaker:
     def test_trips_after_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_rounds=2)
-        breaker.record_failure()
-        breaker.record_failure()
+        breaker = CircuitBreaker()
+        for _ in range(BREAKER_FAILURES - 1):
+            breaker.record_failure()
         assert breaker.state is BreakerState.CLOSED
         breaker.record_failure()
         assert breaker.state is BreakerState.OPEN
         assert breaker.trips == 1
 
     def test_success_resets_the_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure()
+        breaker = CircuitBreaker()
+        for _ in range(BREAKER_FAILURES - 1):
+            breaker.record_failure()
         breaker.record_success()
-        breaker.record_failure()
+        for _ in range(BREAKER_FAILURES - 1):
+            breaker.record_failure()
         assert breaker.state is BreakerState.CLOSED
 
     def test_cooldown_then_half_open_probe(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_rounds=2)
-        breaker.record_failure()
-        assert not breaker.allow_round()  # cooldown slot 1
-        assert breaker.allow_round()  # cooldown expired: the probe
+        breaker = _tripped_breaker()
+        # Every cooldown slot but the last serves stale ...
+        for _ in range(BREAKER_COOLDOWN_ROUNDS - 1):
+            assert not breaker.allow_round()
+            assert breaker.state is BreakerState.OPEN
+        assert breaker.allow_round()  # ... the last is the probe
         assert breaker.probing
 
     def test_probe_success_closes(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_rounds=1)
-        breaker.record_failure()
-        assert breaker.allow_round()
+        breaker = _probing_breaker()
         breaker.record_success()
         assert breaker.state is BreakerState.CLOSED
 
     def test_probe_failure_reopens(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_rounds=1)
-        breaker.record_failure()
-        assert breaker.allow_round()
-        breaker.record_failure()
+        breaker = _probing_breaker()
+        breaker.record_failure()  # one failed probe, not BREAKER_FAILURES
         assert breaker.state is BreakerState.OPEN
         assert breaker.trips == 2
 
 
 class TestDegradationLadder:
-    def _ladder(self, **kwargs):
-        return DegradationLadder(config=OverloadConfig(**kwargs))
-
     def test_escalates_one_level_per_hot_observation(self):
-        ladder = self._ladder()
+        ladder = DegradationLadder()
         assert ladder.update(1.5) == LEVEL_REDUCED_M
         assert ladder.update(1.5) == LEVEL_COARSE
         assert ladder.update(1.5) == LEVEL_STALE
         assert ladder.update(1.5) == LEVEL_STALE  # saturates
 
     def test_recovery_needs_consecutive_calm_rounds(self):
-        ladder = self._ladder(recover_rounds=2)
+        ladder = DegradationLadder()
         ladder.update(1.5)
         ladder.update(1.5)
         assert ladder.level == LEVEL_COARSE
-        ladder.update(0.1)
-        assert ladder.level == LEVEL_COARSE  # one calm round: not yet
-        ladder.update(0.1)
+        calm = RECOVER_BELOW / 5
+        for _ in range(RECOVER_ROUNDS - 1):
+            ladder.update(calm)
+        assert ladder.level == LEVEL_COARSE  # one calm round short
+        ladder.update(calm)
         assert ladder.level == LEVEL_REDUCED_M
         # Mid-band pressure breaks the calm streak (hysteresis).
-        ladder.update(0.1)
+        for _ in range(RECOVER_ROUNDS - 1):
+            ladder.update(calm)
         ladder.update(0.7)
-        ladder.update(0.1)
+        for _ in range(RECOVER_ROUNDS - 1):
+            ladder.update(calm)
         assert ladder.level == LEVEL_REDUCED_M
 
     def test_scales_per_level(self):
-        ladder = self._ladder(
-            reduced_m_scale=0.6, coarse_m_scale=0.3, coarse_sparsity_cap=5
+        ladder = DegradationLadder(
+            config=OverloadConfig(coarse_sparsity_cap=5)
         )
         assert ladder.m_scale() == 1.0
         assert ladder.sparsity_cap() is None
         ladder.level = LEVEL_REDUCED_M
-        assert ladder.m_scale() == 0.6
+        assert ladder.m_scale() == REDUCED_M_SCALE
         assert ladder.sparsity_cap() is None
         ladder.level = LEVEL_COARSE
-        assert ladder.m_scale() == 0.3
+        assert ladder.m_scale() == COARSE_M_SCALE
         assert ladder.sparsity_cap() == 5
 
 
@@ -207,10 +231,11 @@ class TestOverloadController:
         assert controller.ladder.level == LEVEL_FULL
 
     def test_open_breaker_serves_stale(self):
-        controller = OverloadController(
-            OverloadConfig(breaker_enabled=True, breaker_failures=1)
-        )
-        controller.finish_round(latency_s=10.0, deadline_s=10.0, timed_out=True)
+        controller = OverloadController(OverloadConfig(breaker_enabled=True))
+        for _ in range(BREAKER_FAILURES):
+            controller.finish_round(
+                latency_s=10.0, deadline_s=10.0, timed_out=True
+            )
         directives = controller.begin_round(queue_depth=0)
         assert directives.serve_stale
         assert controller.stale_serves == 1
@@ -223,9 +248,7 @@ class TestOverloadController:
         assert directives.level == LEVEL_STALE
 
     def test_stale_level_unlatches_after_calm_stale_serves(self):
-        controller = OverloadController(
-            OverloadConfig(ladder_enabled=True, recover_rounds=1)
-        )
+        controller = OverloadController(OverloadConfig(ladder_enabled=True))
         controller.ladder.level = LEVEL_STALE
         controller.detector.latency_ewma = 2.0  # saturated at trip time
         directives = controller.begin_round(queue_depth=0)
@@ -282,9 +305,7 @@ def _kill_one_node(lc):
 
 class TestBreakerThroughDriver:
     def test_timeout_rounds_trip_breaker_into_stale_serving(self):
-        config = _timeout_config(
-            breaker_enabled=True, breaker_failures=2, breaker_cooldown_rounds=2
-        )
+        config = _timeout_config(breaker_enabled=True)
         clock, bus, lc = _deployment(config=config)
         injector = _kill_one_node(lc)
         bus.fault_injector = injector
@@ -298,9 +319,10 @@ class TestBreakerThroughDriver:
 
         timed_out = [o for o in outcomes if not o.stale]
         stale = [o for o in outcomes if o.stale]
-        # Rounds 1-2 time out (deadline-closed partial solves) and trip
-        # the breaker; subsequent slots serve the last good estimate.
-        assert len(timed_out) >= 2
+        # The first BREAKER_FAILURES rounds time out (deadline-closed
+        # partial solves) and trip the breaker; later slots serve the
+        # last good estimate.
+        assert len(timed_out) >= BREAKER_FAILURES
         assert all(
             o.latency_s >= driver.report_deadline_s for o in timed_out
         )
@@ -313,12 +335,11 @@ class TestBreakerThroughDriver:
                 assert estimate.degraded
 
     def test_consecutive_stale_serves_accumulate_staleness(self):
-        # failures=1 trips on the very first timed-out round; a long
-        # cooldown then yields an unbroken run of stale serves, each
-        # re-serving the previous stale outcome — staleness compounds.
-        config = _timeout_config(
-            breaker_enabled=True, breaker_failures=1, breaker_cooldown_rounds=4
-        )
+        # Each breaker trip serves stale until its probe round.  With the
+        # ladder armed as well, the timed-out rounds' latency walks it
+        # to LEVEL_STALE, whose unbroken run of stale serves each
+        # re-serves the previous stale outcome — staleness compounds.
+        config = _timeout_config(breaker_enabled=True, ladder_enabled=True)
         clock, bus, lc = _deployment(config=config)
         injector = _kill_one_node(lc)
         bus.fault_injector = injector
@@ -327,13 +348,14 @@ class TestBreakerThroughDriver:
         driver = ZoneRoundDriver(
             0, lc, _env(), clock, period_s=10.0, on_complete=outcomes.append
         )
-        driver.start(until=40.0)
-        clock.run_until(60.0)
+        driver.start(until=120.0)
+        clock.run_until(140.0)
         staleness = [
             o.result.nc_estimates[0].staleness_rounds
             for o in outcomes
             if o.stale
         ]
+        assert driver.overload.breaker.trips >= 1
         assert staleness == sorted(staleness)
         assert staleness and staleness[-1] >= 2
 
@@ -356,12 +378,7 @@ class TestLadderThroughDriver:
     def test_queue_flood_escalates_then_recovers(self):
         config = BrokerConfig(
             policy=CompressionPolicy(mode="dense"),
-            overload=OverloadConfig(
-                ladder_enabled=True,
-                queue_alpha=1.0,
-                queue_high=8.0,
-                recover_rounds=1,
-            ),
+            overload=OverloadConfig(ladder_enabled=True, queue_high=8.0),
         )
         clock, bus, lc = _deployment(config=config)
         outcomes = []
@@ -392,9 +409,7 @@ class TestLadderThroughDriver:
         def run_round(level):
             config = BrokerConfig(
                 policy=CompressionPolicy(mode="dense"),
-                overload=OverloadConfig(
-                    ladder_enabled=True, reduced_m_scale=0.5
-                ),
+                overload=OverloadConfig(ladder_enabled=True),
             )
             clock, bus, lc = _deployment(
                 config=config, latency_mode="zero", nodes_per_nc=8
@@ -418,12 +433,9 @@ class TestLadderThroughDriver:
 
 
 class TestAdmissionControl:
-    def _busy_driver(self, *, budget, ladder=False):
+    def _busy_driver(self, *, extra_firings, ladder=False):
         config = _timeout_config(
-            admission_control=True,
-            busy_skip_budget=budget,
-            admission_retry_frac=0.25,
-            ladder_enabled=ladder,
+            admission_control=True, ladder_enabled=ladder
         )
         clock, bus, lc = _deployment(config=config)
         injector = _kill_one_node(lc)
@@ -434,25 +446,32 @@ class TestAdmissionControl:
             0, lc, _env(), clock, period_s=30.0, on_complete=outcomes.append
         )
         driver.start(until=60.0)
-        # An extra mid-round firing (an operator-requested round, say):
-        # the dead-node round is deadline-bound, so at t=31 the driver
-        # is still collecting and the firing lands busy.
-        clock.schedule_in(31.0, driver._begin_round)
+        # Extra mid-round firings (operator-requested rounds, say) at
+        # t=31, 32, ...: the dead-node round is deadline-bound, so the
+        # driver is still collecting and each firing lands busy.
+        for i in range(extra_firings):
+            clock.schedule_in(31.0 + i, driver._begin_round)
         clock.run_until(80.0)
         return driver, outcomes
 
     def test_busy_firing_retries_within_budget(self):
-        driver, outcomes = self._busy_driver(budget=5)
+        assert BUSY_SKIP_BUDGET >= 2
+        driver, outcomes = self._busy_driver(extra_firings=1)
         # t=31 busy -> retry at 38.5 (still collecting until the t=39
-        # deadline) -> second retry at 46 finds the driver idle.
+        # deadline), the second busy skip and still within budget ->
+        # second retry at 46 finds the driver idle.
         assert driver.rounds_skipped == 2
         assert driver.rounds_rescheduled == 2
         assert [o.started_at for o in outcomes] == [30.0, 46.0, 60.0]
 
     def test_over_budget_skips_escalate_instead_of_retrying(self):
-        driver, outcomes = self._busy_driver(budget=1, ladder=True)
-        # The second consecutive busy skip blows the budget: no further
-        # retry, the skip is treated as pressure on the ladder.
+        driver, outcomes = self._busy_driver(
+            extra_firings=BUSY_SKIP_BUDGET, ladder=True
+        )
+        # The retry at 38.5 is busy skip BUSY_SKIP_BUDGET + 1 in a row and
+        # blows the budget: no further retry, the skip is treated as
+        # pressure on the ladder.
+        assert driver.rounds_skipped == BUSY_SKIP_BUDGET + 1
         assert driver.rounds_rescheduled == 1
         assert driver.overload.pressure_skips >= 1
         assert driver.overload.ladder.level >= LEVEL_REDUCED_M
@@ -472,9 +491,8 @@ class TestFailoverCarryOver:
         # Mid-degradation state: breaker OPEN, ladder at coarse.
         controller = old.overload
         controller.ladder.level = LEVEL_COARSE
-        controller.breaker.record_failure()
-        controller.breaker.record_failure()
-        controller.breaker.record_failure()
+        for _ in range(BREAKER_FAILURES):
+            controller.breaker.record_failure()
         assert controller.breaker.state is BreakerState.OPEN
 
         # Heartbeat failover: crash the broker address and prepare the
@@ -536,15 +554,7 @@ class TestDefaultOffBitIdentity:
         # feature flag still off — if any disabled code path consulted
         # a threshold, these runs would diverge.
         payload_b, stats_b = _scenario_estimates(
-            OverloadConfig(
-                queue_high=0.001,
-                latency_high_frac=0.01,
-                breaker_failures=1,
-                breaker_cooldown_rounds=1,
-                reduced_m_scale=0.01,
-                coarse_m_scale=0.01,
-                coarse_sparsity_cap=1,
-            ),
+            OverloadConfig(queue_high=0.001, coarse_sparsity_cap=1),
             seed,
         )
         assert stats_a == stats_b

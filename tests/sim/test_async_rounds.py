@@ -151,7 +151,6 @@ def _async_result(seed=7):
     )
     bus = scenario.system.hierarchy.bus
     bus.loss_rate = 0.05
-    bus._loss_rng.seed(99)  # the hierarchy builds its bus unseeded
     engine = SimulationEngine(
         scenario.system,
         round_mode="async",

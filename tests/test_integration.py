@@ -141,31 +141,6 @@ class TestPrivacyEndToEnd:
         assert system.estimate_error(estimate) < 0.5
 
 
-class TestHeterogeneityEndToEnd:
-    def test_gls_configuration_improves_on_ols_with_mixed_fleet(self):
-        truth = urban_temperature_field(16, 8, rng=21)
-
-        def run(use_gls, seed):
-            env = Environment(fields={"temperature": truth})
-            system = SenseDroid(
-                env,
-                hierarchy_config=HierarchyConfig(
-                    zones_x=2, zones_y=1, nodes_per_nanocloud=96
-                ),
-                broker_config=BrokerConfig(
-                    seed=seed, use_gls=use_gls, solver="chs"
-                ),
-                rng=seed,  # same seed -> same fleet/tier layout
-            )
-            system.sense_field(total_budget=64)
-            estimate = system.sense_field(total_budget=64)
-            return system.estimate_error(estimate)
-
-        gls_errors = [run(True, s) for s in range(23, 28)]
-        ols_errors = [run(False, s) for s in range(23, 28)]
-        assert np.mean(gls_errors) <= np.mean(ols_errors) * 1.25
-
-
 class TestGlobalCSBaselineComparison:
     def test_hierarchical_needs_far_fewer_transmissions(self):
         """Hierarchical: O(M) single-hop reports.  Luo et al. global CS:
