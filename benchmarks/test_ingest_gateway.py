@@ -1,14 +1,14 @@
 """INGEST — the real-socket ingestion gateway under a device fleet.
 
 PR 8's acceptance bench: an :class:`repro.gateway.server
-.IngestionGateway` (real WebSocket frontend, AsyncioTransport, an
+.IngestionGateway` (real WebSocket frontend, a MessageBus and an
 unmodified ZoneRoundDriver on the wall clock) is driven by the seeded
 :class:`repro.gateway.loadgen.LoadGenerator` at increasing fleet sizes,
 up to ≥1k concurrent clients in the full run.  Two measurements per
 step:
 
 - **sustained ingest rate**: device reading frames decoded and applied
-  per second of wall time (plus the transport's own message counter for
+  per second of wall time (plus the bus's own message counter for
   the middleware traffic they generate), and
 - **command→estimate latency**: the round driver's measured p50/p99
   from SENSE_COMMAND fan-out to the finalized ZoneEstimate — the

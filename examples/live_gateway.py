@@ -2,8 +2,8 @@
 """Live ingestion gateway: real WebSocket devices, real sensing rounds.
 
 Starts an :class:`repro.gateway.server.IngestionGateway` on an
-ephemeral localhost port — a real asyncio socket server fronting an
-AsyncioTransport and an *unmodified* ZoneRoundDriver on the wall clock
+ephemeral localhost port — a real asyncio socket server fronting a
+MessageBus and an *unmodified* ZoneRoundDriver, both on the wall clock
 — then drives it with a seeded 40-device WebSocket fleet from
 :mod:`repro.gateway.loadgen` for a few seconds and queries the results
 back over plain HTTP, exactly as an external dashboard would.

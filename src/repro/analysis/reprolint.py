@@ -13,8 +13,8 @@ the reasoning and a planted violation per rule.  The scopes that are not
 obvious from a summary:
 
 - RPR002 skips, and RPR010 only looks at, the *realtime modules*
-  (``repro/sim/wallclock.py``, ``repro/network/asyncio_transport.py``,
-  ``repro/gateway/``), where the wall clock *is* the simulation clock.
+  (``repro/sim/wallclock.py`` and ``repro/gateway/``), where the wall
+  clock *is* the simulation clock.
 - RPR005 exempts comparison with a literal zero (``x == 0.0``,
   ``-0.0``): zero is exactly representable, so such a test is a
   divide-by-zero guard, not a tolerance question.
@@ -173,10 +173,7 @@ _RNG_MODULES = {
 # gateway serves live devices).  Everything else must read whichever
 # clock it was handed.  Kept deliberately short; additions belong in
 # docs/invariants.md too.
-_REALTIME_ALLOWED_SUFFIXES = (
-    "repro/sim/wallclock.py",
-    "repro/network/asyncio_transport.py",
-)
+_REALTIME_ALLOWED_SUFFIXES = ("repro/sim/wallclock.py",)
 _REALTIME_ALLOWED_DIRS = ("repro/gateway/",)
 
 

@@ -3,17 +3,18 @@
 The gateway is the socket face of the stack: a hand-rolled asyncio
 WebSocket/HTTP server (:mod:`repro.gateway.server`) accepts per-stream
 device connections on ``/sensor/connect``, turns their JSON frames into
-bus traffic for a live NanoCloud riding an
-:class:`repro.network.asyncio_transport.AsyncioTransport`, and drives
-real sensing rounds with an *unmodified*
-:class:`repro.middleware.rounds.ZoneRoundDriver` on a
-:class:`repro.sim.wallclock.WallClock`.  A query frontend serves the
-latest zone estimates (``/zones/latest``) and the transport's traffic
-accounting (``/stats``).  :mod:`repro.gateway.loadgen` replays seeded
-sensor traces from thousands of concurrent WebSocket clients against it
-— the INGEST bench's traffic source.
+bus traffic for a live NanoCloud riding a
+:class:`repro.network.bus.MessageBus` whose deliveries are scheduled on
+a :class:`repro.sim.wallclock.WallClock`, and drives real sensing
+rounds with an *unmodified*
+:class:`repro.middleware.rounds.ZoneRoundDriver` on that clock.  A
+query frontend serves the latest zone estimates (``/zones/latest``) and
+the bus's traffic accounting (``/stats``).
+:mod:`repro.gateway.loadgen` replays seeded sensor traces from
+thousands of concurrent WebSocket clients against it — the INGEST
+bench's traffic source.
 
-Production hardening rides the same seam: the server's
+Production hardening lives in the same server: its
 :class:`~repro.gateway.server.ResilienceConfig` (default-off) arms
 ping/pong liveness probing, seeded resume tokens that let reconnecting
 devices reclaim their node identity and trust state, accept-time

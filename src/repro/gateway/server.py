@@ -2,8 +2,9 @@
 
 One :class:`IngestionGateway` owns the whole socket-facing stack:
 
-- an :class:`repro.network.asyncio_transport.AsyncioTransport` (the
-  socket backend of the Transport seam) carrying all middleware traffic,
+- a :class:`repro.network.bus.MessageBus` on the
+  :data:`repro.network.links.LOOPBACK` link carrying all middleware
+  traffic, its deliveries scheduled on
 - a :class:`repro.sim.wallclock.WallClock` on the same event loop,
 - one zone — broker + (initially empty) NanoCloud wrapped by
   :meth:`repro.middleware.localcloud.LocalCloud.from_nanoclouds` — whose
@@ -17,7 +18,7 @@ One :class:`IngestionGateway` owns the whole socket-facing stack:
     and SENSE_COMMAND notifications up,
   - ``GET /zones/latest`` serves the newest zone estimate (the query
     frontend),
-  - ``GET /stats`` serves the transport's ``stats_snapshot()`` plus
+  - ``GET /stats`` serves the bus's ``stats_snapshot()`` plus
     gateway, resilience, overload and round telemetry,
   - ``GET /field/truth`` serves the synthetic ground-truth grid (load
     generators sample it), and ``GET /healthz`` answers liveness (plus
@@ -57,7 +58,8 @@ from ..middleware.localcloud import LocalCloud
 from ..middleware.nanocloud import MemberTable, NanoCloud
 from ..middleware.overload import MAX_LEVEL
 from ..middleware.rounds import ZoneRoundDriver, ZoneRoundOutcome
-from ..network.asyncio_transport import AsyncioTransport
+from ..network.bus import MessageBus
+from ..network.links import LOOPBACK
 from ..sensors.base import Environment, NodeState
 from ..sensors.physical import TemperatureSensor
 from ..sim.wallclock import WallClock, WallPeriodicHandle
@@ -241,7 +243,7 @@ class _DeviceSession:
 
 
 class IngestionGateway:
-    """Assembles transport + clock + zone + driver + socket frontends."""
+    """Assembles bus + clock + zone + driver + socket frontends."""
 
     def __init__(
         self,
@@ -251,7 +253,10 @@ class IngestionGateway:
     ) -> None:
         self.config = cfg = config or GatewayConfig()
         self.clock = clock if clock is not None else WallClock()
-        self.transport = AsyncioTransport(self.clock)
+        # The middleware's bus, delivering on the wall clock; /stats
+        # and the perf host read it as ``transport``.
+        self.transport = MessageBus(default_link=LOOPBACK)
+        self.transport.attach_clock(self.clock, latency_mode="link")
         rng = np.random.default_rng(cfg.seed)
         truth = smooth_field(
             cfg.zone_width,
@@ -460,7 +465,7 @@ class IngestionGateway:
         }
 
     def stats(self) -> dict[str, object]:
-        """Transport snapshot + gateway and round telemetry (``/stats``)."""
+        """Bus snapshot + gateway and round telemetry (``/stats``)."""
         latencies = sorted(self.latencies_s)
         res = self.config.resilience
         return {

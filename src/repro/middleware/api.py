@@ -40,12 +40,9 @@ class SenseDroid:
     store_path:
         SQLite path for the data log (default in-memory).
     transport:
-        Message transport the deployment rides — any
-        :class:`repro.network.transport.Transport` backend (the
-        in-process :class:`~repro.network.bus.MessageBus` or the
-        socket-facing
-        :class:`~repro.network.asyncio_transport.AsyncioTransport`).
-        ``None`` builds a private synchronous bus, the seed behaviour.
+        The :class:`~repro.network.bus.MessageBus` the deployment
+        rides.  ``None`` builds a private synchronous bus, the seed
+        behaviour.
     """
 
     def __init__(

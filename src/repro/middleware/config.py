@@ -136,13 +136,6 @@ class BrokerConfig:
     # coverage so the effective M stays near the planned M — a dropped
     # row of Phi is replaced instead of mourned.
     topup_resampling: bool = False
-    # Deferred bus (latency_mode="link"), read by ZoneRoundDriver: sim
-    # seconds after the commands go out at which the broker stops
-    # waiting and solves with whatever reports arrived — the
-    # partial-solve deadline of the COLLECTING state.  On the
-    # zero-latency bus every exchange completes inside send, so no
-    # round ever reaches it.
-    report_deadline_s: float = 10.0
     # Deferred bus: how long to wait for one command's report before
     # retrying (or moving to the next co-located candidate).  Doubles
     # per retry attempt.  Must comfortably exceed the command + report
@@ -173,8 +166,6 @@ class BrokerConfig:
             raise ValueError("command_retries must be non-negative")
         if self.retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be non-negative")
-        if self.report_deadline_s <= 0:
-            raise ValueError("report_deadline_s must be positive")
         if self.report_timeout_s <= 0:
             raise ValueError("report_timeout_s must be positive")
 

@@ -51,7 +51,15 @@ __all__ = [
     "ZoneSchedule",
     "ZoneRoundOutcome",
     "ZoneRoundDriver",
+    "REPORT_DEADLINE_S",
 ]
+
+#: Deferred bus (latency_mode="link"): sim seconds after the commands go
+#: out at which a round stops waiting and solves with whatever reports
+#: arrived — the partial-solve deadline of the COLLECTING state, unless
+#: the driver is handed its own.  On the zero-latency bus every exchange
+#: completes inside send, so no round ever reaches it.
+REPORT_DEADLINE_S = 10.0
 
 
 class RoundState(Enum):
@@ -122,9 +130,9 @@ class ZoneRoundDriver:
         Round cadence; the first round fires at ``offset_s`` (default:
         one period in).
     report_deadline_s:
-        COLLECTING deadline; defaults to the broker config's
-        ``report_deadline_s``, clamped below the period so a round
-        always closes before the next one is due.
+        COLLECTING deadline (default :data:`REPORT_DEADLINE_S`), clamped
+        below the period so a round always closes before the next one
+        is due.
     cloud_address:
         When set, every finalized round reports upward to this address
         (the public-cloud uplink of the lockstep path).
@@ -151,6 +159,10 @@ class ZoneRoundDriver:
     ) -> None:
         if period_s <= 0:
             raise ValueError("period_s must be positive")
+        if report_deadline_s is None:
+            report_deadline_s = REPORT_DEADLINE_S
+        elif report_deadline_s <= 0:
+            raise ValueError("report_deadline_s must be positive")
         self.zone_id = zone_id
         self.lc = localcloud
         self.env = env
@@ -158,14 +170,9 @@ class ZoneRoundDriver:
         self.bus = localcloud.bus
         self.period_s = period_s
         self.offset_s = offset_s
-        deadline = (
-            report_deadline_s
-            if report_deadline_s is not None
-            else localcloud.config.report_deadline_s
-        )
         # A round must close before the next is due or every firing
         # after the first would be skipped as busy.
-        self.report_deadline_s = min(deadline, 0.9 * period_s)
+        self.report_deadline_s = min(report_deadline_s, 0.9 * period_s)
         self.cloud_address = cloud_address
         self.measurements_per_nc = measurements_per_nc
         self.on_complete = on_complete

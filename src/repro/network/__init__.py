@@ -1,8 +1,7 @@
-"""Network substrate: messages, pluggable transports (in-process sim
-bus and real asyncio sockets), fault injection, link models and
-network selection."""
+"""Network substrate: messages, the metered message bus (on a sim
+clock, or a wall clock behind the ingestion gateway), fault injection,
+link models, zone report frames and network selection."""
 
-from .asyncio_transport import LOOPBACK, AsyncioTransport, TransportClient
 from .bus import Endpoint, MessageBus, TrafficStats
 from .faults import (
     CrashSchedule,
@@ -13,32 +12,25 @@ from .faults import (
     IIDLoss,
     Partition,
 )
-from .links import BLUETOOTH, GSM, LINKS_BY_NAME, LTE, WIFI, LinkModel
-from .message import Message, MessageKind
-from .frames import (
-    WireDecoder,
-    ZoneReportFrame,
-    decode_wire_body,
-    decode_zone_report,
-    encode_wire,
-    encode_zone_report,
+from .links import (
+    BLUETOOTH,
+    GSM,
+    LINKS_BY_NAME,
+    LOOPBACK,
+    LTE,
+    WIFI,
+    LinkModel,
 )
+from .message import Message, MessageKind
+from .frames import ZoneReportFrame, decode_zone_report, encode_zone_report
 from .selector import NetworkSelector, SelectionPolicy, SelectionResult
-from .transport import Transport
 
 __all__ = [
     "Endpoint",
     "MessageBus",
     "TrafficStats",
-    "Transport",
-    "AsyncioTransport",
-    "TransportClient",
-    "LOOPBACK",
-    "WireDecoder",
     "ZoneReportFrame",
-    "decode_wire_body",
     "decode_zone_report",
-    "encode_wire",
     "encode_zone_report",
     "CrashSchedule",
     "DegradationWindow",
@@ -50,6 +42,7 @@ __all__ = [
     "BLUETOOTH",
     "GSM",
     "LINKS_BY_NAME",
+    "LOOPBACK",
     "LTE",
     "WIFI",
     "LinkModel",

@@ -58,7 +58,6 @@ DROP_POLICIES = ("drop-newest", "drop-oldest", "priority")
 _KIND_RANK: dict[MessageKind, int] = {
     MessageKind.SENSE_COMMAND: 0,
     MessageKind.QUERY: 0,
-    MessageKind.DISCOVERY: 1,
     MessageKind.AGGREGATE: 1,
     MessageKind.DISSEMINATE: 1,
     MessageKind.QUERY_RESULT: 1,

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 from .message import Message
 
-__all__ = ["LinkModel", "WIFI", "BLUETOOTH", "GSM", "LTE", "LINKS_BY_NAME"]
+__all__ = [
+    "LinkModel",
+    "WIFI",
+    "BLUETOOTH",
+    "GSM",
+    "LTE",
+    "LOOPBACK",
+    "LINKS_BY_NAME",
+]
 
 
 @dataclass(frozen=True)
@@ -91,6 +99,21 @@ LTE = LinkModel(
     energy_per_message_mj=50.0,
     energy_per_byte_uj=10.0,
     range_m=2000.0,
+)
+
+#: Link model for co-located processes (the ingestion gateway's bus):
+#: gigabit-class serialisation and sub-millisecond base latency, no
+#: radio energy.  Metering still runs (messages and bytes are counted);
+#: the energy columns simply stay 0, which is the truthful figure for a
+#: wired loopback hop.  Not in :data:`LINKS_BY_NAME`: no node radio
+#: picks it.
+LOOPBACK = LinkModel(
+    name="loopback",
+    bandwidth_bps=1e9,
+    base_latency_s=0.0005,
+    energy_per_message_mj=0.0,
+    energy_per_byte_uj=0.0,
+    range_m=1.0,
 )
 
 LINKS_BY_NAME: dict[str, LinkModel] = {

@@ -36,7 +36,6 @@ class MessageKind(Enum):
     DISSEMINATE = "disseminate"  # broker -> nodes: collective info
     QUERY = "query"  # user/app -> broker: on-demand query
     QUERY_RESULT = "query_result"  # broker -> user/app
-    DISCOVERY = "discovery"  # service discovery announce/probe
     CONTEXT_SHARE = "context_share"  # node -> broker: shared context
 
 

@@ -64,8 +64,6 @@ class MegaConfig:
     sparsity: int = 16
     ticks_per_round: int = 1
     sharded: bool = False
-    inbox_capacity: int | None = None
-    drop_policy: str = "drop-newest"
 
     def __post_init__(self) -> None:
         if self.reports_per_zone < 1:
@@ -213,10 +211,7 @@ class MegaSimulation:
         self._solved_once: set[int] = set()
         self.sensor_fault_injector = sensor_fault_injector
         self.bus = MessageBus(
-            seed=pcfg.seed,
-            fault_injector=network_fault_injector,
-            inbox_capacity=config.inbox_capacity,
-            drop_policy=config.drop_policy,
+            seed=pcfg.seed, fault_injector=network_fault_injector
         )
         self.bus.register(_UPLINK)
         self._cloud = self.bus.register(_CLOUD)

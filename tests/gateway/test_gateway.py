@@ -16,6 +16,7 @@ import pytest
 from repro.gateway import protocol, server
 from repro.gateway.loadgen import LoadGenerator
 from repro.middleware import broker as broker_module
+from repro.network.links import LOOPBACK
 from repro.gateway.server import (
     GatewayConfig,
     IngestionGateway,
@@ -214,6 +215,18 @@ class TestLoadGenerator:
         assert stats["round_latency_p50_s"] > 0.0
         assert stats["round_latency_p99_s"] >= stats["round_latency_p50_s"]
         assert stats["transport"]["messages"] > 0
+        # Device and broker hops ride LOOPBACK and bill no radio
+        # energy; only the zone's WiFi uplink into its LocalCloud head
+        # does.
+        bus = gateway.transport
+        assert bus.default_link is LOOPBACK
+        head = bus.endpoint(gateway.localcloud.head_address)
+        assert head.link is not LOOPBACK
+        assert head.stats.messages == stats["transport"]["by_kind"]["aggregate"]
+        assert stats["transport"]["total_energy_mj"] == pytest.approx(
+            head.stats.total_energy_mj
+        )
+        assert bus.endpoint("gw/nc0/broker").link is LOOPBACK
 
 
 class TestRoundLiveness:

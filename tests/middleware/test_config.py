@@ -87,6 +87,8 @@ class TestBrokerConfig:
             "fair_rotation",
             "max_coverage_gap",
             "use_prior_basis",
+            # a ZoneRoundDriver argument, REPORT_DEADLINE_S by default
+            "report_deadline_s",
         ],
     )
     def test_removed_options_rejected(self, removed):

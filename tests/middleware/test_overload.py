@@ -280,15 +280,18 @@ class TestOverloadController:
         }
 
 
+#: The drivers' COLLECTING deadline under :func:`_timeout_config`.
+DEADLINE_S = 9.0
+
+
 def _timeout_config(**overload_kwargs):
-    """Dense rounds whose dead-node cells retry past the deadline, so
-    every round is closed by the deadline event (the breaker's failure
-    signal) deterministically."""
+    """Dense rounds whose dead-node cells retry past the
+    :data:`DEADLINE_S` deadline, so every round is closed by the
+    deadline event (the breaker's failure signal) deterministically."""
     return BrokerConfig(
         policy=CompressionPolicy(mode="dense"),
         command_retries=10,
         report_timeout_s=2.0,
-        report_deadline_s=9.0,
         overload=OverloadConfig(**overload_kwargs),
     )
 
@@ -312,7 +315,8 @@ class TestBreakerThroughDriver:
         injector.clock = clock
         outcomes = []
         driver = ZoneRoundDriver(
-            0, lc, _env(), clock, period_s=10.0, on_complete=outcomes.append
+            0, lc, _env(), clock, period_s=10.0,
+            report_deadline_s=DEADLINE_S, on_complete=outcomes.append,
         )
         driver.start(until=80.0)
         clock.run_until(100.0)
@@ -346,7 +350,8 @@ class TestBreakerThroughDriver:
         injector.clock = clock
         outcomes = []
         driver = ZoneRoundDriver(
-            0, lc, _env(), clock, period_s=10.0, on_complete=outcomes.append
+            0, lc, _env(), clock, period_s=10.0,
+            report_deadline_s=DEADLINE_S, on_complete=outcomes.append,
         )
         driver.start(until=120.0)
         clock.run_until(140.0)
@@ -443,7 +448,8 @@ class TestAdmissionControl:
         injector.clock = clock
         outcomes = []
         driver = ZoneRoundDriver(
-            0, lc, _env(), clock, period_s=30.0, on_complete=outcomes.append
+            0, lc, _env(), clock, period_s=30.0,
+            report_deadline_s=DEADLINE_S, on_complete=outcomes.append,
         )
         driver.start(until=60.0)
         # Extra mid-round firings (operator-requested rounds, say) at

@@ -20,7 +20,12 @@ from repro.fields.generators import smooth_field
 from repro.middleware.broker import Broker, _Collector
 from repro.middleware.config import BrokerConfig, CompressionPolicy
 from repro.middleware.localcloud import LocalCloud
-from repro.middleware.rounds import RoundState, ZoneRoundDriver, ZoneSchedule
+from repro.middleware.rounds import (
+    REPORT_DEADLINE_S,
+    RoundState,
+    ZoneRoundDriver,
+    ZoneSchedule,
+)
 from repro.network.bus import MessageBus
 from repro.network.faults import CrashSchedule, FaultInjector
 from repro.network.message import MessageKind
@@ -70,6 +75,22 @@ class TestZoneSchedule:
             ZoneSchedule(period_s=10.0, offset_s=-1.0)
 
 
+class TestDriverDeadline:
+    def test_defaults_to_the_module_constant(self):
+        clock, bus, lc = _deployment()
+        driver = ZoneRoundDriver(0, lc, _env(), clock, period_s=30.0)
+        assert driver.report_deadline_s == REPORT_DEADLINE_S
+
+    @pytest.mark.parametrize("deadline", [0.0, -1.0])
+    def test_rejects_nonpositive_deadline(self, deadline):
+        clock, bus, lc = _deployment()
+        with pytest.raises(ValueError):
+            ZoneRoundDriver(
+                0, lc, _env(), clock, period_s=30.0,
+                report_deadline_s=deadline,
+            )
+
+
 class TestRoundLifecycle:
     def test_round_completes_after_link_latency(self):
         clock, bus, lc = _deployment()
@@ -84,7 +105,7 @@ class TestRoundLifecycle:
         assert outcome.started_at == 30.0
         # Command leg + report leg: latency is real but far below the
         # deadline — the round closed early on the last report.
-        assert 0.0 < outcome.latency_s < lc.config.report_deadline_s
+        assert 0.0 < outcome.latency_s < driver.report_deadline_s
         assert not outcome.partial
         assert driver.state is RoundState.FINALIZED
         assert driver.rounds_completed == 1
@@ -142,7 +163,7 @@ class TestPartialRounds:
         assert len(outcomes) == 1
         outcome = outcomes[0]
         assert outcome.partial
-        assert outcome.latency_s < lc.config.report_deadline_s
+        assert outcome.latency_s < driver.report_deadline_s
         estimate = outcome.result.nc_estimates[0]
         assert estimate.plan.m == 5  # 6 planned cells, one unrealisable
         assert estimate.planned_m == 6
@@ -169,7 +190,6 @@ class TestPartialRounds:
         # infrastructure sensor instead.
         config = BrokerConfig(
             policy=CompressionPolicy(mode="dense"),
-            report_deadline_s=3.0,
             report_timeout_s=5.0,
             command_retries=2,
         )
@@ -184,7 +204,8 @@ class TestPartialRounds:
         )
         outcomes = []
         driver = ZoneRoundDriver(
-            0, lc, _env(), clock, period_s=30.0, on_complete=outcomes.append
+            0, lc, _env(), clock, period_s=30.0,
+            report_deadline_s=3.0, on_complete=outcomes.append,
         )
         driver.start(until=30.0)
         clock.run_until(60.0)
@@ -202,7 +223,6 @@ class TestPartialRounds:
         # cell up, solving partially.
         config = BrokerConfig(
             policy=CompressionPolicy(mode="dense"),
-            report_deadline_s=8.0,
             report_timeout_s=0.5,
             command_retries=2,
         )
@@ -212,7 +232,8 @@ class TestPartialRounds:
         injector.faults[0].crash(victim, 0.0)
         outcomes = []
         driver = ZoneRoundDriver(
-            0, lc, _env(), clock, period_s=30.0, on_complete=outcomes.append
+            0, lc, _env(), clock, period_s=30.0,
+            report_deadline_s=8.0, on_complete=outcomes.append,
         )
         driver.start(until=30.0)
         clock.run_until(60.0)
@@ -231,7 +252,6 @@ class TestPartialRounds:
         # round is still open, waiting out a crashed node's retries).
         config = BrokerConfig(
             policy=CompressionPolicy(mode="dense"),
-            report_deadline_s=8.0,
             report_timeout_s=0.5,
             command_retries=2,
         )
@@ -243,7 +263,8 @@ class TestPartialRounds:
         nc.nodes[refuser].policy.blocked_sensors.add("temperature")
         outcomes = []
         driver = ZoneRoundDriver(
-            0, lc, _env(), clock, period_s=30.0, on_complete=outcomes.append
+            0, lc, _env(), clock, period_s=30.0,
+            report_deadline_s=8.0, on_complete=outcomes.append,
         )
         driver.start(until=30.0)
         clock.run_until(60.0)
@@ -278,7 +299,6 @@ class TestPartialRounds:
         # collecting when the next firing arrives is skipped, not piled.
         config = BrokerConfig(
             policy=CompressionPolicy(mode="dense"),
-            report_deadline_s=9.0,
             report_timeout_s=4.0,
             command_retries=5,
         )
@@ -287,7 +307,8 @@ class TestPartialRounds:
         victim = sorted(lc.nanoclouds[0].nodes)[0]
         injector.faults[0].crash(victim, 0.0)
         driver = ZoneRoundDriver(
-            0, lc, _env(), clock, period_s=10.0, on_complete=lambda o: None
+            0, lc, _env(), clock, period_s=10.0, report_deadline_s=12.0,
+            on_complete=lambda o: None,
         )
         # deadline clamped below the period so rounds always close
         assert driver.report_deadline_s == pytest.approx(9.0)
@@ -523,7 +544,6 @@ class TestLinkModeHonoursConfig:
             command_retries=1,
             topup_resampling=True,
             report_timeout_s=1.0,
-            report_deadline_s=60.0,
         )
         lc = LocalCloud(
             "lc0", bus, 8, 6, n_nanoclouds=1, nodes_per_nc=48,
@@ -532,7 +552,8 @@ class TestLinkModeHonoursConfig:
         outcomes = []
         driver = ZoneRoundDriver(
             0, lc, _env(8, 6), clock, period_s=100.0,
-            measurements_per_nc=[20], on_complete=outcomes.append,
+            report_deadline_s=60.0, measurements_per_nc=[20],
+            on_complete=outcomes.append,
         )
         driver.start(until=300.0)
         clock.run_until(400.0)

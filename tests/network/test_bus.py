@@ -7,7 +7,6 @@ import pytest
 from repro.network.bus import MessageBus, TrafficStats
 from repro.network.links import BLUETOOTH, WIFI
 from repro.network.message import Message, MessageKind
-from repro.network.transport import Transport
 
 
 def _msg(src, dst, values=1):
@@ -291,9 +290,6 @@ class TestStatsSnapshot:
 
 
 class TestTransportProtocol:
-    def test_satisfies_transport_protocol(self):
-        assert isinstance(MessageBus(), Transport)
-
     def test_send_and_stats_round_trip(self):
         transport = MessageBus()
         transport.register("a", WIFI)

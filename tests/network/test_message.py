@@ -47,6 +47,5 @@ class TestMessage:
             "DISSEMINATE",
             "QUERY",
             "QUERY_RESULT",
-            "DISCOVERY",
             "CONTEXT_SHARE",
         } <= names

@@ -70,20 +70,6 @@ class TestRoundMechanics:
         third = sim.run_round()
         assert third.zones_solved == 4 and third.zones_stale == 0
 
-    def test_backpressure_sheds_zone_frames(self):
-        sim = MegaSimulation(
-            MegaConfig(
-                population=_pop(9),
-                reports_per_zone=32,
-                sparsity=8,
-                inbox_capacity=1,
-                drop_policy="drop-newest",
-            )
-        )
-        record = sim.run_round()
-        assert record.zones_solved == 1
-        assert sim._cloud.dropped_backpressure == 3
-
     def test_stuck_sensors_get_rejected_then_quarantined(self):
         injector = SensorFaultInjector()
         bad = list(range(12))

@@ -54,16 +54,6 @@ ALLOWLIST = {
     ("BrokerConfig", "rehab_probes"): (
         "input of the broker trust golden, with rehab_interval"
     ),
-    ("BrokerConfig", "report_deadline_s"): (
-        "default COLLECTING deadline of a ZoneRoundDriver built from "
-        "this config; SimulationEngine overrides it per run, and folding "
-        "the two waits for its own change"
-    ),
-    ("MegaConfig", "inbox_capacity"): (
-        "city bus backpressure bound; MegaConfig changes wait for the "
-        "benchmark change that drops MegaConfig.sharded"
-    ),
-    ("MegaConfig", "drop_policy"): "paired with MegaConfig.inbox_capacity",
     ("PopulationConfig", "dt"): (
         "an axis of the population oracle's Hypothesis test "
         "(tests/sim/test_population.py)"
